@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cauchy as cy
-from .cauchy import CircleFunctions, NuBundle, SectorArcs
+from .cauchy import CircleFunctions, NuBundle, PositivityError, SectorArcs
+from .config import Tolerances
 from .gammafn import arg_gamma, log_gamma
 from .scattering import SolitonData
 from .spectral import OMEGA, SQRT3, phi
 
 NU_TINY = 1e-13
-
-
-class PositivityError(ValueError):
-    pass
 
 
 def rtilde(k) -> complex:
@@ -229,13 +226,11 @@ class SectorIngredients:
 
 
 def build_ingredients(zeta: float, cf: CircleFunctions,
-                      solitons: SolitonData | list | None = None) -> SectorIngredients:
-    from .config import get_tol
-
+                      solitons: SolitonData | list | None = None,
+                      tol: Tolerances = Tolerances()) -> SectorIngredients:
     arcs = SectorArcs.from_zeta(zeta)
     nu = cy.nu_bundle(arcs, cf)
-    floor = get_tol("nu_hat_floor")
-    if nu.nu_hat1 < floor or nu.nu_hat2 < floor:
+    if nu.nu_hat1 < tol.nu_hat_floor or nu.nu_hat2 < tol.nu_hat_floor:
         raise PositivityError(
             f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
     sad = arcs.saddles
@@ -322,8 +317,6 @@ def amplitudes_phases(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
     sad = ing.arcs.saddles
     hat1 = max(nu.nu_hat1, 0.0)
     hat2 = max(nu.nu_hat2, 0.0)
-    if nu.nu_hat1 < -1e-10 or nu.nu_hat2 < -1e-10:
-        raise PositivityError("negative nu_hat beyond tolerance")
 
     wk4 = OMEGA * sad.k4
     w2k2 = OMEGA**2 * sad.k2

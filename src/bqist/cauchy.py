@@ -336,8 +336,8 @@ class SectorArcs:
         return cls(zeta=zeta, saddles=sad, a4=a4, a2=a2)
 
 
-_DELTA_SPEC = {
-    # j: (arc name, density, sign of (1/2 pi i) integral)
+_ARC_SPEC = {
+    # j: (arc name, density, sign of (1/2 pi i) integral), shared by delta_j and chi_j
     1: ("lo", "g1", -1.0),
     2: ("mid", "g1", +1.0),
     3: ("mid", "lnF", +1.0),
@@ -385,7 +385,7 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = N
     ``side`` ("interior"/"exterior", or the oriented "+"/"-") selects a
     boundary value via the principal-value formula when k lies on the arc.
     """
-    name, dens_name, sign = _DELTA_SPEC[j]
+    name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
     dens, _ = cf.density(dens_name)
     k = complex(k)
@@ -413,7 +413,7 @@ def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
     the low arc is traversed clockwise (so "+" is the exterior), the others
     counterclockwise ("+" is the interior).
     """
-    name, dens_name, sign = _DELTA_SPEC[j]
+    name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
     dens, _ = cf.density(dens_name)
     theta0 = float(np.angle(k))
@@ -450,14 +450,6 @@ def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
 # chi integrals
 # ---------------------------------------------------------------------------
 
-_CHI_SPEC = {
-    1: ("lo", "g1", -1.0),
-    2: ("mid", "g1", +1.0),
-    3: ("mid", "lnF", +1.0),
-    4: ("hi", "lnF", +1.0),
-    5: ("hi", "lnF2", +1.0),
-}
-
 # geometric ladder (ratio 1/sqrt(10)); the limit is v0 + A eps + B eps ln eps + ...,
 # and five Neville stages push the eps ln eps remainder below 1e-8
 EPS_SEQUENCE = (1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
@@ -471,7 +463,7 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
     at 2 pi/3 - eps, the divergent endpoint term is subtracted, and the limit
     is Richardson-extrapolated over ``eps_sequence``.
     """
-    name, dens_name, sign = _CHI_SPEC[j]
+    name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
     _, ddens = cf.density(dens_name)
     dens, _ = cf.density(dens_name)

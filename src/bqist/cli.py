@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, get_tol
+from .config import ConfigError, RunConfig
 
 FMT = "%.17g"
 
@@ -55,7 +55,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
 
     data = cfg.build_initial_data()
     mass = abs(data.mass())
-    if mass > get_tol("mass_condition"):
+    if mass > cfg.tol.mass_condition:
         print(f"error: mass condition violated (|int u1| = {mass:.3e})", file=sys.stderr)
         return 1
     refl = sc.reflection_coefficients(data, n_per_arc=cfg.n_per_arc)
@@ -74,17 +74,13 @@ def cmd_scatter(cfg: RunConfig) -> int:
 
     mode = cfg.solitons.get("mode", "none")
     if mode == "detect":
-        zeros = sc.find_s11_zeros(data)
-        sol = sc.residue_constants(data, zeros) if zeros else sc.SolitonData([], [], [])
+        zeros = sc.find_s11_zeros(data, tol=cfg.tol)
+        sol = (sc.residue_constants(data, zeros, tol=cfg.tol) if zeros
+               else sc.SolitonData([], [], []))
     elif mode == "explicit":
-        from .spectral import OMEGA
-
         zs = [complex(a, b) for a, b in cfg.solitons.get("zeros", [])]
         cs = [complex(a, b) for a, b in cfg.solitons.get("c", [])]
-        ds = [None if abs(z.imag) < 1e-12 else
-              (np.conj(z) ** 2 - 1) / (OMEGA**2 * (OMEGA**2 - np.conj(z) ** 2)) * np.conj(c)
-              for z, c in zip(zs, cs)]
-        sol = sc.SolitonData(zeros=zs, c=cs, d=ds)
+        sol = sc.SolitonData(zeros=zs, c=cs, d=[sc.soliton_d(z, c) for z, c in zip(zs, cs)])
     else:
         sol = sc.SolitonData([], [], [])
     sol_payload = {
@@ -94,8 +90,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
     }
     _atomic_write(cfg.out_dir / "solitons.json", json.dumps(sol_payload, indent=1))
 
-    report = sc.assumption_validators(data, refl, solitons=sol,
-                                      r1_segment_tol=get_tol("r1_segment"))
+    report = sc.assumption_validators(data, refl, solitons=sol, tol=cfg.tol)
     _atomic_write(cfg.out_dir / "validators.json",
                   json.dumps(_plain(report), indent=1))
     if not report["ok"]:
@@ -172,8 +167,8 @@ def load_solitons(out_dir: Path):
 def _asym_worker(args):
     from . import asymptotics as asy
 
-    z, cf, sol, t_values, debug = args
-    ing = asy.build_ingredients(float(z), cf, solitons=sol)
+    z, cf, sol, t_values, debug, tol = args
+    ing = asy.build_ingredients(float(z), cf, solitons=sol, tol=tol)
     rows = []
     for t in t_values:
         ev = asy.u_asym(float(z) * t, t, ing)
@@ -188,7 +183,7 @@ def _asym_worker(args):
     return rows, dbg
 
 
-def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
+def cmd_asym(cfg: RunConfig, debug_deltas: bool = False, jobs: int = 1) -> int:
     from . import cauchy as cy
 
     refl = load_reflection(cfg.out_dir)
@@ -204,11 +199,11 @@ def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
         else:
             skipped += 1
             print(f"warning: skipping zeta={z} outside window", file=sys.stderr)
-    worker_args = [(z, cf, sol, cfg.t_values, debug_deltas) for z in keep]
-    if cfg.jobs > 1:
+    worker_args = [(z, cf, sol, cfg.t_values, debug_deltas, cfg.tol) for z in keep]
+    if jobs > 1:
         import concurrent.futures as cfut
 
-        with cfut.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with cfut.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_asym_worker, worker_args))
     else:
         results = [_asym_worker(a) for a in worker_args]
@@ -235,15 +230,11 @@ def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
 
 
 def _pde_data(cfg: RunConfig):
-    """Initial data re-sampled on the long periodic grid of the PDE stage."""
-    from . import scattering as sc
-
-    p = cfg.pde
+    """Initial data re-sampled on the long periodic grid of the PDE stage (CSV as given)."""
     idata = dict(cfg.initial_data)
-    if "csv" in idata:
-        return sc.load_csv(idata["csv"])
-    idata["L"] = float(p.get("L", 760.0))
-    idata["n"] = int(p.get("n", 8193))
+    if "csv" not in idata:
+        idata["L"] = float(cfg.pde.get("L", 760.0))
+        idata["n"] = int(cfg.pde.get("n", 8193))
     return RunConfig(initial_data=idata, out_dir=cfg.out_dir).build_initial_data()
 
 
@@ -278,6 +269,10 @@ def cmd_compare(cfg: RunConfig) -> int:
         for row in csv.DictReader(fh):
             table.setdefault(float(row["t"]), []).append(
                 (float(row["zeta"]), float(row["u_asym"])))
+    missing = [t for t in cfg.t_values if t not in table]
+    if missing:
+        raise ConfigError(f"asymptotics.csv has no rows for t = {missing}; "
+                          "rerun asym with this config")
     snaps = []
     for t in cfg.t_values:
         path = cfg.out_dir / f"evolution_t{t:g}.csv"
@@ -389,8 +384,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--jobs", type=int, default=1)
         if name == "asym":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the zeta sweep")
             p.add_argument("--debug-deltas", action="store_true",
                            help="dump the per-zeta delta/chi ingredients to CSV")
     sub.add_parser("selftest")
@@ -400,10 +396,8 @@ def main(argv=None) -> int:
         return cmd_selftest()
     try:
         cfg = RunConfig.load(args.config, out_dir=args.out)
-        if args.jobs:
-            cfg.jobs = args.jobs
         if args.command == "asym":
-            return cmd_asym(cfg, debug_deltas=getattr(args, "debug_deltas", False))
+            return cmd_asym(cfg, debug_deltas=args.debug_deltas, jobs=args.jobs)
         handler = {"scatter": cmd_scatter,
                    "evolve": cmd_evolve, "compare": cmd_compare}[args.command]
         return handler(cfg)

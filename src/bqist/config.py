@@ -4,27 +4,43 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-#: documented tolerance names; each may be overridden by the environment
-#: variable BQIST_TOL_<NAME> (upper case)
-TOLERANCES = {
-    "circle_relation": 1e-6,     # acceptance residual for the circle identity
-    "conjugate_relation": 1e-6,  # r2 vs rtilde * conj(r1(1/kbar))
-    "mass_condition": 1e-9,      # |int u1 dx|
-    "tail": 1e-9,                # compact-support tails at +-L
-    "r1_segment": 5e-3,          # heuristic no-high-frequency threshold
-    "zero_residual": 1e-8,       # |s11| at an accepted zero
-    "nu_hat_floor": -1e-10,      # admissible negativity of nu-hat
-}
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Thresholds of the admissibility checks, passed to every site that applies one."""
+
+    mass_condition: float = 1e-9   # |int u1 dx|
+    tail: float = 1e-9             # compact-support tails at +-L
+    r1_segment: float = 5e-3       # heuristic no-high-frequency threshold
+    zero_residual: float = 1e-8    # |s11| at an accepted zero
+    nu_hat_floor: float = -1e-10   # admissible negativity of nu-hat
+
+    @classmethod
+    def resolve(cls, overrides: dict) -> "Tolerances":
+        """Defaults, then the BQIST_TOL_<NAME> variables, then ``overrides``."""
+        for name in overrides:
+            if name not in TOLERANCES:
+                raise ConfigError(f"unknown tolerance override {name!r}")
+        values = {}
+        for name in TOLERANCES:
+            val = overrides.get(name, os.environ.get(f"BQIST_TOL_{name.upper()}"))
+            if val is None:
+                continue
+            try:
+                values[name] = float(val)
+            except (TypeError, ValueError):
+                raise ConfigError(f"tolerance {name!r} is not a number: {val!r}") from None
+            if values[name] <= 0 and name != "nu_hat_floor":
+                raise ConfigError(f"tolerance {name!r} must be positive")
+        return cls(**values)
 
 
-def get_tol(name: str) -> float:
-    if name not in TOLERANCES:
-        raise KeyError(f"unknown tolerance {name!r}")
-    env = os.environ.get(f"BQIST_TOL_{name.upper()}")
-    return float(env) if env is not None else TOLERANCES[name]
+#: documented tolerance names and defaults; each may be overridden by the
+#: environment variable BQIST_TOL_<NAME> (upper case) or the config's "tolerances"
+TOLERANCES = asdict(Tolerances())
 
 
 class ConfigError(ValueError):
@@ -41,8 +57,7 @@ class RunConfig:
     t_values: tuple = (60.0, 120.0, 240.0)
     solitons: dict = field(default_factory=lambda: {"mode": "none"})
     pde: dict = field(default_factory=dict)
-    jobs: int = 1
-    tolerances: dict = field(default_factory=dict)
+    tol: Tolerances = field(default_factory=Tolerances)
 
     @classmethod
     def load(cls, path, out_dir=None) -> "RunConfig":
@@ -78,25 +93,24 @@ class RunConfig:
         n_per_arc = int(raw.get("n_per_arc", cls.n_per_arc))
         if n_per_arc < 8:
             raise ConfigError("n_per_arc must be at least 8")
-        tols = raw.get("tolerances", {})
-        for name, val in tols.items():
-            if name not in TOLERANCES:
-                raise ConfigError(f"unknown tolerance override {name!r}")
-            if float(val) <= 0 and name != "nu_hat_floor":
-                raise ConfigError(f"tolerance {name!r} must be positive")
-            os.environ[f"BQIST_TOL_{name.upper()}"] = str(float(val))
+        tol = Tolerances.resolve(raw.get("tolerances", {}))
         out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "bqist_out"))
         return cls(initial_data=idata, out_dir=out, n_per_arc=n_per_arc,
                    zeta_window=window, n_zeta=int(raw.get("n_zeta", cls.n_zeta)),
-                   t_values=t_values, solitons=sol, pde=raw.get("pde", {}),
-                   jobs=int(raw.get("jobs", 1)), tolerances=tols)
+                   t_values=t_values, solitons=sol, pde=raw.get("pde", {}), tol=tol)
 
     def build_initial_data(self):
         from . import scattering as sc
 
         idata = self.initial_data
         if "csv" in idata:
-            return sc.load_csv(idata["csv"])
+            path = idata["csv"]
+            try:
+                return sc.load_csv(path)
+            except KeyError as exc:
+                raise ConfigError(f"initial_data.csv {path} has no column {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"bad initial_data.csv {path}: {exc}") from exc
         form = idata["form"]
         if form not in sc.NAMED_FORMS:
             raise ConfigError(f"unknown initial-data form {form!r}; "
@@ -104,5 +118,5 @@ class RunConfig:
         kwargs = {k: v for k, v in idata.items() if k != "form"}
         try:
             return sc.NAMED_FORMS[form](**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameters for form {form!r}: {exc}") from exc

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Tolerances
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
 
-TAIL_TOL = 1e-11
-MASS_TOL = 1e-9
 DEGENERATE_TOL = 1e-8
 EXCLUSION = 2e-3  # sample keep-out radius around the sixth roots of unity
 
@@ -65,7 +64,7 @@ class InitialData:
         vals = [np.abs(self.u0[s]).max() + np.abs(self.u1[s]).max() for s in edge]
         return float(max(vals))
 
-    def validate(self, mass_tol: float = MASS_TOL, tail_tol: float = 1e-9) -> None:
+    def validate(self, mass_tol: float, tail_tol: float) -> None:
         m = abs(self.mass())
         if m > mass_tol:
             raise ValueError(f"mass condition violated: |int u1 dx| = {m:.3e} > {mass_tol:.1e}")
@@ -580,7 +579,7 @@ def _newton_polish(data, k0, tol=1e-11, maxit=40):
     return k
 
 
-def _real_axis_zeros(data, lo, hi, n=160):
+def _real_axis_zeros(data, lo, hi, n=160, tol: Tolerances = Tolerances()):
     """Zeros of s11 on a real segment.
 
     s11 is not real-valued there (it carries a slowly varying phase), but its
@@ -608,7 +607,7 @@ def _real_axis_zeros(data, lo, hi, n=160):
     out = []
     for z in zeros:
         kz = _newton_polish(data, z)
-        if abs(_s11_scalar(data, kz)) > 1e-8:
+        if abs(_s11_scalar(data, kz)) > tol.zero_residual:
             continue  # real-part crossing without a genuine zero
         if abs(kz.imag) > 1e-6:
             raise RuntimeError(f"zero off the real segment at {kz}")
@@ -665,16 +664,15 @@ DEFAULT_REGION = {
 }
 
 
-def find_s11_zeros(data: InitialData, region: dict | None = None) -> list:
+def find_s11_zeros(data: InitialData, region: dict | None = None,
+                   tol: Tolerances = Tolerances()) -> list:
     """Zeros of s11 in the admissible region (real bisection + winding boxes)."""
-    from .config import get_tol
-
     if data.is_zero:
         return []
     region = region or DEFAULT_REGION
     zeros: list[complex] = []
     for lo, hi in region.get("real_segments", []):
-        zeros.extend(_real_axis_zeros(data, lo, hi))
+        zeros.extend(_real_axis_zeros(data, lo, hi, tol=tol))
     for re_lo, re_hi, im_lo, im_hi in region.get("boxes", []):
         zeros.extend(_box_zeros(data, re_lo, re_hi, im_lo, im_hi))
     cleaned = []
@@ -683,15 +681,26 @@ def find_s11_zeros(data: InitialData, region: dict | None = None) -> list:
             z = complex(z.real, 0.0)
         if all(abs(z - w) > 1e-6 for w in cleaned):
             resid = abs(_s11_scalar(data, z))
-            if resid > get_tol("zero_residual"):
+            if resid > tol.zero_residual:
                 raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
             cleaned.append(z)
     return cleaned
 
 
-def residue_constants(data: InitialData, zeros) -> SolitonData:
+def soliton_d(k0: complex, c: complex):
+    """Soliton constant d = (kbar^2 - 1) / (omega^2 (omega^2 - kbar^2)) conj(c).
+
+    Defined at a nonreal zero k0 with residue constant c; None at a real zero.
+    """
+    if abs(k0.imag) < 1e-12:
+        return None
+    kb = np.conj(k0)
+    return (kb**2 - 1) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
+
+
+def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) -> SolitonData:
     """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real)."""
-    data.validate()
+    data.validate(tol.mass_condition, tol.tail)
     cs, ds, kept = [], [], []
     for k0 in zeros:
         k0 = complex(k0)
@@ -699,17 +708,11 @@ def residue_constants(data: InitialData, zeros) -> SolitonData:
         if abs(dek) < 1e-10:
             raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
         sm = scattering_matrices(data, np.array([k0]))
-        if abs(k0.imag) < 1e-12:
-            c = -complex(sm.s[0, 0, 1]) / dek
-            d = None
-        else:
-            c = -complex(sm.s[0, 0, 2]) / dek
-            kb = np.conj(k0)
-            d = (kb**2 - 1) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
+        c = -complex(sm.s[0, 0, 1 if abs(k0.imag) < 1e-12 else 2]) / dek
         if abs(c) < 1e-13:
             continue  # removable pole
         cs.append(c)
-        ds.append(d)
+        ds.append(soliton_d(k0, c))
         kept.append(k0)
     return SolitonData(zeros=kept, c=cs, d=ds)
 
@@ -726,7 +729,7 @@ def nonsingularity_value(k0: complex, c: complex) -> complex:
 
 def assumption_validators(data: InitialData, refl: ReflectionData | None = None,
                           solitons: SolitonData | None = None,
-                          r1_segment_tol: float = 5e-3) -> dict:
+                          tol: Tolerances = Tolerances()) -> dict:
     """Report-style checks of the three standing assumptions.
 
     The genericity margins are heuristic (flagged as such in the report); the
@@ -734,7 +737,7 @@ def assumption_validators(data: InitialData, refl: ReflectionData | None = None,
     """
     report: dict = {"heuristic_thresholds": True}
     m = abs(data.mass())
-    report["mass_condition"] = {"value": m, "ok": bool(m <= MASS_TOL)}
+    report["mass_condition"] = {"value": m, "ok": bool(m <= tol.mass_condition)}
     if not report["mass_condition"]["ok"]:
         report["ok"] = False
         return report
@@ -751,8 +754,8 @@ def assumption_validators(data: InitialData, refl: ReflectionData | None = None,
     r1seg = r1_values(data, 1j * ys)
     sup = float(np.nanmax(np.abs(r1seg)))
     report["no_high_frequency"] = {"sup_r1_segment": sup,
-                                   "ok": bool(sup <= r1_segment_tol),
-                                   "tol": r1_segment_tol}
+                                   "ok": bool(sup <= tol.r1_segment),
+                                   "tol": tol.r1_segment}
 
     # (ii) generic behavior near k = +-1: scaled entries have finite nonzero limits
     probes = {}

@@ -18,29 +18,9 @@ OMEGA = np.exp(2j * np.pi / 3)
 #: sixth roots of unity kappa_j = e^{i pi (j-1)/3}, j = 1..6
 KAPPA = np.exp(1j * np.pi * np.arange(6) / 3)
 
-#: cyclic permutation matrix (order 3) of the row-vector symmetry
-MAT_A = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-
-#: transposition matrix (order 2) of the inversion symmetry
-MAT_B = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-
 #: lower edge of the admissible speed window zeta = x/t
 ZETA_MIN = 1.0 / SQRT3
 ZETA_MAX = 1.0
-
-
-@dataclass(frozen=True)
-class UnityFrame:
-    """Roots of unity and the two symmetry matrices, bundled for convenience."""
-
-    omega: complex
-    kappa: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-
-def unity_frame() -> UnityFrame:
-    return UnityFrame(omega=OMEGA, kappa=KAPPA.copy(), A=MAT_A.copy(), B=MAT_B.copy())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,18 @@ import pytest
 
 from bqist import cli
 from bqist import scattering as sc
+from bqist.config import TOLERANCES, ConfigError, RunConfig, Tolerances
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "bqist.cli", *args],
                           capture_output=True, text=True)
+
+
+def write_csv(path, x, u0, u1):
+    lines = ["x,u0,u1"] + [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(x, u0, u1)]
+    path.write_text("\n".join(lines))
+    return path
 
 
 def write_config(path, **overrides):
@@ -41,6 +49,37 @@ def test_missing_csv_names_field(tmp_path):
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
     assert "absent.csv" in res.stderr
+    # a non-uniform grid or a missing column is a config error too, in every stage
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "skewed.csv", x**3 / 400.0, np.zeros_like(x), np.zeros_like(x))
+    (tmp_path / "no_u1.csv").write_text("x,u0\n0,0\n1,0\n2,0\n")
+    for name, message in (("skewed.csv", "uniform"), ("no_u1.csv", "'u1'")):
+        cfgp.write_text(json.dumps({"initial_data": {"csv": name}}))
+        for stage in ("scatter", "evolve"):
+            res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
+            assert res.returncode == 2, res.stderr
+            assert name in res.stderr and message in res.stderr
+
+
+def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
+    for name in TOLERANCES:
+        monkeypatch.delenv(f"BQIST_TOL_{name.upper()}", raising=False)
+    before = dict(os.environ)
+    loose = RunConfig.load(write_config(tmp_path / "loose.json",
+                                        tolerances={"zero_residual": 1e-3}))
+    assert loose.tol.zero_residual == 1e-3
+    assert dict(os.environ) == before
+    # a later config without overrides gets the defaults back
+    assert RunConfig.load(write_config(tmp_path / "plain.json")).tol == Tolerances()
+    # the environment is read at load time; a config value beats it
+    monkeypatch.setenv("BQIST_TOL_ZERO_RESIDUAL", "1e-5")
+    assert RunConfig.load(tmp_path / "plain.json").tol.zero_residual == 1e-5
+    assert RunConfig.load(tmp_path / "loose.json").tol.zero_residual == 1e-3
+    # names that no check reads are rejected, not silently ignored
+    cfgp = write_config(tmp_path / "circle.json", tolerances={"circle_relation": 1e-6})
+    with pytest.raises(ConfigError, match="circle_relation"):
+        RunConfig.load(cfgp)
+    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
 
 
 def test_bad_window_exits_2(tmp_path):
@@ -54,6 +93,12 @@ def test_unknown_form_exits_2(tmp_path):
     cfgp = write_config(tmp_path / "c.json", initial_data={"form": "sinc"})
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
+    cfgp = write_config(tmp_path / "c.json",
+                        initial_data={"form": "gaussian", "amplitude": 0.1, "width": 2.0,
+                                      "u1_mode": "sideways"})
+    res = run_cli("scatter", "--config", str(cfgp))
+    assert res.returncode == 2
+    assert "sideways" in res.stderr
 
 
 def test_zero_data_pipeline(tmp_path):
@@ -124,10 +169,7 @@ def test_jobs_parallel_and_debug_dump(small_run):
 
 def test_initial_data_csv_input(tmp_path):
     d = sc.gaussian_bandlimited(0.05, 2.0, L=120.0, n=4097)
-    lines = ["x,u0,u1"] + [f"{x:.17g},{u0:.17g},{u1:.17g}"
-                           for x, u0, u1 in zip(d.x, d.u0, d.u1)]
-    csv_path = tmp_path / "data.csv"
-    csv_path.write_text("\n".join(lines))
+    csv_path = write_csv(tmp_path / "data.csv", d.x, d.u0, d.u1)
     loaded = sc.load_csv(csv_path)
     assert np.allclose(loaded.u0, d.u0)
     cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "data.csv"},
@@ -135,6 +177,15 @@ def test_initial_data_csv_input(tmp_path):
     out = tmp_path / "out"
     res = run_cli("scatter", "--config", str(cfgp), "--out", str(out))
     assert res.returncode == 0, res.stderr
+    # mass 1.8e-8 passes a loosened mass_condition both in scatter and in validators.json
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "massive.csv", x, 0.05 * np.exp(-(x / 2) ** 2), 1e-8 * np.exp(-x**2))
+    cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"},
+                        n_per_arc=16, tolerances={"mass_condition": 1e-6})
+    res = run_cli("scatter", "--config", str(cfgp), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    report = json.loads((out / "validators.json").read_text())
+    assert report["mass_condition"]["ok"] and 1e-8 < report["mass_condition"]["value"] < 1e-6
 
 
 def test_pipeline_roundtrip_reflection(small_run):
@@ -179,6 +230,14 @@ def test_pipeline_evolve_compare(small_run):
     assert "envelope decay exponent" in summary
     header = (out / "compare.csv").read_text().splitlines()[0]
     assert header == "t,max_err,rms_err,envelope_pde,envelope_asym"
+    # t values that asym did not produce are a config mismatch, not a numerical failure
+    cfg = json.loads(Path(cfgp).read_text())
+    cfg["t_values"] = [60.0, 120.0]
+    cfgp2 = Path(cfgp).parent / "c_more_t.json"
+    cfgp2.write_text(json.dumps(cfg))
+    res = run_cli("compare", "--config", str(cfgp2), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "t = [120.0]" in res.stderr
 
 
 def test_selftest_passes():

@@ -9,11 +9,8 @@ SQ3 = np.sqrt(3.0)
 
 
 def test_unity_frame_invariants():
-    fr = sp.unity_frame()
-    assert abs(fr.omega**3 - 1) < 1e-15 and abs(fr.omega - 1) > 1
-    assert np.allclose(fr.kappa, np.exp(1j * np.pi * np.arange(6) / 3))
-    assert np.allclose(np.linalg.matrix_power(fr.A, 3), np.eye(3))
-    assert np.allclose(fr.B @ fr.B, np.eye(3))
+    assert abs(sp.OMEGA**3 - 1) < 1e-15 and abs(sp.OMEGA - 1) > 1
+    assert np.allclose(sp.KAPPA, np.exp(1j * np.pi * np.arange(6) / 3))
 
 
 def test_phase_values_at_one():
