@@ -32,8 +32,7 @@ import numpy as np
 
 from .scattering import ReflectionData
 from .spectral import OMEGA, SaddleSet, saddle_points
-from .util import ChebPanel, gauss_legendre, graded_panels, panel_quad, refine_near, \
-    richardson_limit
+from .util import ChebPanel, graded_panels, panel_quad, refine_near, richardson_limit
 
 TWO_THIRDS_PI = 2 * np.pi / 3
 ARC_LO = np.pi / 2
@@ -371,10 +370,7 @@ def _cauchy_panels(lo, hi, k, singular_hi=False, singular_lo=False):
     for cand in (phi, phi + 2 * np.pi, phi - 2 * np.pi):
         if lo - 0.3 <= cand <= hi + 0.3:
             gap = max(abs(abs(k) - 1.0), 1e-9)
-            out = []
-            for p in panels:
-                out.extend(refine_near([p], cand, min_size=min(1e-4, gap / 4)))
-            panels = sorted(out)
+            panels = refine_near(panels, cand, min_size=min(1e-4, gap / 4))
     return panels
 
 
@@ -433,11 +429,8 @@ def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
         s = np.exp(1j * th)
         return (dens(th) - g0) * 1j * s / (s - k0)
 
-    singular_hi = name == "hi"
-    panels = []
-    for p in graded_panels(lo, hi, (False, singular_hi)):
-        panels.extend(refine_near([p], theta0, min_size=1e-7))
-    pv_reg = panel_quad(regular, sorted(panels), n=gl_n)
+    panels = refine_near(graded_panels(lo, hi, (False, name == "hi")), theta0, min_size=1e-7)
+    pv_reg = panel_quad(regular, panels, n=gl_n)
     # closed-form PV of int ds/(s-k0) over the arc
     pv_core = (1j * (hi - lo) / 2
                + np.log(abs(np.sin(0.5 * (hi - theta0)) / np.sin(0.5 * (theta0 - lo)))))
@@ -465,8 +458,7 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
     """
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
-    _, ddens = cf.density(dens_name)
-    dens, _ = cf.density(dens_name)
+    dens, ddens = cf.density(dens_name)
     k = complex(k)
 
     def weighted(lo_, hi_):
@@ -481,10 +473,7 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
         for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
             if lo_ - 0.3 <= cand <= hi_ + 0.3 and not (sing_lo or sing_hi_pt):
                 gap = max(abs(abs(k) - 1.0), 1e-8)
-                out = []
-                for p in panels:
-                    out.extend(refine_near([p], cand, min_size=max(min(1e-5, gap / 4), 1e-8)))
-                panels = sorted(out)
+                panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
         return panel_quad(integrand, panels, n=gl_n)
 
     if j in (1, 2, 3):

@@ -164,63 +164,35 @@ def load_solitons(out_dir: Path):
     )
 
 
-def _asym_worker(args):
+#: SectorIngredients fields dumped by ``asym --debug-deltas``
+_DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4", "chit3_wk4",
+                     "chi2_w2k2", "chi3_w2k2", "chit4_w2k2", "chit5_w2k2")
+
+
+def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
     from . import asymptotics as asy
-
-    z, cf, sol, t_values, debug, tol = args
-    ing = asy.build_ingredients(float(z), cf, solitons=sol, tol=tol)
-    rows = []
-    for t in t_values:
-        ev = asy.u_asym(float(z) * t, t, ing)
-        rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
-    dbg = None
-    if debug:
-        dbg = (float(z),
-               complex(ing.D1_wk4), complex(ing.D2_w2k2),
-               complex(ing.chi1_wk4), complex(ing.chit2_wk4), complex(ing.chit3_wk4),
-               complex(ing.chi2_w2k2), complex(ing.chi3_w2k2),
-               complex(ing.chit4_w2k2), complex(ing.chit5_w2k2))
-    return rows, dbg
-
-
-def cmd_asym(cfg: RunConfig, debug_deltas: bool = False, jobs: int = 1) -> int:
     from . import cauchy as cy
 
     refl = load_reflection(cfg.out_dir)
     sol = load_solitons(cfg.out_dir)
     cf = cy.CircleFunctions(refl)
-    zetas = [float(z) for z in
-             np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta)]
-    skipped = 0
-    keep = []
-    for z in zetas:
-        if cfg.zeta_window[0] - 1e-12 <= z <= cfg.zeta_window[1] + 1e-12:
-            keep.append(z)
-        else:
-            skipped += 1
-            print(f"warning: skipping zeta={z} outside window", file=sys.stderr)
-    worker_args = [(z, cf, sol, cfg.t_values, debug_deltas, cfg.tol) for z in keep]
-    if jobs > 1:
-        import concurrent.futures as cfut
-
-        with cfut.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_asym_worker, worker_args))
-    else:
-        results = [_asym_worker(a) for a in worker_args]
-    rows = [r for res, _ in results for r in res]
+    rows, dbg_rows = [], []
+    for z in np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta):
+        z = float(z)
+        ing = asy.build_ingredients(z, cf, solitons=sol, tol=cfg.tol)
+        for t in cfg.t_values:
+            ev = asy.u_asym(z * t, t, ing)
+            rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
+        if debug_deltas:
+            for name in _DEBUG_QUANTITIES:
+                v = complex(getattr(ing, name))
+                dbg_rows.append((z, name, v.real, v.imag))
     _write_csv(cfg.out_dir / "asymptotics.csv",
                ["x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u_asym"], rows)
     if debug_deltas:
-        dbg_rows = []
-        for _, dbg in results:
-            z = dbg[0]
-            for name, v in zip(("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4",
-                                "chit3_wk4", "chi2_w2k2", "chi3_w2k2",
-                                "chit4_w2k2", "chit5_w2k2"), dbg[1:]):
-                dbg_rows.append((z, name, float(v.real), float(v.imag)))
         _write_csv(cfg.out_dir / "deltas_debug.csv",
                    ["zeta", "quantity", "re", "im"], dbg_rows)
-    print(f"asym: wrote asymptotics.csv ({len(rows)} rows, {skipped} skipped)")
+    print(f"asym: wrote asymptotics.csv ({len(rows)} rows)")
     return 0
 
 
@@ -385,8 +357,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory override")
         if name == "asym":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the zeta sweep")
             p.add_argument("--debug-deltas", action="store_true",
                            help="dump the per-zeta delta/chi ingredients to CSV")
     sub.add_parser("selftest")
@@ -397,7 +367,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, out_dir=args.out)
         if args.command == "asym":
-            return cmd_asym(cfg, debug_deltas=args.debug_deltas, jobs=args.jobs)
+            return cmd_asym(cfg, debug_deltas=args.debug_deltas)
         handler = {"scatter": cmd_scatter,
                    "evolve": cmd_evolve, "compare": cmd_compare}[args.command]
         return handler(cfg)

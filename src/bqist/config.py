@@ -47,6 +47,16 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
 
 
+def _field(raw: dict, name: str, default, kind, many: bool = False):
+    """``raw[name]`` (or ``default``) converted by ``kind``, element-wise if ``many``."""
+    val = raw.get(name, default)
+    try:
+        return tuple(kind(v) for v in val) if many else kind(val)
+    except (TypeError, ValueError):
+        expected = f"a list of {kind.__name__}" if many else f"one {kind.__name__}"
+        raise ConfigError(f"{name} must be {expected}: {val!r}") from None
+
+
 @dataclass
 class RunConfig:
     initial_data: dict
@@ -80,23 +90,27 @@ class RunConfig:
             idata = dict(idata, csv=str(csv_path))
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
-        window = tuple(raw.get("zeta_window", cls.zeta_window))
+        window = _field(raw, "zeta_window", cls.zeta_window, float, many=True)
         lo_edge = 1.0 / 3.0**0.5
-        if not (lo_edge < window[0] < window[1] < 1.0):
-            raise ConfigError(f"zeta_window must lie inside (1/sqrt(3), 1): {window}")
-        t_values = tuple(float(t) for t in raw.get("t_values", cls.t_values))
-        if any(t < 2 for t in t_values):
-            raise ConfigError("t_values must all be >= 2")
+        if len(window) != 2 or not (lo_edge < window[0] < window[1] < 1.0):
+            raise ConfigError(f"zeta_window must be two increasing values inside "
+                              f"(1/sqrt(3), 1): {window}")
+        t_values = _field(raw, "t_values", cls.t_values, float, many=True)
+        if not t_values or any(t < 2 for t in t_values):
+            raise ConfigError("t_values must be a nonempty list, all >= 2")
         sol = raw.get("solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
-        n_per_arc = int(raw.get("n_per_arc", cls.n_per_arc))
+        n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
         if n_per_arc < 8:
             raise ConfigError("n_per_arc must be at least 8")
+        n_zeta = _field(raw, "n_zeta", cls.n_zeta, int)
+        if n_zeta < 1:
+            raise ConfigError("n_zeta must be at least 1")
         tol = Tolerances.resolve(raw.get("tolerances", {}))
         out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "bqist_out"))
         return cls(initial_data=idata, out_dir=out, n_per_arc=n_per_arc,
-                   zeta_window=window, n_zeta=int(raw.get("n_zeta", cls.n_zeta)),
+                   zeta_window=window, n_zeta=n_zeta,
                    t_values=t_values, solitons=sol, pde=raw.get("pde", {}), tol=tol)
 
     def build_initial_data(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
@@ -52,15 +54,10 @@ class ChebPanel:
         return float(c[-2:].max() / scale)
 
 
+@cache
 def gauss_legendre(n: int):
     """Cached nodes/weights on [-1, 1]."""
-    key = int(n)
-    if key not in _GL_CACHE:
-        _GL_CACHE[key] = np.polynomial.legendre.leggauss(key)
-    return _GL_CACHE[key]
-
-
-_GL_CACHE: dict = {}
+    return np.polynomial.legendre.leggauss(n)
 
 
 def graded_panels(a: float, b: float, singular_ends=(False, False), levels: int = 30,
@@ -123,14 +120,16 @@ def refine_near(panels: list[tuple[float, float]], point: float,
 
 
 def panel_quad(fun, panels, n: int = 16):
-    """Composite Gauss-Legendre quadrature of ``fun`` over the panel list."""
+    """Composite Gauss-Legendre quadrature of ``fun`` over the panel list.
+
+    ``fun`` is called once, on the nodes of all panels in panel order.
+    """
     xg, wg = gauss_legendre(n)
-    total = 0.0 + 0.0j
-    for lo, hi in panels:
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * xg
-        total += half * np.sum(wg * fun(x))
-    return total
+    lo, hi = np.asarray(panels, dtype=float).reshape(-1, 2).T
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * xg
+    vals = fun(x.ravel()).reshape(x.shape)
+    return complex(np.sum(half * (vals @ wg)))
 
 
 def richardson_limit(eps, vals):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import scattering as sc
 from bqist.spectral import OMEGA
@@ -274,3 +275,62 @@ def test_re_chi_formula_at_saddle(arcs, cf_small, nu):
     expected = -np.real(lead) + (arcs.a4 + np.pi) / 2 * nu.nu1
     computed = np.real(cy.chi(1, arcs, cf_small, np.exp(1j * arcs.a4)))
     assert abs(computed - expected) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# vectorized quadrature
+# ---------------------------------------------------------------------------
+
+
+def panel_loop_quad(fun, panels, n=16):
+    """Reference composite rule: one call of ``fun`` per panel, summed in order."""
+    xg, wg = gauss_legendre(n)
+    total = 0.0 + 0.0j
+    for lo, hi in panels:
+        half = 0.5 * (hi - lo)
+        total += half * np.sum(wg * fun(0.5 * (lo + hi) + half * xg))
+    return total
+
+
+def test_panel_quad_one_call_matches_panel_loop():
+    calls = []
+
+    def integrand(x):
+        calls.append(x.shape)
+        return np.log(1.0 - x) * np.exp(1j * x)
+
+    panels = graded_panels(0.0, 1.0, (False, True))
+    val = panel_quad(integrand, panels, n=16)
+    assert calls == [(16 * len(panels),)]
+    ref = panel_loop_quad(integrand, panels, n=16)
+    assert abs(val - ref) <= 1e-14 * abs(ref)
+
+
+def test_delta_chi_match_panel_loop_quadrature(cf_small, monkeypatch):
+    """Whole-arc evaluation (one ln_branch_sweep unwrap per arc) against the
+    panel-by-panel rule, at the saddle images the asymptotic formula uses."""
+    chi_at = {  # (image, tilde) -> j where the branch is defined at that image
+        ("wk4", False): (1,), ("wk4", True): (2, 3, 4, 5),
+        ("w2k2", False): (1, 2, 3), ("w2k2", True): (4, 5),
+        ("k4", False): (1, 2, 3, 4, 5), ("k4", True): (1, 2, 3, 4, 5),
+    }
+
+    def evaluate():
+        out = []
+        for zeta in (0.64, 0.78, 0.93):
+            arcs = cy.SectorArcs.from_zeta(zeta)
+            images = {"k4": arcs.saddles.k4, "wk4": OMEGA * arcs.saddles.k4,
+                      "w2k2": OMEGA**2 * arcs.saddles.k2}
+            for table, k in ((asy._D1_EXP, images["wk4"]), (asy._D2_EXP, images["w2k2"])):
+                for j, factors in table.items():
+                    out += [cy.delta(j, arcs, cf_small, asy._TRANSFORMS[name](k))
+                            for name in factors]
+            for (image, tilde), js in chi_at.items():
+                out += [cy.chi(j, arcs, cf_small, images[image], tilde=tilde) for j in js]
+        return np.array(out)
+
+    production = evaluate()
+    monkeypatch.setattr(cy, "panel_quad", panel_loop_quad)
+    reference = evaluate()
+    assert len(production) == 3 * (53 + 20)
+    assert np.max(np.abs(production - reference)) < 1e-12

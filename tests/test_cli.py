@@ -82,11 +82,18 @@ def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
     assert cli.main(["scatter", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
 
 
-def test_bad_window_exits_2(tmp_path):
+def test_bad_window_exits_2(tmp_path, capsys):
     cfgp = write_config(tmp_path / "c.json", zeta_window=[0.2, 0.9])
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
     assert "zeta_window" in res.stderr
+    # malformed sizes and windows are config errors naming the field, in every stage
+    for field, value in (("zeta_window", [0.7]), ("n_per_arc", "abc"),
+                         ("n_zeta", -1), ("n_zeta", 0), ("t_values", [])):
+        cfgp = write_config(tmp_path / "c.json", **{field: value})
+        for stage in ("scatter", "asym"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert field in capsys.readouterr().err
 
 
 def test_unknown_form_exits_2(tmp_path):
@@ -152,19 +159,19 @@ def test_emitted_csv_circle_relation(small_run):
     assert np.max(np.abs(resid)) < 1e-6
 
 
-def test_jobs_parallel_and_debug_dump(small_run):
+def test_debug_dump(small_run):
     cfgp, out = small_run
-    serial = (out / "asymptotics.csv").read_bytes()
-    res = run_cli("asym", "--config", str(cfgp), "--out", str(out),
-                  "--jobs", "2", "--debug-deltas")
+    plain = (out / "asymptotics.csv").read_bytes()
+    res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--debug-deltas")
     assert res.returncode == 0, res.stderr
-    assert (out / "asymptotics.csv").read_bytes() == serial
+    assert (out / "asymptotics.csv").read_bytes() == plain
     dbg = (out / "deltas_debug.csv").read_text().splitlines()
     assert dbg[0] == "zeta,quantity,re,im"
     assert len(dbg) == 1 + 3 * 9
-    # restore the serial artifacts for the later byte-identity test
-    res = run_cli("asym", "--config", str(cfgp), "--out", str(out))
-    assert res.returncode == 0
+    assert [row.split(",")[1] for row in dbg[1:10]] == list(cli._DEBUG_QUANTITIES)
+    # the zeta sweep is serial; there is no worker-process option
+    res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--jobs", "2")
+    assert res.returncode == 2 and "--jobs" in res.stderr
 
 
 def test_initial_data_csv_input(tmp_path):
