@@ -48,11 +48,21 @@ class ConfigError(ValueError):
 
 
 def _field(raw: dict, name: str, default, kind, many: bool = False):
-    """``raw[name]`` (or ``default``) converted by ``kind``, element-wise if ``many``."""
+    """``raw[name]`` (or ``default``) converted by ``kind``, element-wise if ``many``.
+
+    An int field takes only values equal to their int(): 56 and 56.0, not 2.9.
+    """
     val = raw.get(name, default)
+
+    def convert(v):
+        out = kind(v)
+        if kind is int and out != v:
+            raise ValueError
+        return out
+
     try:
-        return tuple(kind(v) for v in val) if many else kind(val)
-    except (TypeError, ValueError):
+        return tuple(convert(v) for v in val) if many else convert(val)
+    except (TypeError, ValueError, OverflowError):
         expected = f"a list of {kind.__name__}" if many else f"one {kind.__name__}"
         raise ConfigError(f"{name} must be {expected}: {val!r}") from None
 

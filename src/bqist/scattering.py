@@ -231,22 +231,6 @@ def potential_weights(data: InitialData):
     return w31, w32
 
 
-def build_potential(data: InitialData, k):
-    """Factory returning U(x, k) as a function of x (grid-aligned evaluation)."""
-    M1, M2 = potential_frame(k)
-    w31, w32 = potential_weights(data)
-
-    def U(xq):
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        a31 = np.interp(xq, data.x, w31.real) + 1j * np.interp(xq, data.x, w31.imag)
-        a32 = np.interp(xq, data.x, w32)
-        out = (a31[:, None, None, None] * M1[None, :, :, :]
-               + a32[:, None, None, None] * M2[None, :, :, :])
-        return out.squeeze()
-
-    return U
-
-
 _WHICH = {
     "X": (+1, False, +1),   # sign of [L,.], transpose potential?, march direction (from +L)
     "XA": (-1, True, +1),
@@ -502,16 +486,6 @@ class ReflectionData:
     def r2_at(self, theta):
         return self._ratio(theta, "n2", "d2")
 
-    def r2_pole_scaled_at(self, theta):
-        """(k - p) r2 with p the nearer of +-omega^2 (finite through the poles)."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = np.exp(1j * th)
-        poles = np.array([np.exp(1j * np.pi / 3), np.exp(-1j * 2 * np.pi / 3)])
-        dist = np.abs(k[:, None] - poles[None, :])
-        p = poles[np.argmin(dist, axis=1)]
-        out = (k - p) * np.atleast_1d(self.r2_at(th))
-        return out if out.shape != (1,) else out[0]
-
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
     """Sample the reflection data at Chebyshev nodes of the six arcs."""
@@ -555,24 +529,27 @@ class SolitonData:
         return len(self.zeros) == 0
 
 
-def _s11_scalar(data, k):
-    return complex(s11_values(data, np.array([k]))[0])
+def _s11_and_slope(data, k, h=1e-6):
+    """s11(k) and its central difference along a direction interior to the
+    analyticity domain, from one march at [k, k + dk, k - dk]."""
+    k = complex(k)
+    direction = 1.0 + 0j if abs(k.imag) < 1e-12 else k / abs(k)
+    dk = h * direction
+    f, fp, fm = s11_values(data, np.array([k, k + dk, k - dk]))
+    return complex(f), complex((fp - fm) / (2 * dk))
 
 
 def ds11_dk(data: InitialData, k0: complex, h: float = 1e-6) -> complex:
     """Central difference along a direction interior to the analyticity domain."""
-    direction = 1.0 + 0j if abs(k0.imag) < 1e-12 else k0 / abs(k0)
-    dk = h * direction
-    return (_s11_scalar(data, k0 + dk) - _s11_scalar(data, k0 - dk)) / (2 * dk)
+    return _s11_and_slope(data, k0, h)[1]
 
 
 def _newton_polish(data, k0, tol=1e-11, maxit=40):
     k = complex(k0)
     for _ in range(maxit):
-        f = _s11_scalar(data, k)
+        f, df = _s11_and_slope(data, k)
         if abs(f) < tol:
             return k
-        df = ds11_dk(data, k)
         if df == 0:
             break
         k = k - f / df
@@ -583,31 +560,19 @@ def _real_axis_zeros(data, lo, hi, n=160, tol: Tolerances = Tolerances()):
     """Zeros of s11 on a real segment.
 
     s11 is not real-valued there (it carries a slowly varying phase), but its
-    real and imaginary parts vanish together at admissible zeros; bisection on
-    the real part followed by a complex Newton polish locates them.
+    real and imaginary parts vanish together at admissible zeros; a complex
+    Newton polish started from the secant root of each sign change of the
+    real part locates them.
     """
     ks = np.linspace(lo, hi, n)
-    vals = s11_values(data, ks.astype(complex))
-    re = vals.real
-    zeros = []
-    for i in range(n - 1):
-        if re[i] == 0.0:
-            zeros.append(ks[i])
-        elif re[i] * re[i + 1] < 0:
-            a, b = ks[i], ks[i + 1]
-            fa = re[i]
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = _s11_scalar(data, m).real
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            zeros.append(0.5 * (a + b))
+    re = s11_values(data, ks.astype(complex)).real
     out = []
-    for z in zeros:
-        kz = _newton_polish(data, z)
-        if abs(_s11_scalar(data, kz)) > tol.zero_residual:
+    for i in np.flatnonzero((re[:-1] == 0.0) | (re[:-1] * re[1:] < 0)):
+        start = ks[i]
+        if re[i] != 0.0:
+            start -= re[i] * (ks[i + 1] - ks[i]) / (re[i + 1] - re[i])
+        kz = _newton_polish(data, start)
+        if abs(s11_values(data, kz)[0]) > tol.zero_residual:
             continue  # real-part crossing without a genuine zero
         if abs(kz.imag) > 1e-6:
             raise RuntimeError(f"zero off the real segment at {kz}")
@@ -666,7 +631,7 @@ DEFAULT_REGION = {
 
 def find_s11_zeros(data: InitialData, region: dict | None = None,
                    tol: Tolerances = Tolerances()) -> list:
-    """Zeros of s11 in the admissible region (real bisection + winding boxes)."""
+    """Zeros of s11 in the admissible region (real-segment Newton + winding boxes)."""
     if data.is_zero:
         return []
     region = region or DEFAULT_REGION
@@ -680,7 +645,7 @@ def find_s11_zeros(data: InitialData, region: dict | None = None,
         if abs(z.imag) < 1e-9:
             z = complex(z.real, 0.0)
         if all(abs(z - w) > 1e-6 for w in cleaned):
-            resid = abs(_s11_scalar(data, z))
+            resid = abs(s11_values(data, z)[0])
             if resid > tol.zero_residual:
                 raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
             cleaned.append(z)
@@ -758,24 +723,25 @@ def assumption_validators(data: InitialData, refl: ReflectionData | None = None,
                                    "tol": tol.r1_segment}
 
     # (ii) generic behavior near k = +-1: scaled entries have finite nonzero limits
+    at = [(kstar, rad) for kstar in (1.0, -1.0) for rad in (1e-2, 5e-3)]
+    kprobes = np.array([kstar + rad * np.exp(1j * np.pi / 3) for kstar, rad in at])
+    sm = scattering_matrices(data, kprobes)
     probes = {}
+    for (kstar, rad), kprobe, s, sA in zip(at, kprobes, sm.s, sm.sA):
+        dk = kprobe - kstar
+        vals = {
+            "(k-k*)s11": dk * s[0, 0],
+            "(k-k*)s13": dk * s[0, 2],
+            "s31": s[2, 0],
+            "s33": s[2, 2],
+            "(k-k*)sA11": dk * sA[0, 0],
+            "(k-k*)sA31": dk * sA[2, 0],
+            "sA13": sA[0, 2],
+            "sA33": sA[2, 2],
+        }
+        probes[f"k={kstar}, rad={rad}"] = {kk: abs(v) for kk, v in vals.items()}
     ok2 = True
     for kstar in (1.0, -1.0):
-        for rad in (1e-2, 5e-3):
-            kprobe = kstar + rad * np.exp(1j * np.pi / 3)
-            sm = scattering_matrices(data, np.array([kprobe]))
-            dk = kprobe - kstar
-            vals = {
-                "(k-k*)s11": dk * sm.s[0, 0, 0],
-                "(k-k*)s13": dk * sm.s[0, 0, 2],
-                "s31": sm.s[0, 2, 0],
-                "s33": sm.s[0, 2, 2],
-                "(k-k*)sA11": dk * sm.sA[0, 0, 0],
-                "(k-k*)sA31": dk * sm.sA[0, 2, 0],
-                "sA13": sm.sA[0, 0, 2],
-                "sA33": sm.sA[0, 2, 2],
-            }
-            probes[f"k={kstar}, rad={rad}"] = {kk: abs(v) for kk, v in vals.items()}
         near, far = (probes[f"k={kstar}, rad=0.005"], probes[f"k={kstar}, rad=0.01"])
         for key in near:
             mag_n, mag_f = near[key], far[key]

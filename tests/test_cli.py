@@ -89,11 +89,15 @@ def test_bad_window_exits_2(tmp_path, capsys):
     assert "zeta_window" in res.stderr
     # malformed sizes and windows are config errors naming the field, in every stage
     for field, value in (("zeta_window", [0.7]), ("n_per_arc", "abc"),
-                         ("n_zeta", -1), ("n_zeta", 0), ("t_values", [])):
+                         ("n_zeta", -1), ("n_zeta", 0), ("t_values", []),
+                         ("n_zeta", 2.9), ("n_per_arc", 8.5)):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "asym"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert field in capsys.readouterr().err
+    # a whole number written as a float is still a count
+    cfg = RunConfig.load(write_config(tmp_path / "c.json", n_per_arc=56.0, n_zeta=4.0))
+    assert (cfg.n_per_arc, cfg.n_zeta) == (56, 4)
 
 
 def test_unknown_form_exits_2(tmp_path):

@@ -56,14 +56,6 @@ def test_potential_middle_factor_entries():
     assert np.max(np.abs(W[(0, 0, 1, 1, 2), (0, 1, 0, 1, 2)])) < 1e-12
 
 
-def test_build_potential_decay():
-    d = sc.gaussian(0.2, 2.0, L=25.0, n=1025)
-    U = sc.build_potential(d, 2j)
-    far = np.max(np.abs(U(20.0)))
-    near = np.max(np.abs(U(0.0)))
-    assert np.isfinite(near) and far < 1e-10 * near
-
-
 def test_degenerate_point_flagged():
     d = sc.gaussian(0.1, 2.0, L=20.0, n=513)
     with pytest.raises(sc.DegenerateSpectralPointError):
@@ -244,12 +236,6 @@ def test_interpolant_accuracy(refl_small, data_small):
     assert np.max(np.abs(r2i - r2d)) < 1e-9
 
 
-def test_r2_pole_scaled_representation(refl_small):
-    th = np.pi / 3 + np.array([-2e-3, 2e-3])
-    vals = refl_small.r2_pole_scaled_at(th)
-    assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) < 10)
-
-
 # ---------------------------------------------------------------------------
 # zeros, residues, validators
 # ---------------------------------------------------------------------------
@@ -295,6 +281,34 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
         locs.append(zs[0].real)
     assert abs(locs[0] - k0) < 0.05 and abs(locs[1] - k0) < 0.05
     assert (locs[0] - k0) * (locs[1] - k0) < 0  # moves through k0 monotonically
+
+
+def counted_marches(monkeypatch):
+    """List that gains one entry per sc.march_volterra call from now on."""
+    calls = []
+    march = sc.march_volterra
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("which", "X"))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "march_volterra", counting)
+    return calls
+
+
+def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
+    # one march per grid, per Newton step, per residual check and per winding box
+    calls = counted_marches(monkeypatch)
+    zeros = sc.find_s11_zeros(soliton_data)
+    assert zeros == soliton_zeros
+    assert len(calls) <= 10
+
+
+def test_validators_march_once_per_question(data_small, refl_small, monkeypatch):
+    # the segment (0, i), then X and XA at the four genericity probes
+    calls = counted_marches(monkeypatch)
+    sc.assumption_validators(data_small, refl_small)
+    assert calls == ["X", "X", "XA"]
 
 
 def test_validators_band_limited_passes(data_small, refl_small):
