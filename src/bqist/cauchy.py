@@ -374,8 +374,7 @@ def _cauchy_panels(lo, hi, k, singular_hi=False, singular_lo=False):
     return panels
 
 
-def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = None,
-          gl_n: int = 16) -> complex:
+def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = None) -> complex:
     """delta_j(zeta, k) by direct quadrature of its defining arc integral.
 
     ``side`` ("interior"/"exterior", or the oriented "+"/"-") selects a
@@ -390,7 +389,7 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = N
         if side is None:
             raise BoundaryPolicyError(
                 f"delta_{j}: k={k} within {BOUNDARY_TOL:.0e} of the arc; specify a side")
-        return _delta_boundary(j, arcs, cf, k, side, gl_n)
+        return _delta_boundary(j, arcs, cf, k, side)
 
     singular_hi = name == "hi"  # log-divergent density at omega
 
@@ -398,11 +397,11 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = N
         return dens(th) * 1j * np.exp(1j * th) / (np.exp(1j * th) - k)
 
     panels = _cauchy_panels(lo, hi, k, singular_hi=singular_hi)
-    val = panel_quad(integrand, panels, n=gl_n)
+    val = panel_quad(integrand, panels)
     return np.exp(sign * val / (2j * np.pi))
 
 
-def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
+def _delta_boundary(j, arcs, cf, k, side):
     """Plemelj boundary value on the open arc: exp(sign(PV +- g/2)/(2 pi i) ...).
 
     The "+"/"-" aliases follow the arc orientations of the jump relations:
@@ -430,7 +429,7 @@ def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
         return (dens(th) - g0) * 1j * s / (s - k0)
 
     panels = refine_near(graded_panels(lo, hi, (False, name == "hi")), theta0, min_size=1e-7)
-    pv_reg = panel_quad(regular, panels, n=gl_n)
+    pv_reg = panel_quad(regular, panels)
     # closed-form PV of int ds/(s-k0) over the arc
     pv_core = (1j * (hi - lo) / 2
                + np.log(abs(np.sin(0.5 * (hi - theta0)) / np.sin(0.5 * (theta0 - lo)))))
@@ -448,13 +447,12 @@ def _delta_boundary(j, arcs, cf, k, side, gl_n=16):
 EPS_SEQUENCE = (1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
 
 
-def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
-        gl_n: int = 16, eps_sequence=EPS_SEQUENCE) -> complex:
+def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -> complex:
     """chi_j(zeta, k) (or the tilde variant) with explicit branch bookkeeping.
 
     j in {4, 5} uses the epsilon-regularized definition: the integral is cut
     at 2 pi/3 - eps, the divergent endpoint term is subtracted, and the limit
-    is Richardson-extrapolated over ``eps_sequence``.
+    is Richardson-extrapolated over ``EPS_SEQUENCE``.
     """
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
@@ -474,14 +472,14 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
             if lo_ - 0.3 <= cand <= hi_ + 0.3 and not (sing_lo or sing_hi_pt):
                 gap = max(abs(abs(k) - 1.0), 1e-8)
                 panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
-        return panel_quad(integrand, panels, n=gl_n)
+        return panel_quad(integrand, panels)
 
     if j in (1, 2, 3):
         return sign * weighted(lo, hi) / (2j * np.pi)
 
     # regularized integrals ending at omega
     omega_log = ln_branch(k, complex(OMEGA), tilde=tilde)
-    eps = np.asarray(eps_sequence, dtype=float)
+    eps = np.asarray(EPS_SEQUENCE, dtype=float)
     vals = []
     for e in eps:
         cut = TWO_THIRDS_PI - e
@@ -501,8 +499,8 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False,
     return sign * lim / (2j * np.pi)
 
 
-def chi_tilde(j: int, arcs: SectorArcs, cf: CircleFunctions, k, **kw) -> complex:
-    return chi(j, arcs, cf, k, tilde=True, **kw)
+def chi_tilde(j: int, arcs: SectorArcs, cf: CircleFunctions, k) -> complex:
+    return chi(j, arcs, cf, k, tilde=True)
 
 
 # ---------------------------------------------------------------------------

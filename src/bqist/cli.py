@@ -90,7 +90,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
     }
     _atomic_write(cfg.out_dir / "solitons.json", json.dumps(sol_payload, indent=1))
 
-    report = sc.assumption_validators(data, refl, solitons=sol, tol=cfg.tol)
+    report = sc.assumption_validators(data, solitons=sol, tol=cfg.tol)
     _atomic_write(cfg.out_dir / "validators.json",
                   json.dumps(_plain(report), indent=1))
     if not report["ok"]:
@@ -205,8 +205,7 @@ def _pde_data(cfg: RunConfig):
     """Initial data re-sampled on the long periodic grid of the PDE stage (CSV as given)."""
     idata = dict(cfg.initial_data)
     if "csv" not in idata:
-        idata["L"] = float(cfg.pde.get("L", 760.0))
-        idata["n"] = int(cfg.pde.get("n", 8193))
+        idata["L"], idata["n"] = cfg.pde["L"], cfg.pde["n"]
     return RunConfig(initial_data=idata, out_dir=cfg.out_dir).build_initial_data()
 
 
@@ -214,11 +213,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     from . import pde
 
     data = _pde_data(cfg)
-    p = cfg.pde
-    dt = float(p.get("dt", 0.1))
-    cutoff = float(p.get("cutoff", 0.9))
-    T = max(cfg.t_values)
-    snaps = pde.evolve(data, T, dt=dt, cutoff=cutoff, snapshot_times=list(cfg.t_values))
+    snaps = pde.evolve(data, max(cfg.t_values), dt=cfg.pde["dt"], cutoff=cfg.pde["cutoff"],
+                       snapshot_times=list(cfg.t_values))
     for snap in snaps:
         rows = list(zip(snap.x, snap.u, snap.ut))
         _write_csv(cfg.out_dir / f"evolution_t{snap.t:g}.csv", ["x", "u", "u_t"], rows)
@@ -258,7 +254,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                 uts.append(float(row["u_t"]))
         snaps.append(pde.FieldSnapshot(x=np.array(xs), u=np.array(us),
                                        ut=np.array(uts), t=t,
-                                       cutoff=float(cfg.pde.get("cutoff", 0.9))))
+                                       cutoff=cfg.pde["cutoff"]))
 
     def ua_fn(zetas, t):
         rows = sorted(table[t])

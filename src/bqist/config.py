@@ -47,6 +47,18 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
 
 
+#: evolve-stage defaults: periodic half-width L, grid points n, step dt, filter cutoff
+PDE_DEFAULTS = {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
+
+
+def whole_steps(T: float, dt: float) -> int:
+    """The number of steps of size dt that reach |T|, within 1e-9; ValueError otherwise."""
+    nsteps = round(abs(T) / dt) if dt > 0 else -1
+    if nsteps < 0 or not abs(nsteps * dt - abs(T)) <= 1e-9:
+        raise ValueError(f"dt = {dt!r} must be positive and divide T = {T!r}")
+    return nsteps
+
+
 def _field(raw: dict, name: str, default, kind, many: bool = False):
     """``raw[name]`` (or ``default``) converted by ``kind``, element-wise if ``many``.
 
@@ -76,7 +88,7 @@ class RunConfig:
     n_zeta: int = 60
     t_values: tuple = (60.0, 120.0, 240.0)
     solitons: dict = field(default_factory=lambda: {"mode": "none"})
-    pde: dict = field(default_factory=dict)
+    pde: dict = field(default_factory=lambda: dict(PDE_DEFAULTS))
     tol: Tolerances = field(default_factory=Tolerances)
 
     @classmethod
@@ -106,8 +118,8 @@ class RunConfig:
             raise ConfigError(f"zeta_window must be two increasing values inside "
                               f"(1/sqrt(3), 1): {window}")
         t_values = _field(raw, "t_values", cls.t_values, float, many=True)
-        if not t_values or any(t < 2 for t in t_values):
-            raise ConfigError("t_values must be a nonempty list, all >= 2")
+        if not t_values or not all(2 <= t < float("inf") for t in t_values):
+            raise ConfigError("t_values must be a nonempty list, all finite and >= 2")
         sol = raw.get("solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
@@ -117,11 +129,22 @@ class RunConfig:
         n_zeta = _field(raw, "n_zeta", cls.n_zeta, int)
         if n_zeta < 1:
             raise ConfigError("n_zeta must be at least 1")
+        # keyed by their dotted names so that a bad value is reported as pde.<key>
+        given = raw.get("pde", {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"pde must be an object: {given!r}")
+        given = {f"pde.{k}": v for k, v in given.items()}
+        pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
+        try:
+            for t in t_values:
+                whole_steps(t, pde["dt"])
+        except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
+            raise ConfigError(f"pde.dt: {exc}") from None
         tol = Tolerances.resolve(raw.get("tolerances", {}))
         out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "bqist_out"))
         return cls(initial_data=idata, out_dir=out, n_per_arc=n_per_arc,
                    zeta_window=window, n_zeta=n_zeta,
-                   t_values=t_values, solitons=sol, pde=raw.get("pde", {}), tol=tol)
+                   t_values=t_values, solitons=sol, pde=pde, tol=tol)
 
     def build_initial_data(self):
         from . import scattering as sc

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import whole_steps
 from .scattering import InitialData, _grid
 
 DEFAULT_CUTOFF = 0.9
@@ -94,18 +95,14 @@ class BlowupError(RuntimeError):
         self.spectrum = spectrum
 
 
-def _linear_propagator(xi, tau):
-    """cos/sinc form of e^{A tau} on the filtered band (1 - xi^2 > 0)."""
+def _propagator(xi, tau):
+    """Entries (c, i xi s, i xi (1 - xi^2) s) of e^{A tau} = [[c, i xi s],
+    [i xi (1 - xi^2) s, c]], cos/sinc form on the filtered band (1 - xi^2 > 0)."""
     mu = xi * np.sqrt(np.maximum(1.0 - xi**2, 0.0))
     c = np.cos(mu * tau)
     s = np.where(mu != 0.0, np.divide(np.sin(mu * tau), np.where(mu != 0, mu, 1.0)), tau)
-    return c, s  # e^{A tau} = [[c, i xi s], [i xi (1 - xi^2) s, c]]
-
-
-def _apply_prop(c, s, xi, uh, wh):
-    new_u = c * uh + 1j * xi * s * wh
-    new_w = 1j * xi * (1 - xi**2) * s * uh + c * wh
-    return new_u, new_w
+    ixi = 1j * xi
+    return c, ixi * s, ixi * (1 - xi**2) * s
 
 
 def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT_CUTOFF,
@@ -115,6 +112,8 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     Returns snapshots at ``snapshot_times`` (default: [T]).  The initial data
     is masked to the filtered band, the quadratic term is alias-free by the
     Nyquist >= 2 * cutoff requirement, and the mask is re-applied every step.
+    The nonlinearity (u^2)_x enters the w equation only, so each RK stage
+    needs the u field of its stage value and nothing else.
     """
     x = data.x[:-1]
     n = len(x)
@@ -122,6 +121,7 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     nyq = np.pi / h
     if nyq < 2 * cutoff:
         raise ValueError(f"grid Nyquist {nyq:.2f} below 2 x cutoff {2 * cutoff:.2f}")
+    nsteps = whole_steps(T, dt)
     if snapshot_times is None:
         snapshot_times = [T]
     snapshot_times = sorted(set(float(t) for t in snapshot_times), key=abs)
@@ -130,43 +130,38 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
         raise ValueError("snapshot times must lie between 0 and T")
 
     xi = 2 * np.pi * np.fft.rfftfreq(n, d=h)
+    ixi = 1j * xi
     mask = (np.abs(xi) <= cutoff).astype(float)
     uh = np.fft.rfft(data.u0[:-1]) * mask
     wh = np.fft.rfft(data.v0[:-1]) * mask
 
     step = dt if T >= 0 else -dt
-    cf, sf = _linear_propagator(xi, step)
-    ch, sh = _linear_propagator(xi, step / 2)
+    cf, af, bf = _propagator(xi, step)
+    ch, ah, _ = _propagator(xi, step / 2)  # the w stage values are never needed
 
-    def nonlin(uh_, wh_):
-        u = np.fft.irfft(uh_, n=n)
-        qh = np.fft.rfft(u * u) * mask
-        return np.zeros_like(uh_), 1j * xi * qh
+    def nonlin(u):
+        return ixi * (np.fft.rfft(u * u) * mask)
 
-    def rk_step(uh_, wh_):
-        k1u, k1w = nonlin(uh_, wh_)
-        eu, ew = _apply_prop(ch, sh, xi, uh_, wh_)
-        d1u, d1w = _apply_prop(ch, sh, xi, k1u, k1w)
-        k2u, k2w = nonlin(eu + 0.5 * step * d1u, ew + 0.5 * step * d1w)
-        k3u, k3w = nonlin(eu + 0.5 * step * k2u, ew + 0.5 * step * k2w)
-        fu, fw = _apply_prop(cf, sf, xi, uh_, wh_)
-        e3u, e3w = _apply_prop(ch, sh, xi, k3u, k3w)
-        k4u, k4w = nonlin(fu + step * e3u, fw + step * e3w)
-        f1u, f1w = _apply_prop(cf, sf, xi, k1u, k1w)
-        h2u, h2w = _apply_prop(ch, sh, xi, k2u + k3u, k2w + k3w)
-        new_u = fu + (step / 6.0) * (f1u + 2 * h2u + k4u)
-        new_w = fw + (step / 6.0) * (f1w + 2 * h2w + k4w)
+    def rk_step(uh_, wh_, u_):
+        k1 = nonlin(u_)
+        eu = ch * uh_ + ah * wh_
+        k2 = nonlin(np.fft.irfft(eu + 0.5 * step * (ah * k1), n=n))
+        k3 = nonlin(np.fft.irfft(eu, n=n))
+        fu = cf * uh_ + af * wh_
+        fw = bf * uh_ + cf * wh_
+        k4 = nonlin(np.fft.irfft(fu + step * (ah * k3), n=n))
+        k23 = k2 + k3
+        new_u = fu + (step / 6.0) * (af * k1 + 2 * (ah * k23))
+        new_w = fw + (step / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
         return new_u * mask, new_w * mask
 
     out = []
     t = 0.0
     sup_prev = max(np.max(np.abs(data.u0)), 1e-30)
     remaining = list(snapshot_times)
-    nsteps = int(round(abs(T) / dt))
-    if abs(nsteps * dt - abs(T)) > 1e-9:
-        raise ValueError("T must be an integer multiple of dt")
+    u_now = np.fft.irfft(uh, n=n)
     for _ in range(nsteps):
-        uh, wh = rk_step(uh, wh)
+        uh, wh = rk_step(uh, wh, u_now)
         t += step
         u_now = np.fft.irfft(uh, n=n)
         sup = np.max(np.abs(u_now))
@@ -200,8 +195,8 @@ def linear_evolution(data: InitialData, T: float, cutoff: float = DEFAULT_CUTOFF
     mask = (np.abs(xi) <= cutoff).astype(float)
     uh = np.fft.rfft(data.u0[:-1]) * mask
     wh = np.fft.rfft(data.v0[:-1]) * mask
-    c, s = _linear_propagator(xi, T)
-    uh, wh = _apply_prop(c, s, xi, uh, wh)
+    c, a, b = _propagator(xi, T)
+    uh, wh = c * uh + a * wh, b * uh + c * wh
     return _snapshot(x, xi, uh, wh, T, cutoff, data)
 
 

@@ -232,16 +232,14 @@ def potential_weights(data: InitialData):
 
 
 _WHICH = {
-    "X": (+1, False, +1),   # sign of [L,.], transpose potential?, march direction (from +L)
-    "XA": (-1, True, +1),
-    "Y": (+1, False, -1),
-    "YA": (-1, True, -1),
+    "X": (+1, False),   # sign of [L,.], transpose potential?
+    "XA": (-1, True),
 }
 
 
 def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool = False,
                    cols=None):
-    """March the Volterra solution `which` across the grid with batched RK4.
+    """March the Volterra solution `which` from +L across the grid with batched RK4.
 
     Columns decouple, so ``cols`` restricts the march to a subset (avoids the
     exponential growth of unwanted columns at spectral points far from the
@@ -249,7 +247,7 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
     the trajectory at even grid indices if requested.
     """
     try:
-        sign, transpose, direction = _WHICH[which]
+        sign, transpose = _WHICH[which]
     except KeyError:
         raise ValueError(f"unknown Volterra system {which!r}") from None
     k = np.atleast_1d(np.asarray(k, dtype=complex))
@@ -278,28 +276,17 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
         comm = lcol * Xc - Xc * lrow
         return sign * comm + U @ Xc
 
-    step = -2 * data.h if direction > 0 else 2 * data.h
-    idx = range(n - 1, 0, -2) if direction > 0 else range(0, n - 1, 2)
-    pos = 0
+    step = -2 * data.h
     if keep_trajectory:
-        traj[-1 if direction > 0 else 0] = X
-    for i in idx:
-        if direction > 0:
-            i0, im, i1 = i, i - 1, i - 2
-        else:
-            i0, im, i1 = i, i + 1, i + 2
-        a0 = (w31[i0], w32[i0])
-        am = (w31[im], w32[im])
-        a1 = (w31[i1], w32[i1])
-        k1 = F(a0[0], a0[1], X)
-        k2 = F(am[0], am[1], X + 0.5 * step * k1)
-        k3 = F(am[0], am[1], X + 0.5 * step * k2)
-        k4 = F(a1[0], a1[1], X + step * k3)
+        traj[-1] = X
+    for i in range(n - 1, 0, -2):
+        k1 = F(w31[i], w32[i], X)
+        k2 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k1)
+        k3 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k2)
+        k4 = F(w31[i - 2], w32[i - 2], X + step * k3)
         X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        pos += 1
         if keep_trajectory:
-            j = ((n - 1) // 2 - pos) if direction > 0 else pos
-            traj[j] = X
+            traj[i // 2 - 1] = X
     if keep_trajectory:
         return X, traj
     return X
@@ -529,19 +516,19 @@ class SolitonData:
         return len(self.zeros) == 0
 
 
-def _s11_and_slope(data, k, h=1e-6):
+def _s11_and_slope(data, k):
     """s11(k) and its central difference along a direction interior to the
-    analyticity domain, from one march at [k, k + dk, k - dk]."""
+    analyticity domain, from one march at [k, k + dk, k - dk], |dk| = 1e-6."""
     k = complex(k)
     direction = 1.0 + 0j if abs(k.imag) < 1e-12 else k / abs(k)
-    dk = h * direction
+    dk = 1e-6 * direction
     f, fp, fm = s11_values(data, np.array([k, k + dk, k - dk]))
     return complex(f), complex((fp - fm) / (2 * dk))
 
 
-def ds11_dk(data: InitialData, k0: complex, h: float = 1e-6) -> complex:
+def ds11_dk(data: InitialData, k0: complex) -> complex:
     """Central difference along a direction interior to the analyticity domain."""
-    return _s11_and_slope(data, k0, h)[1]
+    return _s11_and_slope(data, k0)[1]
 
 
 def _newton_polish(data, k0, tol=1e-11, maxit=40):
@@ -618,7 +605,7 @@ def _box_zeros(data, re_lo, re_hi, im_lo, im_hi, depth=0, max_depth=9):
     return out
 
 
-DEFAULT_REGION = {
+SEARCH_REGION = {
     "real_segments": [(1.02, 4.0), (-0.98, -0.05)],
     "boxes": [
         # right part of the regular region: |k| > 1, 0 < arg k < pi/6 (inscribed box)
@@ -629,16 +616,14 @@ DEFAULT_REGION = {
 }
 
 
-def find_s11_zeros(data: InitialData, region: dict | None = None,
-                   tol: Tolerances = Tolerances()) -> list:
-    """Zeros of s11 in the admissible region (real-segment Newton + winding boxes)."""
+def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
+    """Zeros of s11 in SEARCH_REGION (real-segment Newton + winding boxes)."""
     if data.is_zero:
         return []
-    region = region or DEFAULT_REGION
     zeros: list[complex] = []
-    for lo, hi in region.get("real_segments", []):
+    for lo, hi in SEARCH_REGION["real_segments"]:
         zeros.extend(_real_axis_zeros(data, lo, hi, tol=tol))
-    for re_lo, re_hi, im_lo, im_hi in region.get("boxes", []):
+    for re_lo, re_hi, im_lo, im_hi in SEARCH_REGION["boxes"]:
         zeros.extend(_box_zeros(data, re_lo, re_hi, im_lo, im_hi))
     cleaned = []
     for z in zeros:
@@ -692,8 +677,7 @@ def nonsingularity_value(k0: complex, c: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def assumption_validators(data: InitialData, refl: ReflectionData | None = None,
-                          solitons: SolitonData | None = None,
+def assumption_validators(data: InitialData, solitons: SolitonData | None = None,
                           tol: Tolerances = Tolerances()) -> dict:
     """Report-style checks of the three standing assumptions.
 

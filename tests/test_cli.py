@@ -90,6 +90,7 @@ def test_bad_window_exits_2(tmp_path, capsys):
     # malformed sizes and windows are config errors naming the field, in every stage
     for field, value in (("zeta_window", [0.7]), ("n_per_arc", "abc"),
                          ("n_zeta", -1), ("n_zeta", 0), ("t_values", []),
+                         ("t_values", [60.0, float("nan")]),
                          ("n_zeta", 2.9), ("n_per_arc", 8.5)):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "asym"):
@@ -98,6 +99,14 @@ def test_bad_window_exits_2(tmp_path, capsys):
     # a whole number written as a float is still a count
     cfg = RunConfig.load(write_config(tmp_path / "c.json", n_per_arc=56.0, n_zeta=4.0))
     assert (cfg.n_per_arc, cfg.n_zeta) == (56, 4)
+    assert cfg.pde == {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
+    # so are malformed pde fields and a step that does not reach every t exactly
+    for block, field in (({"dt": "abc"}, "pde.dt"), ({"cutoff": "x"}, "pde.cutoff"),
+                         ({"dt": 0}, "pde.dt"), ({"dt": 0.07}, "pde.dt"),
+                         ({"n": 2.9}, "pde.n"), (5, "pde")):
+        cfgp = write_config(tmp_path / "c.json", pde=block)
+        assert cli.main(["evolve", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_unknown_form_exits_2(tmp_path):

@@ -74,10 +74,6 @@ def test_volterra_boundary_and_zero_data():
     d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
     _, traj = sc.march_volterra(d, np.array([np.exp(0.5j)]), "X", keep_trajectory=True)
     assert np.max(np.abs(traj[-1] - np.eye(3))) == 0.0  # X(L) = I exactly
-    for which in ("Y", "YA"):
-        _, traj = sc.march_volterra(d, np.array([np.exp(0.5j)]), which,
-                                    keep_trajectory=True)
-        assert np.max(np.abs(traj[0] - np.eye(3))) == 0.0  # I at the left edge
 
 
 def test_volterra_residual_oracle(data_small):
@@ -304,15 +300,15 @@ def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
     assert len(calls) <= 10
 
 
-def test_validators_march_once_per_question(data_small, refl_small, monkeypatch):
+def test_validators_march_once_per_question(data_small, monkeypatch):
     # the segment (0, i), then X and XA at the four genericity probes
     calls = counted_marches(monkeypatch)
-    sc.assumption_validators(data_small, refl_small)
+    sc.assumption_validators(data_small)
     assert calls == ["X", "X", "XA"]
 
 
-def test_validators_band_limited_passes(data_small, refl_small):
-    rep = sc.assumption_validators(data_small, refl_small)
+def test_validators_band_limited_passes(data_small):
+    rep = sc.assumption_validators(data_small)
     assert rep["mass_condition"]["ok"]
     assert rep["no_high_frequency"]["ok"]
     assert rep["genericity_pm1"]["ok"]
