@@ -79,6 +79,14 @@ def _field(raw: dict, name: str, default, kind, many: bool = False):
         raise ConfigError(f"{name} must be {expected}: {val!r}") from None
 
 
+def _block(raw: dict, name: str, default: dict) -> dict:
+    """The object ``raw[name]`` (or ``default``); ConfigError naming it otherwise."""
+    val = raw.get(name, default)
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name} must be an object: {val!r}")
+    return val
+
+
 @dataclass
 class RunConfig:
     initial_data: dict
@@ -102,7 +110,7 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if "initial_data" not in raw:
             raise ConfigError("config missing required field 'initial_data'")
-        idata = raw["initial_data"]
+        idata = _block(raw, "initial_data", {})
         if "csv" in idata:
             csv_path = Path(idata["csv"])
             if not csv_path.is_absolute():
@@ -120,7 +128,7 @@ class RunConfig:
         t_values = _field(raw, "t_values", cls.t_values, float, many=True)
         if not t_values or not all(2 <= t < float("inf") for t in t_values):
             raise ConfigError("t_values must be a nonempty list, all finite and >= 2")
-        sol = raw.get("solitons", {"mode": "none"})
+        sol = _block(raw, "solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
         n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
@@ -130,17 +138,14 @@ class RunConfig:
         if n_zeta < 1:
             raise ConfigError("n_zeta must be at least 1")
         # keyed by their dotted names so that a bad value is reported as pde.<key>
-        given = raw.get("pde", {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"pde must be an object: {given!r}")
-        given = {f"pde.{k}": v for k, v in given.items()}
+        given = {f"pde.{k}": v for k, v in _block(raw, "pde", {}).items()}
         pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
         try:
             for t in t_values:
                 whole_steps(t, pde["dt"])
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
-        tol = Tolerances.resolve(raw.get("tolerances", {}))
+        tol = Tolerances.resolve(_block(raw, "tolerances", {}))
         out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "bqist_out"))
         return cls(initial_data=idata, out_dir=out, n_per_arc=n_per_arc,
                    zeta_window=window, n_zeta=n_zeta,

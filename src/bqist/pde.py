@@ -7,7 +7,10 @@ matrix A(xi) = [[0, i xi], [i xi (1 - xi^2), 0]] with eigenvalues
 +- i xi sqrt(1 - xi^2): oscillatory below |xi| = 1, exponentially unstable
 above.  A hard spectral filter at ``cutoff`` < 1 keeps the evolution inside
 the stable band; the grid Nyquist must be at least twice the cutoff so the
-quadratic term is alias-free before masking.
+quadratic term is alias-free before masking.  ``evolve`` therefore steps on
+the smallest grid that meets that rule (Orszag, J. Atmos. Sci. 28, 1971;
+Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11) and zero-pads
+back to the stored grid at each snapshot.
 """
 
 from __future__ import annotations
@@ -105,6 +108,27 @@ def _propagator(xi, tau):
     return c, ixi * s, ixi * (1 - xi**2) * s
 
 
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def alias_free_size(n: int, nyq: float, cutoff: float) -> int:
+    """Smallest 5-smooth m < n whose grid Nyquist ``nyq * (m / n)`` is at least
+    2 * cutoff, or n itself when there is none.
+
+    ``nyq`` is the Nyquist pi / h of the n-point grid, so ``nyq * (m / n)`` is
+    that of the m-point grid with the same period; it carries the filtered
+    band and the band's square without aliasing.
+    """
+    m = max(1, int(2 * cutoff / nyq * n))  # at or below the bound
+    while m < n and not (nyq * (m / n) >= 2 * cutoff and _is_5_smooth(m)):
+        m += 1
+    return m
+
+
 def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT_CUTOFF,
            snapshot_times=None) -> list[FieldSnapshot]:
     """Integrate to time T (possibly negative) with integrating-factor RK4.
@@ -113,13 +137,15 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     is masked to the filtered band, the quadratic term is alias-free by the
     Nyquist >= 2 * cutoff requirement, and the mask is re-applied every step.
     The nonlinearity (u^2)_x enters the w equation only, so each RK stage
-    needs the u field of its stage value and nothing else.
+    needs the u field of its stage value and nothing else.  The steps run on
+    the m-point grid of ``alias_free_size`` (its first m//2 + 1 modes), and
+    each snapshot is zero-padded back to the n-point grid of ``data``.
     """
     x = data.x[:-1]
     n = len(x)
     h = data.h
     nyq = np.pi / h
-    if nyq < 2 * cutoff:
+    if not nyq >= 2 * cutoff:  # also refuses a NaN cutoff
         raise ValueError(f"grid Nyquist {nyq:.2f} below 2 x cutoff {2 * cutoff:.2f}")
     nsteps = whole_steps(T, dt)
     if snapshot_times is None:
@@ -129,11 +155,19 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
            for t in snapshot_times):
         raise ValueError("snapshot times must lie between 0 and T")
 
-    xi = 2 * np.pi * np.fft.rfftfreq(n, d=h)
+    m = alias_free_size(n, nyq, cutoff)
+    xi_n = 2 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = xi_n[:m // 2 + 1]
     ixi = 1j * xi
     mask = (np.abs(xi) <= cutoff).astype(float)
-    uh = np.fft.rfft(data.u0[:-1]) * mask
-    wh = np.fft.rfft(data.v0[:-1]) * mask
+    # an m-point transform of the band is m/n times the n-point one
+    uh = np.fft.rfft(data.u0[:-1])[:m // 2 + 1] * mask * (m / n)
+    wh = np.fft.rfft(data.v0[:-1])[:m // 2 + 1] * mask * (m / n)
+
+    def padded(a):
+        out = np.zeros(len(xi_n), dtype=complex)
+        out[:len(a)] = a * (n / m)
+        return out
 
     step = dt if T >= 0 else -dt
     cf, af, bf = _propagator(xi, step)
@@ -145,11 +179,11 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     def rk_step(uh_, wh_, u_):
         k1 = nonlin(u_)
         eu = ch * uh_ + ah * wh_
-        k2 = nonlin(np.fft.irfft(eu + 0.5 * step * (ah * k1), n=n))
-        k3 = nonlin(np.fft.irfft(eu, n=n))
+        k2 = nonlin(np.fft.irfft(eu + 0.5 * step * (ah * k1), n=m))
+        k3 = nonlin(np.fft.irfft(eu, n=m))
         fu = cf * uh_ + af * wh_
         fw = bf * uh_ + cf * wh_
-        k4 = nonlin(np.fft.irfft(fu + step * (ah * k3), n=n))
+        k4 = nonlin(np.fft.irfft(fu + step * (ah * k3), n=m))
         k23 = k2 + k3
         new_u = fu + (step / 6.0) * (af * k1 + 2 * (ah * k23))
         new_w = fw + (step / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
@@ -159,20 +193,21 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     t = 0.0
     sup_prev = max(np.max(np.abs(data.u0)), 1e-30)
     remaining = list(snapshot_times)
-    u_now = np.fft.irfft(uh, n=n)
+    u_now = np.fft.irfft(uh, n=m)
     for _ in range(nsteps):
         uh, wh = rk_step(uh, wh, u_now)
         t += step
-        u_now = np.fft.irfft(uh, n=n)
+        u_now = np.fft.irfft(uh, n=m)
         sup = np.max(np.abs(u_now))
         if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
-            bands = [(float(b), float(np.max(np.abs(uh[(np.abs(xi) >= b)
-                                                      & (np.abs(xi) < b + 0.1)]))))
-                     for b in np.arange(0, nyq - 0.1, 0.1)]
+            spec = np.abs(uh) * (n / m)
+            bands = [(float(b), float(np.max(spec[(np.abs(xi) >= b) & (np.abs(xi) < b + 0.1)])))
+                     for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
             raise BlowupError(t, bands)
         sup_prev = max(sup, 1e-30)
         while remaining and abs(t - remaining[0]) < dt / 2:
-            out.append(_snapshot(x, xi, uh, wh, remaining.pop(0), cutoff, data))
+            out.append(_snapshot(x, xi_n, padded(uh), padded(wh), remaining.pop(0),
+                                 cutoff, data))
     if remaining:
         raise RuntimeError(f"snapshot times not hit: {remaining}")
     return out

@@ -301,16 +301,21 @@ class ScatteringMatrix:
     sA: np.ndarray
 
 
-def scattering_matrices(data: InitialData, k) -> ScatteringMatrix:
-    """Terminal-value formula: s = e^{L ad(diag l)} X(-L), similarly for s^A."""
+def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.ndarray:
+    """Terminal-value formula on the columns ``cols``: s = e^{L ad(diag l)} X(-L)
+    for ``which`` = "X", s^A = e^{-L ad(diag l)} X^A(-L) for "XA"; (nk, 3, len(cols))."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X = march_volterra(data, k, "X")
-    XA = march_volterra(data, k, "XA")
+    X = march_volterra(data, k, which, cols=cols)
     l = phase_values(k).l.T  # (nk, 3)
-    ediff = l[:, :, None] - l[:, None, :]
-    s = np.exp(data.L * ediff) * X
-    sA = np.exp(-data.L * ediff) * XA
-    return ScatteringMatrix(k=k, s=s, sA=sA)
+    ediff = l[:, :, None] - l[:, None, list(cols)]
+    return np.exp(_WHICH[which][0] * data.L * ediff) * X
+
+
+def scattering_matrices(data: InitialData, k) -> ScatteringMatrix:
+    """s(k) and s^A(k) in full."""
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    return ScatteringMatrix(k=k, s=scattering_columns(data, k, "X"),
+                            sA=scattering_columns(data, k, "XA"))
 
 
 def s11_values(data: InitialData, k) -> np.ndarray:
@@ -482,18 +487,20 @@ def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> Reflectio
     for a_idx in range(6):
         lo, hi = ARC_EDGES[a_idx] + EXCLUSION, ARC_EDGES[a_idx + 1] - EXCLUSION
         nodes.append(ChebPanel.nodes(lo, hi, n_per_arc))
-    allth = np.concatenate(nodes)
-    sm = scattering_matrices(data, np.exp(1j * allth))
+    k = np.exp(1j * np.concatenate(nodes))
+    # r1, r2, s11 and sA11 need only the first two columns
+    s = scattering_columns(data, k, "X", cols=(0, 1))
+    sA = scattering_columns(data, k, "XA", cols=(0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1all = sm.s[:, 0, 1] / sm.s[:, 0, 0]
-        r2all = sm.sA[:, 0, 1] / sm.sA[:, 0, 0]
+        r1all = s[:, 0, 1] / s[:, 0, 0]
+        r2all = sA[:, 0, 1] / sA[:, 0, 0]
     r1l, r2l, s11l, sA11l = [], [], [], []
     for a_idx in range(6):
         sl = slice(a_idx * n_per_arc, (a_idx + 1) * n_per_arc)
         r1l.append(r1all[sl])
         r2l.append(r2all[sl])
-        s11l.append(sm.s[sl, 0, 0])
-        sA11l.append(sm.sA[sl, 0, 0])
+        s11l.append(s[sl, 0, 0])
+        sA11l.append(sA[sl, 0, 0])
     return ReflectionData(nodes=nodes, r1=r1l, r2=r2l, s11=s11l, sA11=sA11l,
                           n_per_arc=n_per_arc)
 
@@ -657,8 +664,8 @@ def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) 
         dek = ds11_dk(data, k0)
         if abs(dek) < 1e-10:
             raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
-        sm = scattering_matrices(data, np.array([k0]))
-        c = -complex(sm.s[0, 0, 1 if abs(k0.imag) < 1e-12 else 2]) / dek
+        s = scattering_columns(data, np.array([k0]), "X")
+        c = -complex(s[0, 0, 1 if abs(k0.imag) < 1e-12 else 2]) / dek
         if abs(c) < 1e-13:
             continue  # removable pole
         cs.append(c)

@@ -107,6 +107,13 @@ def test_bad_window_exits_2(tmp_path, capsys):
         cfgp = write_config(tmp_path / "c.json", pde=block)
         assert cli.main(["evolve", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
+    # and every block that must be an object, in every stage that loads it
+    for field, value in (("solitons", []), ("tolerances", 5), ("tolerances", []),
+                         ("initial_data", 5), ("initial_data", ["form"])):
+        cfgp = write_config(tmp_path / "c.json", **{field: value})
+        for stage in ("scatter", "evolve"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert f"{field} must be an object" in capsys.readouterr().err
 
 
 def test_unknown_form_exits_2(tmp_path):

@@ -71,8 +71,9 @@ def test_mass_conservation_and_reversal():
 
 
 def reference_evolve(data, T, dt, cutoff=0.9):
-    """Generic IF-RK4 that carries both components through the full 2x2 propagator,
-    with a zero u-part of the nonlinearity: the bit-exact oracle for pde.evolve."""
+    """Generic IF-RK4 on the stored grid that carries both components through the
+    full 2x2 propagator, with a zero u-part of the nonlinearity: the oracle for
+    pde.evolve (bit-exact where evolve's compute grid is the stored grid)."""
     n = len(data.x) - 1
     xi = 2 * np.pi * np.fft.rfftfreq(n, d=data.h)
     mask = (np.abs(xi) <= cutoff).astype(float)
@@ -110,16 +111,62 @@ def reference_evolve(data, T, dt, cutoff=0.9):
     return np.fft.irfft(uh, n=n), np.fft.irfft(1j * xi * wh, n=n)
 
 
-def test_evolve_bit_identical_to_generic_stepper():
-    d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=2049)
+def test_evolve_matches_generic_stepper():
+    # bit-identical where the compute grid is the stored one (m == n) ...
+    d = sc.gaussian_bandlimited(0.1, 2.0, L=40.0, n=49)
+    assert pde.alias_free_size(48, np.pi / d.h, 0.9) == 48
     snap = pde.evolve(d, 6.0, dt=0.1)[-1]
     u, ut = reference_evolve(d, 6.0, 0.1)
     assert np.array_equal(snap.u[:-1], u) and np.array_equal(snap.ut[:-1], ut)
+
+    # ... and equal up to roundoff where it is smaller (m = 144 of 2048 and 4096)
+    def assert_close(snap, u, ut):
+        assert np.max(np.abs(snap.u[:-1] - u)) <= 1e-13 * np.max(np.abs(u))
+        assert np.max(np.abs(snap.ut[:-1] - ut)) <= 1e-13 * np.max(np.abs(ut))
+
+    d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=2049)
+    assert_close(pde.evolve(d, 6.0, dt=0.1)[-1], *reference_evolve(d, 6.0, 0.1))
     # the time-reversed run from an evolved state, as in the reversal test
     fwd = pde.evolve(sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097), 10.0, dt=0.05)[-1]
     back = pde.evolve(fwd.to_initial_data(), -10.0, dt=0.05)[-1]
-    u, ut = reference_evolve(fwd.to_initial_data(), -10.0, 0.05)
-    assert np.array_equal(back.u[:-1], u) and np.array_equal(back.ut[:-1], ut)
+    assert_close(back, *reference_evolve(fwd.to_initial_data(), -10.0, 0.05))
+
+
+def test_alias_free_size_bound():
+    # the compact, readme and long_time PDE grids, the blow-up test's grid, and
+    # a cutoff at the Nyquist guard's edge, where only the stored grid qualifies
+    for L, n, cutoff, expected in [(380.0, 4096, 0.9, 450), (760.0, 8192, 0.9, 900),
+                                   (1520.0, 16384, 0.9, 1800), (40.0, 256, 2.5, 128),
+                                   (40.0, 48, np.pi * 48 / 160, 48)]:
+        m = pde.alias_free_size(n, np.pi / (2 * L / n), cutoff)
+        assert m == expected and m <= n
+        assert np.pi * m / (2 * L) >= 2 * cutoff * (1 - 1e-12)
+    d = sc.zero_data(L=40.0, n=49)
+    pde.evolve(d, 1.0, dt=0.5, cutoff=np.pi / d.h / 2)  # the guard lets it through
+
+
+def test_evolve_steps_on_alias_free_grid(monkeypatch):
+    # on a compact-shaped PDE grid every transform in the step loop has length
+    # m <= n/8; only the two initial transforms and the snapshot's two use n
+    d = sc.gaussian_bandlimited(0.01, 2.0, L=380.0, n=4097)
+    n, m = 4096, 450  # the smallest 5-smooth m with pi m / 760 >= 2 * 0.9
+    assert m <= n // 8
+    lengths = []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def counting_rfft(a, *args, **kwargs):
+        lengths.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    def counting_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(pde.np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(pde.np.fft, "irfft", counting_irfft)
+    pde.evolve(d, 2.0, dt=0.1)
+    assert sorted(lengths) == [m] * (8 * 20 + 1) + [n] * 4
 
 
 def test_evolve_inverse_transforms_per_step(monkeypatch):
