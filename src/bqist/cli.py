@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration/IO error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,9 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_columns
 
 FMT = "%.17g"
+#: reflection.csv columns: one row per node, n_per_arc rows for each of the arcs 0..5 in turn
+REFLECTION_HEADER = ("arc", "theta", "re_r1", "im_r1", "re_r2", "im_r2",
+                     "re_s11", "im_s11", "re_sA11", "im_sA11")
 
 
 def _atomic_write(path: Path, text: str):
@@ -59,27 +61,19 @@ def cmd_scatter(cfg: RunConfig) -> int:
         print(f"error: mass condition violated (|int u1| = {mass:.3e})", file=sys.stderr)
         return 1
     refl = sc.reflection_coefficients(data, n_per_arc=cfg.n_per_arc)
+    columns = [np.repeat(np.arange(6), refl.n_per_arc), refl.theta]
+    for z in (refl.r1, refl.r2, refl.s11, refl.sA11):
+        columns += [z.real, z.imag]
+    _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER,
+               zip(*(c.tolist() for c in columns)))
 
-    rows = []
-    for a_idx in range(6):
-        for i, th in enumerate(refl.nodes[a_idx]):
-            rows.append((a_idx, float(th),
-                         float(refl.r1[a_idx][i].real), float(refl.r1[a_idx][i].imag),
-                         float(refl.r2[a_idx][i].real), float(refl.r2[a_idx][i].imag),
-                         float(refl.s11[a_idx][i].real), float(refl.s11[a_idx][i].imag),
-                         float(refl.sA11[a_idx][i].real), float(refl.sA11[a_idx][i].imag)))
-    _write_csv(cfg.out_dir / "reflection.csv",
-               ["arc", "theta", "re_r1", "im_r1", "re_r2", "im_r2",
-                "re_s11", "im_s11", "re_sA11", "im_sA11"], rows)
-
-    mode = cfg.solitons.get("mode", "none")
+    mode = cfg.solitons["mode"]
     if mode == "detect":
         zeros = sc.find_s11_zeros(data, tol=cfg.tol)
         sol = (sc.residue_constants(data, zeros, tol=cfg.tol) if zeros
                else sc.SolitonData([], [], []))
     elif mode == "explicit":
-        zs = [complex(a, b) for a, b in cfg.solitons.get("zeros", [])]
-        cs = [complex(a, b) for a, b in cfg.solitons.get("c", [])]
+        zs, cs = cfg.solitons["zeros"], cfg.solitons["c"]
         sol = sc.SolitonData(zeros=zs, c=cs, d=[sc.soliton_d(z, c) for z, c in zip(zs, cs)])
     else:
         sol = sc.SolitonData([], [], [])
@@ -92,29 +86,20 @@ def cmd_scatter(cfg: RunConfig) -> int:
 
     report = sc.assumption_validators(data, solitons=sol, tol=cfg.tol)
     _atomic_write(cfg.out_dir / "validators.json",
-                  json.dumps(_plain(report), indent=1))
+                  json.dumps(report, indent=1, default=_json_default))
     if not report["ok"]:
         print("validator failure; see validators.json", file=sys.stderr)
         return 1
-    print(f"scatter: wrote reflection.csv ({len(rows)} samples), solitons.json, "
+    print(f"scatter: wrote reflection.csv ({len(refl.theta)} samples), solitons.json, "
           f"validators.json to {cfg.out_dir}")
     return 0
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
+def _json_default(obj):
+    """JSON form of the complex and NumPy scalars in the validator report."""
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    return obj.item()
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +108,19 @@ def _plain(obj):
 
 
 def load_reflection(out_dir: Path):
+    """The ReflectionData that ``scatter`` wrote to ``out_dir``/reflection.csv."""
     from . import scattering as sc
 
     path = Path(out_dir) / "reflection.csv"
-    if not path.exists():
-        raise ConfigError(f"missing scatter output: {path}")
-    per_arc = {i: {"theta": [], "r1": [], "r2": [], "s11": [], "sA11": []}
-               for i in range(6)}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            a = int(row["arc"])
-            per_arc[a]["theta"].append(float(row["theta"]))
-            per_arc[a]["r1"].append(complex(float(row["re_r1"]), float(row["im_r1"])))
-            per_arc[a]["r2"].append(complex(float(row["re_r2"]), float(row["im_r2"])))
-            per_arc[a]["s11"].append(complex(float(row["re_s11"]), float(row["im_s11"])))
-            per_arc[a]["sA11"].append(complex(float(row["re_sA11"]),
-                                              float(row["im_sA11"])))
-    n = len(per_arc[0]["theta"])
-    return sc.ReflectionData(
-        nodes=[np.array(per_arc[a]["theta"]) for a in range(6)],
-        r1=[np.array(per_arc[a]["r1"]) for a in range(6)],
-        r2=[np.array(per_arc[a]["r2"]) for a in range(6)],
-        s11=[np.array(per_arc[a]["s11"]) for a in range(6)],
-        sA11=[np.array(per_arc[a]["sA11"]) for a in range(6)],
-        n_per_arc=n,
-    )
+    col = read_columns(path, REFLECTION_HEADER)
+    n = len(col["arc"]) // 6
+    if not np.array_equal(col["arc"], np.repeat(np.arange(6), n)):
+        raise ConfigError(f"{path} must hold the arcs 0..5 in turn, with the same number "
+                          "of rows each; rerun scatter")
+    entries = {name: np.array([complex(a, b) for a, b in zip(col["re_" + name],
+                                                             col["im_" + name])])
+               for name in ("r1", "r2", "s11", "sA11")}
+    return sc.ReflectionData(theta=col["theta"], **entries)
 
 
 def load_solitons(out_dir: Path):
@@ -174,6 +147,9 @@ def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
     from . import cauchy as cy
 
     refl = load_reflection(cfg.out_dir)
+    if refl.n_per_arc != cfg.n_per_arc:
+        raise ConfigError(f"{cfg.out_dir / 'reflection.csv'} has {refl.n_per_arc} rows per "
+                          f"arc, not n_per_arc = {cfg.n_per_arc}; rerun scatter with this config")
     sol = load_solitons(cfg.out_dir)
     cf = cy.CircleFunctions(refl)
     rows, dbg_rows = [], []
@@ -229,37 +205,21 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     from . import pde
 
-    asym_path = cfg.out_dir / "asymptotics.csv"
-    if not asym_path.exists():
-        raise ConfigError(f"missing asym output: {asym_path}")
-    table = {}
-    with open(asym_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            table.setdefault(float(row["t"]), []).append(
-                (float(row["zeta"]), float(row["u_asym"])))
-    missing = [t for t in cfg.t_values if t not in table]
+    asym = read_columns(cfg.out_dir / "asymptotics.csv", ("t", "zeta", "u_asym"))
+    missing = [t for t in cfg.t_values if t not in asym["t"]]
     if missing:
         raise ConfigError(f"asymptotics.csv has no rows for t = {missing}; "
                           "rerun asym with this config")
     snaps = []
     for t in cfg.t_values:
-        path = cfg.out_dir / f"evolution_t{t:g}.csv"
-        if not path.exists():
-            raise ConfigError(f"missing evolve output: {path}")
-        xs, us, uts = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                xs.append(float(row["x"]))
-                us.append(float(row["u"]))
-                uts.append(float(row["u_t"]))
-        snaps.append(pde.FieldSnapshot(x=np.array(xs), u=np.array(us),
-                                       ut=np.array(uts), t=t,
+        snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", ("x", "u", "u_t"))
+        snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t,
                                        cutoff=cfg.pde["cutoff"]))
 
     def ua_fn(zetas, t):
-        rows = sorted(table[t])
-        zs = np.array([r[0] for r in rows])
-        vals = np.array([r[1] for r in rows])
+        at_t = asym["t"] == t
+        order = np.argsort(asym["zeta"][at_t], kind="stable")
+        zs, vals = asym["zeta"][at_t][order], asym["u_asym"][at_t][order]
         if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
             raise ConfigError("asymptotics.csv zeta grid does not match the config")
         return vals
@@ -370,7 +330,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures

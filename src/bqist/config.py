@@ -1,11 +1,14 @@
-"""Run configuration and tolerance registry for the command-line pipeline."""
+"""Run configuration, tolerance registry and CSV reader of the command-line pipeline."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,9 @@ class Tolerances:
                 values[name] = float(val)
             except (TypeError, ValueError):
                 raise ConfigError(f"tolerance {name!r} is not a number: {val!r}") from None
-            if values[name] <= 0 and name != "nu_hat_floor":
-                raise ConfigError(f"tolerance {name!r} must be positive")
+            if not math.isfinite(values[name]) or (values[name] <= 0 and name != "nu_hat_floor"):
+                need = "finite" if name == "nu_hat_floor" else "finite and positive"
+                raise ConfigError(f"tolerance {name!r} must be {need}: {val!r}")
         return cls(**values)
 
 
@@ -49,6 +53,26 @@ class ConfigError(ValueError):
 
 #: evolve-stage defaults: periodic half-width L, grid points n, step dt, filter cutoff
 PDE_DEFAULTS = {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
+
+
+def read_columns(path, names) -> dict:
+    """The columns ``names`` of a CSV file (one header line, then rows of numbers),
+    each as a contiguous float array; ConfigError naming the file otherwise."""
+    if not Path(path).exists():
+        raise ConfigError(f"missing input file {path}; run the stage that writes it")
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ConfigError(f"{path} has no column {missing[0]!r}")
+    if len(lines) < 2:
+        raise ConfigError(f"{path} has no rows")
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2,
+                           usecols=[header.index(name) for name in names])
+    except ValueError as exc:
+        raise ConfigError(f"bad number in {path}: {exc}") from None
+    return dict(zip(names, np.ascontiguousarray(table.T)))
 
 
 def whole_steps(T: float, dt: float) -> int:
@@ -77,6 +101,16 @@ def _field(raw: dict, name: str, default, kind, many: bool = False):
     except (TypeError, ValueError, OverflowError):
         expected = f"a list of {kind.__name__}" if many else f"one {kind.__name__}"
         raise ConfigError(f"{name} must be {expected}: {val!r}") from None
+
+
+def _pairs(raw: dict, name: str) -> list:
+    """``raw[name]``, a list of [re, im] number pairs, as complex numbers."""
+    val = raw.get(name, [])
+    try:
+        return [complex(float(re), float(im)) for re, im in val]
+    except (TypeError, ValueError):
+        raise ConfigError(f"solitons.{name} must be a list of [re, im] number pairs: "
+                          f"{val!r}") from None
 
 
 def _block(raw: dict, name: str, default: dict) -> dict:
@@ -131,6 +165,10 @@ class RunConfig:
         sol = _block(raw, "solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
+        if sol["mode"] == "explicit":
+            sol = dict(sol, zeros=_pairs(sol, "zeros"), c=_pairs(sol, "c"))
+            if len(sol["zeros"]) != len(sol["c"]):
+                raise ConfigError("solitons.zeros and solitons.c must have equal length")
         n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
         if n_per_arc < 8:
             raise ConfigError("n_per_arc must be at least 8")
@@ -140,6 +178,10 @@ class RunConfig:
         # keyed by their dotted names so that a bad value is reported as pde.<key>
         given = {f"pde.{k}": v for k, v in _block(raw, "pde", {}).items()}
         pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
+        # open intervals; dt is checked against t_values below
+        for k, lo, hi in (("L", 0.0, math.inf), ("n", 2, math.inf), ("cutoff", 0.0, 1.0)):
+            if not lo < pde[k] < hi:
+                raise ConfigError(f"pde.{k} must lie in ({lo}, {hi}): {pde[k]!r}")
         try:
             for t in t_values:
                 whole_steps(t, pde["dt"])
@@ -159,8 +201,8 @@ class RunConfig:
             path = idata["csv"]
             try:
                 return sc.load_csv(path)
-            except KeyError as exc:
-                raise ConfigError(f"initial_data.csv {path} has no column {exc}") from exc
+            except ConfigError:
+                raise
             except ValueError as exc:
                 raise ConfigError(f"bad initial_data.csv {path}: {exc}") from exc
         form = idata["form"]

@@ -7,12 +7,12 @@ values via s = e^{L ad(diag l)} X(-L).  All k-dependent work is batched.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import Tolerances
+from .config import Tolerances, read_columns
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
 
 DEGENERATE_TOL = 1e-8
@@ -179,13 +179,9 @@ NAMED_FORMS = {
 
 
 def load_csv(path) -> InitialData:
-    xs, u0s, u1s = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x"]))
-            u0s.append(float(row["u0"]))
-            u1s.append(float(row["u1"]))
-    return from_arrays(np.array(xs), np.array(u0s), np.array(u1s), label=str(path))
+    """Initial data from a CSV file with columns x, u0, u1."""
+    col = read_columns(path, ("x", "u0", "u1"))
+    return from_arrays(col["x"], col["u0"], col["u1"], label=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +248,16 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
         raise ValueError(f"unknown Volterra system {which!r}") from None
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     M1, M2 = potential_frame(k)
-    if transpose:
-        M1 = np.swapaxes(M1, 1, 2).copy()
-        M2 = np.swapaxes(M2, 1, 2).copy()
-    l = phase_values(k).l.T  # (nk, 3)
     w31, w32 = potential_weights(data)
     if transpose:
-        w31 = -w31
-        w32 = -w32
+        M1, M2 = np.swapaxes(M1, 1, 2).copy(), np.swapaxes(M2, 1, 2).copy()
+        w31, w32 = -w31, -w32
+    l = phase_values(k).l.T  # (nk, 3)
     n = len(data.x)
     nk = k.shape[0]
     cols = tuple(range(3)) if cols is None else tuple(cols)
     X = np.broadcast_to(np.eye(3, dtype=complex)[:, cols], (nk, 3, len(cols))).copy()
-    traj = None
-    if keep_trajectory:
-        traj = np.empty(((n + 1) // 2, nk, 3, len(cols)), dtype=complex)
+    traj = [X]  # from x = L down to x = -L
 
     lcol = l[:, :, None]
     lrow = l[:, None, list(cols)]
@@ -277,8 +268,6 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
         return sign * comm + U @ Xc
 
     step = -2 * data.h
-    if keep_trajectory:
-        traj[-1] = X
     for i in range(n - 1, 0, -2):
         k1 = F(w31[i], w32[i], X)
         k2 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k1)
@@ -286,10 +275,8 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
         k4 = F(w31[i - 2], w32[i - 2], X + step * k3)
         X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if keep_trajectory:
-            traj[i // 2 - 1] = X
-    if keep_trajectory:
-        return X, traj
-    return X
+            traj.append(X)
+    return (X, np.stack(traj[::-1])) if keep_trajectory else X
 
 
 @dataclass(frozen=True)
@@ -325,36 +312,29 @@ def s11_values(data: InitialData, k) -> np.ndarray:
     return X1[:, 0, 0]
 
 
+def _reflection_ratio(data: InitialData, k, which: str):
+    """(s12/s11, s11) for ``which`` = "X", (sA12/sA11, sA11) for "XA"; NaN ratio
+    where |s11| < 1e-12.  Marches only the first two columns and phases only the
+    (1,2) entry (s11 = X11 exactly), so the possibly exploding third column and
+    the phases of the row-3 entries never enter."""
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    X = march_volterra(data, k, which, cols=(0, 1))
+    l = phase_values(k).l.T  # (nk, 3)
+    phase12 = np.exp(_WHICH[which][0] * data.L * (l[:, 0] - l[:, 1]))
+    s11 = X[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = phase12 * X[:, 0, 1] / s11
+    return np.where(np.abs(s11) < 1e-12, np.nan + 0j, ratio), s11
+
+
 def r1_values(data: InitialData, k) -> np.ndarray:
     """r1 alone (valid off the unit circle wherever its two columns are tame)."""
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X = march_volterra(data, k, "X", cols=(0, 1))
-    l = phase_values(k).l.T
-    phase12 = np.exp(data.L * (l[:, 0] - l[:, 1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = phase12 * X[:, 0, 1] / X[:, 0, 0]
-    return np.where(np.abs(X[:, 0, 0]) < 1e-12, np.nan + 0j, r1)
+    return _reflection_ratio(data, k, "X")[0]
 
 
 def reflection_values(data: InitialData, k):
-    """(r1, r2) at the given spectral points; NaN where s11 (resp. sA11) vanishes.
-
-    Only the first two Volterra columns enter, so the (possibly exploding)
-    third column is never marched.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X = march_volterra(data, k, "X", cols=(0, 1))
-    XA = march_volterra(data, k, "XA", cols=(0, 1))
-    l = phase_values(k).l.T
-    phase12 = np.exp(data.L * (l[:, 0] - l[:, 1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = phase12 * X[:, 0, 1] / X[:, 0, 0]
-        r2 = XA[:, 0, 1] / (phase12 * XA[:, 0, 0])
-    bad1 = np.abs(X[:, 0, 0]) < 1e-12
-    bad2 = np.abs(XA[:, 0, 0]) < 1e-12
-    r1 = np.where(bad1, np.nan + 0j, r1)
-    r2 = np.where(bad2, np.nan + 0j, r2)
-    return r1, r2
+    """(r1, r2) at the given spectral points; NaN where s11 (resp. sA11) vanishes."""
+    return _reflection_ratio(data, k, "X")[0], _reflection_ratio(data, k, "XA")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,72 +359,69 @@ def _arc_weight(theta, a_idx):
 
 @dataclass
 class ReflectionData:
-    """Chebyshev samples of (r1, r2, s11, sA11) on the six kappa-delimited arcs.
+    """Samples of (r1, r2, s11, sA11) at the Chebyshev nodes ``theta`` of the six
+    kappa-delimited arcs: flat arrays of 6 n_per_arc entries, arc 0 first.
 
     Interpolation runs through the weighted entries w*s12 = w*r1*s11 and
     w*s11 (likewise for r2), which are analytic across each closed arc; the
     ratio restores r1, r2 including their genuine poles (the r2 poles at
     +-omega^2 and the blow-up scale near +-1 set by the nearby s11 zero).
+    The fits are built on first evaluation.
     """
 
-    nodes: list      # per-arc theta arrays
-    r1: list         # per-arc complex values
-    r2: list
-    s11: list
-    sA11: list
-    n_per_arc: int
-    _fits: dict = field(default_factory=dict, repr=False)
+    theta: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    s11: np.ndarray
+    sA11: np.ndarray
 
     BRIDGE_HALF = 0.30   # half-width of the kappa-centered refit windows
     BRIDGE_USE = 0.10    # dispatch to a bridge fit within this distance of kappa
 
-    def _build_interpolants(self):
+    @property
+    def n_per_arc(self) -> int:
+        return len(self.theta) // 6
+
+    @cached_property
+    def _fits(self):
         from .util import ChebPanel
 
         fits = {"n1": [], "d1": [], "n2": [], "d2": []}
+        n = self.n_per_arc
         for a in range(6):
-            th = self.nodes[a]
+            arc = slice(a * n, (a + 1) * n)
             lo, hi = ARC_EDGES[a] + EXCLUSION, ARC_EDGES[a + 1] - EXCLUSION
-            w = _arc_weight(th, a)
-            fits["n1"].append(ChebPanel.fit(lo, hi, w * self.r1[a] * self.s11[a]))
-            fits["d1"].append(ChebPanel.fit(lo, hi, w * self.s11[a]))
-            fits["n2"].append(ChebPanel.fit(lo, hi, w * self.r2[a] * self.sA11[a]))
-            fits["d2"].append(ChebPanel.fit(lo, hi, w * self.sA11[a]))
-        self._fits = fits
-        # kappa-centered least-squares refits bridging the node exclusion gaps:
-        # evaluation near a kappa is then interpolation (nodes on both sides),
-        # not extrapolation of an arc fit beyond its domain
-        allth = np.concatenate(self.nodes)
-        vals = {
-            "n1": np.concatenate([r * s for r, s in zip(self.r1, self.s11)]),
-            "d1": np.concatenate(self.s11),
-            "n2": np.concatenate([r * s for r, s in zip(self.r2, self.sA11)]),
-            "d2": np.concatenate(self.sA11),
-        }
-        self._bridges = []
+            w = _arc_weight(self.theta[arc], a)
+            fits["n1"].append(ChebPanel.fit(lo, hi, w * self.r1[arc] * self.s11[arc]))
+            fits["d1"].append(ChebPanel.fit(lo, hi, w * self.s11[arc]))
+            fits["n2"].append(ChebPanel.fit(lo, hi, w * self.r2[arc] * self.sA11[arc]))
+            fits["d2"].append(ChebPanel.fit(lo, hi, w * self.sA11[arc]))
+        return fits
+
+    @cached_property
+    def _bridges(self):
+        """kappa-centered least-squares refits bridging the node exclusion gaps:
+        evaluation near a kappa is then interpolation (nodes on both sides),
+        not extrapolation of an arc fit beyond its domain."""
+        vals = {"n1": self.r1 * self.s11, "d1": self.s11,
+                "n2": self.r2 * self.sA11, "d2": self.sA11}
+        bridges = []
         for j in range(6):
             kap = ARC_EDGES[j]
-            dth = (allth - kap + np.pi) % (2 * np.pi) - np.pi
+            dth = (self.theta - kap + np.pi) % (2 * np.pi) - np.pi
             sel = np.abs(dth) <= self.BRIDGE_HALF
-            ths = dth[sel]
-            order = np.argsort(ths)
-            ths = ths[order]
-            kpt = np.exp(1j * (kap + ths))
-            w = kpt - np.exp(1j * kap)
+            order = np.argsort(dth[sel])
+            ths = dth[sel][order]
+            w = np.exp(1j * (kap + ths)) - np.exp(1j * kap)
             deg = max(8, int(0.55 * np.count_nonzero(sel)))
-            bridge = {}
-            for key in fits:
-                v = vals[key][sel][order] * w
-                coef = np.polynomial.chebyshev.chebfit(ths / self.BRIDGE_HALF, v, deg)
-                bridge[key] = coef
-            self._bridges.append(bridge)
-
-    def _arc_of(self, theta):
-        th = np.mod(theta, 2 * np.pi)
-        return np.minimum((th / (np.pi / 3)).astype(int), 5), th
+            bridges.append({key: np.polynomial.chebyshev.chebfit(
+                                ths / self.BRIDGE_HALF, v[sel][order] * w, deg)
+                            for key, v in vals.items()})
+        return bridges
 
     def _eval_weighted(self, key, th):
-        """Weighted entry at angles th (arc or bridge fit by proximity to kappa).
+        """Weighted entry at angles th in [0, 2 pi) (arc or bridge fit by
+        proximity to kappa).
 
         The weight differs between the two paths, but numerator and
         denominator of any reflection ratio take the same path at the same
@@ -453,8 +430,7 @@ class ReflectionData:
         out = np.empty(th.shape, dtype=complex)
         dk = (th[:, None] - ARC_EDGES[None, :6] + np.pi) % (2 * np.pi) - np.pi
         jmin = np.argmin(np.abs(dk), axis=1)
-        dmin = np.abs(dk[np.arange(len(th)), jmin])
-        use_bridge = dmin <= self.BRIDGE_USE
+        use_bridge = np.min(np.abs(dk), axis=1) <= self.BRIDGE_USE
         idx = np.minimum((th / (np.pi / 3)).astype(int), 5)
         for a in np.unique(idx[~use_bridge]):
             sel = (~use_bridge) & (idx == a)
@@ -466,9 +442,7 @@ class ReflectionData:
         return out
 
     def _ratio(self, theta, num, den):
-        if not self._fits:
-            self._build_interpolants()
-        _, th = self._arc_of(np.atleast_1d(np.asarray(theta, dtype=float)))
+        th = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2 * np.pi)
         out = self._eval_weighted(num, th) / self._eval_weighted(den, th)
         return out if out.shape != (1,) else out[0]
 
@@ -483,26 +457,13 @@ def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> Reflectio
     """Sample the reflection data at Chebyshev nodes of the six arcs."""
     from .util import ChebPanel
 
-    nodes = []
-    for a_idx in range(6):
-        lo, hi = ARC_EDGES[a_idx] + EXCLUSION, ARC_EDGES[a_idx + 1] - EXCLUSION
-        nodes.append(ChebPanel.nodes(lo, hi, n_per_arc))
-    k = np.exp(1j * np.concatenate(nodes))
-    # r1, r2, s11 and sA11 need only the first two columns
-    s = scattering_columns(data, k, "X", cols=(0, 1))
-    sA = scattering_columns(data, k, "XA", cols=(0, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1all = s[:, 0, 1] / s[:, 0, 0]
-        r2all = sA[:, 0, 1] / sA[:, 0, 0]
-    r1l, r2l, s11l, sA11l = [], [], [], []
-    for a_idx in range(6):
-        sl = slice(a_idx * n_per_arc, (a_idx + 1) * n_per_arc)
-        r1l.append(r1all[sl])
-        r2l.append(r2all[sl])
-        s11l.append(s[sl, 0, 0])
-        sA11l.append(sA[sl, 0, 0])
-    return ReflectionData(nodes=nodes, r1=r1l, r2=r2l, s11=s11l, sA11=sA11l,
-                          n_per_arc=n_per_arc)
+    theta = np.concatenate([ChebPanel.nodes(ARC_EDGES[a] + EXCLUSION,
+                                            ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
+                            for a in range(6)])
+    k = np.exp(1j * theta)
+    r1, s11 = _reflection_ratio(data, k, "X")
+    r2, sA11 = _reflection_ratio(data, k, "XA")
+    return ReflectionData(theta=theta, r1=r1, r2=r2, s11=s11, sA11=sA11)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +478,6 @@ class SolitonData:
     zeros: list
     c: list
     d: list  # d constants for nonreal zeros, None for real ones
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.zeros) == 0
 
 
 def _s11_and_slope(data, k):

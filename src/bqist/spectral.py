@@ -107,10 +107,3 @@ def saddle_points(zeta: float) -> SaddleSet:
     assert -np.pi / 6 < np.angle(k4) < 0, np.angle(k4)
     return SaddleSet(zeta=zeta, k1=np.conj(k2), k2=k2, k3=np.conj(k4), k4=k4)
 
-
-def sign_re_phi(i: int, j: int, zeta: float, k, tol: float = 1e-12) -> int:
-    """Sign of Re Phi_ij(zeta, k); 0 within tol (e.g. on the unit circle for (2,1))."""
-    re = float(np.real(phi(i, j, zeta, k)))
-    if abs(re) <= tol:
-        return 0
-    return 1 if re > 0 else -1

@@ -53,7 +53,9 @@ def test_missing_csv_names_field(tmp_path):
     x = np.linspace(-20.0, 20.0, 513)
     write_csv(tmp_path / "skewed.csv", x**3 / 400.0, np.zeros_like(x), np.zeros_like(x))
     (tmp_path / "no_u1.csv").write_text("x,u0\n0,0\n1,0\n2,0\n")
-    for name, message in (("skewed.csv", "uniform"), ("no_u1.csv", "'u1'")):
+    (tmp_path / "word.csv").write_text("x,u0,u1\n0,0,0\n1,abc,0\n2,0,0\n")
+    for name, message in (("skewed.csv", "uniform"), ("no_u1.csv", "'u1'"),
+                          ("word.csv", "'abc'")):
         cfgp.write_text(json.dumps({"initial_data": {"csv": name}}))
         for stage in ("scatter", "evolve"):
             res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
@@ -103,7 +105,12 @@ def test_bad_window_exits_2(tmp_path, capsys):
     # so are malformed pde fields and a step that does not reach every t exactly
     for block, field in (({"dt": "abc"}, "pde.dt"), ({"cutoff": "x"}, "pde.cutoff"),
                          ({"dt": 0}, "pde.dt"), ({"dt": 0.07}, "pde.dt"),
-                         ({"n": 2.9}, "pde.n"), (5, "pde")):
+                         ({"n": 2.9}, "pde.n"), (5, "pde"),
+                         ({"cutoff": float("nan")}, "pde.cutoff"),
+                         ({"cutoff": -0.5}, "pde.cutoff"), ({"cutoff": 1.5}, "pde.cutoff"),
+                         ({"L": float("nan")}, "pde.L"),
+                         ({"L": float("inf")}, "pde.L"), ({"L": -100.0}, "pde.L"),
+                         ({"n": 1}, "pde.n")):
         cfgp = write_config(tmp_path / "c.json", pde=block)
         assert cli.main(["evolve", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
@@ -114,6 +121,21 @@ def test_bad_window_exits_2(tmp_path, capsys):
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert f"{field} must be an object" in capsys.readouterr().err
+    # tolerances must be finite, and explicit solitons equal-length lists of [re, im] pairs
+    explicit = {"mode": "explicit", "zeros": [[1.5, 0.0]], "c": [[0.4, 0.0]]}
+    for field, value, name in (
+            ("tolerances", {"mass_condition": float("nan")}, "mass_condition"),
+            ("tolerances", {"nu_hat_floor": float("nan")}, "nu_hat_floor"),
+            ("solitons", dict(explicit, zeros=[[1.5]]), "solitons.zeros"),
+            ("solitons", dict(explicit, zeros="abc"), "solitons.zeros"),
+            ("solitons", dict(explicit, c=[[0.4, "x"]]), "solitons.c"),
+            ("solitons", dict(explicit, c=[]), "solitons.c")):
+        cfgp = write_config(tmp_path / "c.json", **{field: value})
+        for stage in ("scatter", "evolve"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert name in capsys.readouterr().err
+    assert RunConfig.load(write_config(tmp_path / "c.json", solitons=explicit)).solitons == \
+        {"mode": "explicit", "zeros": [1.5 + 0j], "c": [0.4 + 0j]}
 
 
 def test_unknown_form_exits_2(tmp_path):
@@ -218,13 +240,64 @@ def test_initial_data_csv_input(tmp_path):
 def test_pipeline_roundtrip_reflection(small_run):
     _, out = small_run
     refl = cli.load_reflection(out)
-    th = np.array([0.4, 1.3, 2.2, 4.0])
-    v1 = refl.r1_at(th)
-    # recompute the interpolant from a fresh in-memory run of the same data
+    # a fresh in-memory run of the same data gives the very same table and interpolant
     d = sc.gaussian_bandlimited(0.02, 2.0, L=120.0, n=8193, u1_mode="zero")
     refl2 = sc.reflection_coefficients(d, n_per_arc=40)
-    v2 = refl2.r1_at(th)
-    assert np.max(np.abs(v1 - v2)) < 1e-12
+    for name in ("theta", "r1", "r2", "s11", "sA11"):
+        assert np.array_equal(getattr(refl, name), getattr(refl2, name)), name
+    assert refl.n_per_arc == refl2.n_per_arc == 40
+    th = np.array([0.4, 1.3, 2.2, 4.0, np.pi / 3 + 0.01])
+    assert np.array_equal(refl.r1_at(th), refl2.r1_at(th))
+    assert np.array_equal(refl.r2_at(th), refl2.r2_at(th))
+
+
+def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path / "c.json")
+    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 0
+    path = out / "reflection.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 6 * 24
+    word = lines[5].split(",")
+    word[1] = "abc"
+    bad_tables = {
+        "one row missing": lines[:79] + lines[80:],
+        "three rows missing from each of two arcs": lines[:20] + lines[23:100] + lines[103:],
+        "rows out of arc order": lines[:1] + lines[25:49] + lines[1:25] + lines[49:],
+        "no rows": lines[:1],
+        "a word in a number column": lines[:5] + [",".join(word)] + lines[6:],
+    }
+    for why, table in bad_tables.items():
+        path.write_text("".join(table))
+        assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2, why
+        assert str(path) in capsys.readouterr().err, why
+    # a table scattered with another n_per_arc is refused by an asym with this config
+    path.write_text("".join(lines))
+    other = write_config(tmp_path / "other.json", n_per_arc=40)
+    assert cli.main(["asym", "--config", str(other), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "rerun scatter" in err
+    assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 0
+
+
+def test_trace_stage_finds_every_layer(small_run, tmp_path):
+    """perfbench/trace_stage.py wraps functions by name; a rename would silently
+    drop a per-layer benchmark metric, so every traced layer must show up."""
+    cfgp, _ = small_run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    names = set()
+    for stage in ("scatter", "asym"):
+        spans = tmp_path / f"{stage}.json"
+        res = subprocess.run([sys.executable, str(root / "perfbench" / "trace_stage.py"),
+                              str(spans), stage, "--config", str(cfgp),
+                              "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        names |= {span[0] for span in json.loads(spans.read_text())}
+    assert names >= {"scattering.march_volterra", "scattering.reflection_coefficients",
+                     "cli.write_csv", "cli.load_reflection", "cauchy.CircleFunctions",
+                     "asymptotics.build_ingredients"}
 
 
 def test_pipeline_deterministic_and_left_soliton_invariant(small_run, tmp_path):

@@ -93,15 +93,3 @@ def test_saddle_domain_errors():
         with pytest.raises(ValueError):
             sp.saddle_points(bad)
 
-
-def test_sign_re_phi():
-    zeta = 0.7
-    assert sp.sign_re_phi(2, 1, zeta, np.exp(0.9j)) == 0  # purely imaginary there
-    # Re Phi_31 = -Re Phi_21(zeta, w^2 k) = +0.348 at this probe point
-    assert sp.sign_re_phi(3, 1, zeta, 1.5 * np.exp(-1j * np.pi / 8)) == 1
-    rng = np.random.default_rng(7)
-    for _ in range(6):
-        k = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        a = np.real(sp.phi(3, 1, zeta, k))
-        b = np.real(sp.phi(2, 1, zeta, sp.OMEGA**2 * k))
-        assert abs(a + b) < 1e-13
