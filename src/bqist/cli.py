@@ -123,18 +123,43 @@ def load_reflection(out_dir: Path):
     return sc.ReflectionData(theta=col["theta"], **entries)
 
 
+def _number_pairs(raw, key: str, path: Path, nullable: bool = False) -> list:
+    """``raw[key]`` as a list of complex numbers from [re, im] pairs (None kept
+    where ``nullable``); ConfigError naming the file otherwise."""
+    items = raw.get(key) if isinstance(raw, dict) else None
+    if not isinstance(items, list):
+        raise ConfigError(f"{path} has no list {key!r}; rerun scatter")
+    out = []
+    for item in items:
+        if item is None and nullable:
+            out.append(None)
+        elif (isinstance(item, list) and len(item) == 2
+              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and np.isfinite(v) for v in item)):
+            out.append(complex(item[0], item[1]))
+        else:
+            raise ConfigError(f"{path}: {key!r} entry {item!r} is not a [re, im] pair of "
+                              "numbers; rerun scatter")
+    return out
+
+
 def load_solitons(out_dir: Path):
+    """The SolitonData that ``scatter`` wrote to ``out_dir``/solitons.json (none if absent)."""
     from . import scattering as sc
 
     path = Path(out_dir) / "solitons.json"
     if not path.exists():
         return sc.SolitonData([], [], [])
-    raw = json.loads(path.read_text())
-    return sc.SolitonData(
-        zeros=[complex(a, b) for a, b in raw["zeros"]],
-        c=[complex(a, b) for a, b in raw["c"]],
-        d=[None if d is None else complex(d[0], d[1]) for d in raw["d"]],
-    )
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON ({exc}); rerun scatter") from None
+    zeros, c, d = (_number_pairs(raw, key, path, nullable=key == "d")
+                   for key in ("zeros", "c", "d"))
+    if not len(zeros) == len(c) == len(d):
+        raise ConfigError(f"{path} has {len(zeros)} zeros, {len(c)} c and {len(d)} d; "
+                          "each zero needs one of each; rerun scatter")
+    return sc.SolitonData(zeros=zeros, c=c, d=d)
 
 
 #: SectorIngredients fields dumped by ``asym --debug-deltas``

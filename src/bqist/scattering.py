@@ -198,19 +198,23 @@ def _check_degenerate(k):
             f"k within {DEGENERATE_TOL:.0e} of a sixth root of unity: {bad[:4]}")
 
 
+def _vandermonde(k):
+    """The phases l(k) as a (3, nk) array and P(k) = [1; l; l^2], shape (nk, 3, 3)."""
+    _check_degenerate(k)
+    l = phase_values(k).l
+    P = np.empty((k.shape[0], 3, 3), dtype=complex)
+    P[:, 0, :] = 1.0
+    P[:, 1, :] = l.T
+    P[:, 2, :] = (l**2).T
+    return l, P
+
+
 def potential_frame(k):
     """k-dependent matrices (M1, M2) with U(x,k) = w31(x) M1 + w32(x) M2.
 
     w31 = -u0'/4 - i v0/(4 sqrt 3), w32 = -u0/2; M_j = P^-1 E_{3j} P.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    _check_degenerate(k)
-    l = phase_values(k).l  # (3, nk)
-    nk = k.shape[0]
-    P = np.empty((nk, 3, 3), dtype=complex)
-    P[:, 0, :] = 1.0
-    P[:, 1, :] = l.T
-    P[:, 2, :] = (l**2).T
+    _, P = _vandermonde(np.atleast_1d(np.asarray(k, dtype=complex)))
     Pinv = np.linalg.inv(P)
     E31 = np.zeros((3, 3), dtype=complex)
     E31[2, 0] = 1.0
@@ -232,6 +236,8 @@ _WHICH = {
     "XA": (-1, True),
 }
 
+ON_CIRCLE = 1e-12  # a batch with every ||k| - 1| <= ON_CIRCLE takes the matmul step
+
 
 def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool = False,
                    cols=None):
@@ -241,49 +247,110 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
     exponential growth of unwanted columns at spectral points far from the
     unit circle).  Returns terminal matrices of shape (nk, 3, len(cols)), plus
     the trajectory at even grid indices if requested.
+
+    The step follows from k alone.  A batch on the unit circle, where the
+    reflection data are sampled, takes the matmul step and keeps its bits:
+    A2 loses about seven digits to cancellation, so a last-bit change there
+    moves it by about 1e-5.  Any other batch takes the rank-one step, which
+    is faster; both run the same RK4 stages on the same grid.
     """
-    try:
-        sign, transpose = _WHICH[which]
-    except KeyError:
-        raise ValueError(f"unknown Volterra system {which!r}") from None
+    if which not in _WHICH:
+        raise ValueError(f"unknown Volterra system {which!r}")
     k = np.atleast_1d(np.asarray(k, dtype=complex))
+    cols = tuple(range(3)) if cols is None else tuple(cols)
+    on_circle = np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE)
+    step = _march_matmul if on_circle else _march_rank_one
+    X, traj = step(data, k, which, cols, keep_trajectory)
+    return (X, traj) if keep_trajectory else X
+
+
+def _march_matmul(data, k, which, cols, keep_trajectory=False):
+    """RK4 with F = sign [diag l, X] + U X and U built as a 3x3 matrix per k;
+    (X(-L) as (nk, 3, ncol), trajectory or None)."""
+    sign, transpose = _WHICH[which]
     M1, M2 = potential_frame(k)
     w31, w32 = potential_weights(data)
     if transpose:
         M1, M2 = np.swapaxes(M1, 1, 2).copy(), np.swapaxes(M2, 1, 2).copy()
         w31, w32 = -w31, -w32
     l = phase_values(k).l.T  # (nk, 3)
-    n = len(data.x)
-    nk = k.shape[0]
-    cols = tuple(range(3)) if cols is None else tuple(cols)
-    X = np.broadcast_to(np.eye(3, dtype=complex)[:, cols], (nk, 3, len(cols))).copy()
+    X = np.broadcast_to(np.eye(3, dtype=complex)[:, cols], (k.shape[0], 3, len(cols))).copy()
     traj = [X]  # from x = L down to x = -L
 
     lcol = l[:, :, None]
     lrow = l[:, None, list(cols)]
 
-    def F(ui31, ui32, Xc):
-        U = ui31 * M1 + ui32 * M2
-        comm = lcol * Xc - Xc * lrow
-        return sign * comm + U @ Xc
+    def U(i):
+        return w31[i] * M1 + w32[i] * M2
+
+    if sign > 0:
+        def F(Ui, Xc):
+            return (lcol * Xc - Xc * lrow) + Ui @ Xc
+    else:
+        def F(Ui, Xc):
+            return Ui @ Xc - (lcol * Xc - Xc * lrow)
 
     step = -2 * data.h
+    n = len(data.x)
+    Uend = U(n - 1)
     for i in range(n - 1, 0, -2):
-        k1 = F(w31[i], w32[i], X)
-        k2 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k1)
-        k3 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k2)
-        k4 = F(w31[i - 2], w32[i - 2], X + step * k3)
+        U1, Umid, Uend = Uend, U(i - 1), U(i - 2)
+        k1 = F(U1, X)
+        k2 = F(Umid, X + 0.5 * step * k1)
+        k3 = F(Umid, X + 0.5 * step * k2)
+        k4 = F(Uend, X + step * k3)
         X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if keep_trajectory:
             traj.append(X)
-    return (X, np.stack(traj[::-1])) if keep_trajectory else X
+    return X, (np.stack(traj[::-1]) if keep_trajectory else None)
+
+
+def _march_rank_one(data, k, which, cols, keep_trajectory=False):
+    """RK4 on k-last arrays (3, ncol, nk) with the rank-one potential U = a (x) g;
+    returns like _march_matmul.
+
+    M1 = a (x) 1 and M2 = a (x) l with a = P^-1[:, 2], so U = a (x) g where
+    g = w31 + w32 l.  Then F = D X + a (g . X) for X, and F = D X - g (a . X)
+    for the transposed, negated system XA, with D = sign (l_i - l_c).  The
+    stages carry h/2 F (h the step), so D and a are scaled once, not per stage.
+    """
+    sign, transpose = _WHICH[which]
+    l, P = _vandermonde(k)
+    l3 = l[:, None, :]
+    half = -data.h  # half of the step -2h
+    a = half * np.linalg.inv(P)[:, :, 2].T[:, None, :]  # (3, 1, nk)
+    D = half * sign * (l3 - l[list(cols)][None])  # (3, ncol, nk)
+    w31, w32 = potential_weights(data)
+    X = np.zeros((3, len(cols), k.shape[0]), dtype=complex)
+    X[list(cols), range(len(cols))] = 1.0
+    traj = [X]  # from x = L down to x = -L
+
+    if transpose:
+        def F(g, Y):
+            return D * Y - g * (a * Y).sum(0)
+    else:
+        def F(g, Y):
+            return D * Y + a * (g * Y).sum(0)
+
+    n = len(data.x)
+    gend = w31[n - 1] + w32[n - 1] * l3
+    for i in range(n - 1, 0, -2):
+        g1, gmid, gend = gend, w31[i - 1] + w32[i - 1] * l3, w31[i - 2] + w32[i - 2] * l3
+        K1 = F(g1, X)
+        K2 = F(gmid, X + K1)
+        K3 = F(gmid, X + K2)
+        K4 = F(gend, X + 2 * K3)
+        X = X + (K1 + K4 + 2 * (K2 + K3)) / 3
+        if keep_trajectory:
+            traj.append(X)
+    return (X.transpose(2, 0, 1),
+            np.stack(traj[::-1]).transpose(0, 3, 1, 2) if keep_trajectory else None)
 
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """s(k) and s^A(k), batched over k (leading axis)."""
 
-    k: np.ndarray
     s: np.ndarray
     sA: np.ndarray
 
@@ -300,8 +367,7 @@ def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.n
 
 def scattering_matrices(data: InitialData, k) -> ScatteringMatrix:
     """s(k) and s^A(k) in full."""
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    return ScatteringMatrix(k=k, s=scattering_columns(data, k, "X"),
+    return ScatteringMatrix(s=scattering_columns(data, k, "X"),
                             sA=scattering_columns(data, k, "XA"))
 
 
@@ -480,13 +546,18 @@ class SolitonData:
     d: list  # d constants for nonreal zeros, None for real ones
 
 
-def _s11_and_slope(data, k):
-    """s11(k) and its central difference along a direction interior to the
-    analyticity domain, from one march at [k, k + dk, k - dk], |dk| = 1e-6."""
+def _central_points(k):
+    """[k, k + dk, k - dk] with |dk| = 1e-6 along a direction interior to the
+    analyticity domain, and dk."""
     k = complex(k)
-    direction = 1.0 + 0j if abs(k.imag) < 1e-12 else k / abs(k)
-    dk = 1e-6 * direction
-    f, fp, fm = s11_values(data, np.array([k, k + dk, k - dk]))
+    dk = 1e-6 * (1.0 + 0j if abs(k.imag) < 1e-12 else k / abs(k))
+    return np.array([k, k + dk, k - dk]), dk
+
+
+def _s11_and_slope(data, k):
+    """s11(k) and its central difference, from one march at _central_points(k)."""
+    pts, dk = _central_points(k)
+    f, fp, fm = s11_values(data, pts)
     return complex(f), complex((fp - fm) / (2 * dk))
 
 
@@ -495,35 +566,47 @@ def ds11_dk(data: InitialData, k0: complex) -> complex:
     return _s11_and_slope(data, k0)[1]
 
 
-def _newton_polish(data, k0, tol=1e-11, maxit=40):
+N_SEGMENT = 160     # s11 samples per real search segment
+N_SIDE = 96         # s11 samples per side of a winding-number box
+MAX_BOX_DEPTH = 9   # box subdivisions before a cluster of zeros counts as unresolved
+NEWTON_TOL = 1e-11  # |s11| at which Newton stops
+NEWTON_EVALS = 40   # s11 evaluations before Newton gives up
+
+
+def _newton_polish(data, k0):
+    """Newton on s11 from k0: the last k it evaluated s11 at, and that s11."""
     k = complex(k0)
-    for _ in range(maxit):
-        f, df = _s11_and_slope(data, k)
-        if abs(f) < tol:
-            return k
-        if df == 0:
+    f, df = _s11_and_slope(data, k)
+    for _ in range(NEWTON_EVALS - 1):
+        if abs(f) < NEWTON_TOL or df == 0:
             break
         k = k - f / df
-    return k
+        f, df = _s11_and_slope(data, k)
+    return k, f
 
 
-def _real_axis_zeros(data, lo, hi, n=160, tol: Tolerances = Tolerances()):
-    """Zeros of s11 on a real segment.
+def _real_axis_zeros(data, lo, hi, n=N_SEGMENT, tol: Tolerances = Tolerances()):
+    """Zeros of s11 on a real segment, sampled at n points."""
+    ks = np.linspace(lo, hi, n)
+    return _segment_zeros(data, ks, s11_values(data, ks.astype(complex)), tol)
+
+
+def _segment_zeros(data, ks, s11, tol: Tolerances):
+    """Zeros of s11 on the real grid ks, given s11 there.
 
     s11 is not real-valued there (it carries a slowly varying phase), but its
     real and imaginary parts vanish together at admissible zeros; a complex
     Newton polish started from the secant root of each sign change of the
     real part locates them.
     """
-    ks = np.linspace(lo, hi, n)
-    re = s11_values(data, ks.astype(complex)).real
+    re = s11.real
     out = []
     for i in np.flatnonzero((re[:-1] == 0.0) | (re[:-1] * re[1:] < 0)):
         start = ks[i]
         if re[i] != 0.0:
             start -= re[i] * (ks[i + 1] - ks[i]) / (re[i + 1] - re[i])
-        kz = _newton_polish(data, start)
-        if abs(s11_values(data, kz)[0]) > tol.zero_residual:
+        kz, f = _newton_polish(data, start)
+        if abs(f) > tol.zero_residual:
             continue  # real-part crossing without a genuine zero
         if abs(kz.imag) > 1e-6:
             raise RuntimeError(f"zero off the real segment at {kz}")
@@ -531,12 +614,16 @@ def _real_axis_zeros(data, lo, hi, n=160, tol: Tolerances = Tolerances()):
     return out
 
 
-def _winding_number(data, corners, n_side=96):
-    pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        pts.append(a + (b - a) * np.linspace(0, 1, n_side, endpoint=False))
-    kk = np.concatenate(pts)
-    vals = s11_values(data, kk)
+def _perimeter(re_lo, re_hi, im_lo, im_hi):
+    """N_SIDE points per side of the box, counterclockwise from its lower-left corner."""
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    return np.concatenate([a + (b - a) * np.linspace(0, 1, N_SIDE, endpoint=False)
+                           for a, b in zip(corners, corners[1:] + corners[:1])])
+
+
+def _winding_number(vals):
+    """Winding number of s11 around a box, from its values on _perimeter."""
     if np.min(np.abs(vals)) < 1e-9:
         raise RuntimeError("zero too close to search-box boundary")
     ang = np.unwrap(np.angle(np.concatenate([vals, vals[:1]])))
@@ -547,25 +634,25 @@ def _winding_number(data, corners, n_side=96):
     return wi
 
 
-def _box_zeros(data, re_lo, re_hi, im_lo, im_hi, depth=0, max_depth=9):
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    w = _winding_number(data, corners)
-    if w == 0:
+def _box_zeros(data, re_lo, re_hi, im_lo, im_hi, depth=0, winding=None):
+    """Zeros of s11 inside the box; ``winding`` is its winding number if known."""
+    if winding is None:
+        winding = _winding_number(s11_values(data, _perimeter(re_lo, re_hi, im_lo, im_hi)))
+    if winding == 0:
         return []
-    if w == 1 and max(re_hi - re_lo, im_hi - im_lo) < 2e-2:
+    if winding == 1 and max(re_hi - re_lo, im_hi - im_lo) < 2e-2:
         guess = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-        return [_newton_polish(data, guess)]
-    if depth >= max_depth:
+        return [_newton_polish(data, guess)[0]]
+    if depth >= MAX_BOX_DEPTH:
         raise RuntimeError("unresolved zero cluster")
     # off-center split so subdivision lines do not land on zeros (e.g. the
     # real axis, where real-segment zeros live)
     rm = re_lo + 0.5211 * (re_hi - re_lo)
     im_ = im_lo + 0.4817 * (im_hi - im_lo)
     out = []
-    for box in [(re_lo, rm, im_lo, im_), (rm, re_hi, im_lo, im_),
+    for sub in [(re_lo, rm, im_lo, im_), (rm, re_hi, im_lo, im_),
                 (re_lo, rm, im_, im_hi), (rm, re_hi, im_, im_hi)]:
-        out.extend(_box_zeros(data, *box, depth=depth + 1, max_depth=max_depth))
+        out.extend(_box_zeros(data, *sub, depth=depth + 1))
     return out
 
 
@@ -581,14 +668,22 @@ SEARCH_REGION = {
 
 
 def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
-    """Zeros of s11 in SEARCH_REGION (real-segment Newton + winding boxes)."""
+    """Zeros of s11 in SEARCH_REGION (real-segment Newton + winding boxes).
+
+    s11 on both real grids and both box perimeters comes from one march;
+    only Newton steps, subdivided boxes and the residual checks march again.
+    """
     if data.is_zero:
         return []
+    grids = [np.linspace(lo, hi, N_SEGMENT) for lo, hi in SEARCH_REGION["real_segments"]]
+    rims = [_perimeter(*box) for box in SEARCH_REGION["boxes"]]
+    vals = s11_values(data, np.concatenate(grids + rims))
+    vals = np.split(vals, np.cumsum([len(p) for p in grids + rims])[:-1])
     zeros: list[complex] = []
-    for lo, hi in SEARCH_REGION["real_segments"]:
-        zeros.extend(_real_axis_zeros(data, lo, hi, tol=tol))
-    for re_lo, re_hi, im_lo, im_hi in SEARCH_REGION["boxes"]:
-        zeros.extend(_box_zeros(data, re_lo, re_hi, im_lo, im_hi))
+    for ks, v in zip(grids, vals):
+        zeros.extend(_segment_zeros(data, ks, v, tol))
+    for box, v in zip(SEARCH_REGION["boxes"], vals[len(grids):]):
+        zeros.extend(_box_zeros(data, *box, winding=_winding_number(v)))
     cleaned = []
     for z in zeros:
         if abs(z.imag) < 1e-9:
@@ -618,11 +713,13 @@ def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) 
     cs, ds, kept = [], [], []
     for k0 in zeros:
         k0 = complex(k0)
-        dek = ds11_dk(data, k0)
+        # s11 at k0 +- dk for s11', and s12 (real k0) or s13 at k0, from one march
+        pts, dk = _central_points(k0)
+        s = scattering_columns(data, pts, "X", cols=(0, 1 if abs(k0.imag) < 1e-12 else 2))
+        dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
         if abs(dek) < 1e-10:
             raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
-        s = scattering_columns(data, np.array([k0]), "X")
-        c = -complex(s[0, 0, 1 if abs(k0.imag) < 1e-12 else 2]) / dek
+        c = -complex(s[0, 0, 1]) / dek
         if abs(c) < 1e-13:
             continue  # removable pole
         cs.append(c)

@@ -277,6 +277,22 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
     assert cli.main(["asym", "--config", str(other), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "rerun scatter" in err
+    # so is a solitons.json whose zeros do not each carry one c and one d
+    sol_path = out / "solitons.json"
+    sol_text = sol_path.read_text()
+    bad_solitons = {
+        "a zero without its imaginary part": '{"zeros": [[1.5]]}',
+        "a zero without its c and d": '{"zeros": [[1.5, 0.0]], "c": [], "d": []}',
+        "no d list": '{"zeros": [], "c": []}',
+        "a word in a c pair": '{"zeros": [[1.5, 0.0]], "c": [["x", 0.0]], "d": [null]}',
+        "null where c needs a pair": '{"zeros": [[1.5, 0.0]], "c": [null], "d": [null]}',
+        "not JSON": '{"zeros": ',
+    }
+    for why, text in bad_solitons.items():
+        sol_path.write_text(text)
+        assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2, why
+        assert str(sol_path) in capsys.readouterr().err, why
+    sol_path.write_text(sol_text)
     assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 0
 
 

@@ -120,6 +120,72 @@ def test_volterra_adjoint_residual(data_small):
     assert np.max(np.abs(traj[xi] - (np.eye(3)[None] + I))) < 1e-8
 
 
+def reference_march(data, k, which, cols):
+    """The matmul RK4 march as reflection.csv was first made with: U rebuilt at
+    every stage and sign * [diag l, X] + U X (a copy kept to pin the bits)."""
+    sign, transpose = {"X": (+1, False), "XA": (-1, True)}[which]
+    M1, M2 = sc.potential_frame(k)
+    w31, w32 = sc.potential_weights(data)
+    if transpose:
+        M1, M2 = np.swapaxes(M1, 1, 2).copy(), np.swapaxes(M2, 1, 2).copy()
+        w31, w32 = -w31, -w32
+    l = phase_values(k).l.T
+    X = np.broadcast_to(np.eye(3, dtype=complex)[:, cols], (len(k), 3, len(cols))).copy()
+    lcol = l[:, :, None]
+    lrow = l[:, None, list(cols)]
+
+    def F(ui31, ui32, Xc):
+        U = ui31 * M1 + ui32 * M2
+        comm = lcol * Xc - Xc * lrow
+        return sign * comm + U @ Xc
+
+    step = -2 * data.h
+    for i in range(len(data.x) - 1, 0, -2):
+        k1 = F(w31[i], w32[i], X)
+        k2 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k1)
+        k3 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k2)
+        k4 = F(w31[i - 2], w32[i - 2], X + step * k3)
+        X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return X
+
+
+def test_circle_march_bit_identical():
+    d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
+    k = np.exp(1j * np.linspace(0.1, 6.1, 12))
+    for which in ("X", "XA"):
+        for cols in ((0, 1), (0, 1, 2)):
+            assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
+                                  reference_march(d, k, which, cols)), (which, cols)
+
+
+def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
+    """Both steps on the off-circle k that scatter marches, each column subset
+    where scatter asks for it (elsewhere the other columns grow past 1e100)."""
+    grids = np.concatenate([np.linspace(lo, hi, sc.N_SEGMENT)[::8]
+                            for lo, hi in sc.SEARCH_REGION["real_segments"]])
+    rims = np.concatenate([sc._perimeter(*box)[::16] for box in sc.SEARCH_REGION["boxes"]])
+    segment = 1j * np.linspace(0.06, 0.985, 40)[::4]
+    probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
+                       for r in (1e-2, 5e-3)])
+    newton = sc._central_points(2.13)[0]
+    questions = [
+        ("X", (0,), [grids, rims, segment, newton, probes]),  # s11: zero search, s11'
+        ("X", (0, 1), [segment, newton, probes]),             # r1 on (0, i), s12 at a real zero
+        ("X", (0, 1, 2), [probes]),                           # the genericity probes
+        ("XA", (0,), [probes]),
+        ("XA", (0, 1), [probes]),
+        ("XA", (0, 1, 2), [probes]),
+    ]
+    for d in (data_small, soliton_data):
+        for which, cols, families in questions:
+            k = np.concatenate(families)
+            ref, _ = sc._march_matmul(d, k, which, cols)
+            fast, _ = sc._march_rank_one(d, k, which, cols)
+            scale = np.max(np.abs(ref), axis=(0, 1))
+            err = np.max(np.abs(fast - ref), axis=(0, 1))
+            assert np.all(err <= 1e-9 * scale), (which, cols, err / scale)
+
+
 def test_grid_refinement_stable():
     vals = []
     for n in (2049, 4097):
@@ -293,11 +359,19 @@ def counted_marches(monkeypatch):
 
 
 def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
-    # one march per grid, per Newton step, per residual check and per winding box
+    # one march for both grids and both box perimeters, one per Newton step and
+    # one residual check per zero
     calls = counted_marches(monkeypatch)
     zeros = sc.find_s11_zeros(soliton_data)
     assert zeros == soliton_zeros
-    assert len(calls) <= 10
+    assert len(calls) <= 5
+
+
+def test_residue_constants_march_once_per_zero(soliton_data, soliton_zeros, monkeypatch):
+    # s11 at k0 +- dk and s12 at k0 from one march
+    calls = counted_marches(monkeypatch)
+    sc.residue_constants(soliton_data, soliton_zeros)
+    assert calls == ["X"] * len(soliton_zeros)
 
 
 def test_validators_march_once_per_question(data_small, monkeypatch):
