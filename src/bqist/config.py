@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,15 +22,11 @@ class Tolerances:
 
     @classmethod
     def resolve(cls, overrides: dict) -> "Tolerances":
-        """Defaults, then the BQIST_TOL_<NAME> variables, then ``overrides``."""
-        for name in overrides:
+        """The defaults, with the config's ``overrides`` in their place."""
+        values = {}
+        for name, val in overrides.items():
             if name not in TOLERANCES:
                 raise ConfigError(f"unknown tolerance override {name!r}")
-        values = {}
-        for name in TOLERANCES:
-            val = overrides.get(name, os.environ.get(f"BQIST_TOL_{name.upper()}"))
-            if val is None:
-                continue
             try:
                 values[name] = float(val)
             except (TypeError, ValueError):
@@ -42,8 +37,7 @@ class Tolerances:
         return cls(**values)
 
 
-#: documented tolerance names and defaults; each may be overridden by the
-#: environment variable BQIST_TOL_<NAME> (upper case) or the config's "tolerances"
+#: documented tolerance names and defaults; the config's "tolerances" override them
 TOLERANCES = asdict(Tolerances())
 
 

@@ -8,12 +8,13 @@ values via s = e^{L ad(diag l)} X(-L).  All k-dependent work is batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .config import Tolerances, read_columns
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
+from .util import ChebPanel, gauss_legendre
 
 DEGENERATE_TOL = 1e-8
 EXCLUSION = 2e-3  # sample keep-out radius around the sixth roots of unity
@@ -450,8 +451,6 @@ class ReflectionData:
 
     @cached_property
     def _fits(self):
-        from .util import ChebPanel
-
         fits = {"n1": [], "d1": [], "n2": [], "d2": []}
         n = self.n_per_arc
         for a in range(6):
@@ -521,8 +520,6 @@ class ReflectionData:
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
     """Sample the reflection data at Chebyshev nodes of the six arcs."""
-    from .util import ChebPanel
-
     theta = np.concatenate([ChebPanel.nodes(ARC_EDGES[a] + EXCLUSION,
                                             ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
                             for a in range(6)])
@@ -554,58 +551,52 @@ def _central_points(k):
     return np.array([k, k + dk, k - dk]), dk
 
 
-def _s11_and_slope(data, k):
-    """s11(k) and its central difference, from one march at _central_points(k)."""
+def _s11_and_slope(f, k):
+    """f(k) and its central difference, from one call of f at _central_points(k)."""
     pts, dk = _central_points(k)
-    f, fp, fm = s11_values(data, pts)
-    return complex(f), complex((fp - fm) / (2 * dk))
+    f0, fp, fm = f(pts)
+    return complex(f0), complex((fp - fm) / (2 * dk))
 
 
 def ds11_dk(data: InitialData, k0: complex) -> complex:
     """Central difference along a direction interior to the analyticity domain."""
-    return _s11_and_slope(data, k0)[1]
+    return _s11_and_slope(partial(s11_values, data), k0)[1]
 
 
 N_SEGMENT = 160     # s11 samples per real search segment
-N_SIDE = 96         # s11 samples per side of a winding-number box
-MAX_BOX_DEPTH = 9   # box subdivisions before a cluster of zeros counts as unresolved
+N_EDGE = 96         # Gauss-Legendre nodes per edge of a sector contour
+SECTOR_MARGIN = 0.03  # rad between a sector contour and the sector's edges
 NEWTON_TOL = 1e-11  # |s11| at which Newton stops
 NEWTON_EVALS = 40   # s11 evaluations before Newton gives up
 
 
-def _newton_polish(data, k0):
-    """Newton on s11 from k0: the last k it evaluated s11 at, and that s11."""
+def _newton_polish(f, k0):
+    """Newton on the callable f from k0: the last k it evaluated f at, and f there."""
     k = complex(k0)
-    f, df = _s11_and_slope(data, k)
+    fk, df = _s11_and_slope(f, k)
     for _ in range(NEWTON_EVALS - 1):
-        if abs(f) < NEWTON_TOL or df == 0:
+        if abs(fk) < NEWTON_TOL or df == 0:
             break
-        k = k - f / df
-        f, df = _s11_and_slope(data, k)
-    return k, f
+        k = k - fk / df
+        fk, df = _s11_and_slope(f, k)
+    return k, fk
 
 
-def _real_axis_zeros(data, lo, hi, n=N_SEGMENT, tol: Tolerances = Tolerances()):
-    """Zeros of s11 on a real segment, sampled at n points."""
-    ks = np.linspace(lo, hi, n)
-    return _segment_zeros(data, ks, s11_values(data, ks.astype(complex)), tol)
-
-
-def _segment_zeros(data, ks, s11, tol: Tolerances):
-    """Zeros of s11 on the real grid ks, given s11 there.
+def _segment_zeros(s11, ks, vals, tol: Tolerances):
+    """Zeros of the callable s11 on the real grid ks, given vals = s11(ks).
 
     s11 is not real-valued there (it carries a slowly varying phase), but its
     real and imaginary parts vanish together at admissible zeros; a complex
     Newton polish started from the secant root of each sign change of the
     real part locates them.
     """
-    re = s11.real
+    re = vals.real
     out = []
     for i in np.flatnonzero((re[:-1] == 0.0) | (re[:-1] * re[1:] < 0)):
         start = ks[i]
         if re[i] != 0.0:
             start -= re[i] * (ks[i + 1] - ks[i]) / (re[i + 1] - re[i])
-        kz, f = _newton_polish(data, start)
+        kz, f = _newton_polish(s11, start)
         if abs(f) > tol.zero_residual:
             continue  # real-part crossing without a genuine zero
         if abs(kz.imag) > 1e-6:
@@ -614,18 +605,25 @@ def _segment_zeros(data, ks, s11, tol: Tolerances):
     return out
 
 
-def _perimeter(re_lo, re_hi, im_lo, im_hi):
-    """N_SIDE points per side of the box, counterclockwise from its lower-left corner."""
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    return np.concatenate([a + (b - a) * np.linspace(0, 1, N_SIDE, endpoint=False)
-                           for a, b in zip(corners, corners[1:] + corners[:1])])
+def _sector_contour(r_lo, r_hi, th_lo, th_hi):
+    """Nodes k and weights w = dk on the boundary of {r_lo < |k| < r_hi,
+    th_lo < arg k < th_hi}: N_EDGE Gauss-Legendre nodes on each ray and arc,
+    counterclockwise from the corner r_lo e^{i th_lo}."""
+    x, wx = gauss_legendre(N_EDGE)
+    t, wt = 0.5 * (1 + x), 0.5 * wx  # on [0, 1]
+    parts = []
+    for r0, r1, a0, a1 in [(r_lo, r_hi, th_lo, th_lo), (r_hi, r_hi, th_lo, th_hi),
+                           (r_hi, r_lo, th_hi, th_hi), (r_lo, r_lo, th_hi, th_lo)]:
+        r = r0 + (r1 - r0) * t
+        k = r * np.exp(1j * (a0 + (a1 - a0) * t))
+        parts.append((k, wt * k * ((r1 - r0) / r + 1j * (a1 - a0))))  # dk/dt dt
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _winding_number(vals):
-    """Winding number of s11 around a box, from its values on _perimeter."""
+    """Winding number of f around a closed contour, from f at its nodes in order."""
     if np.min(np.abs(vals)) < 1e-9:
-        raise RuntimeError("zero too close to search-box boundary")
+        raise RuntimeError("zero too close to a search contour")
     ang = np.unwrap(np.angle(np.concatenate([vals, vals[:1]])))
     w = (ang[-1] - ang[0]) / (2 * np.pi)
     wi = int(np.round(w))
@@ -634,62 +632,71 @@ def _winding_number(vals):
     return wi
 
 
-def _box_zeros(data, re_lo, re_hi, im_lo, im_hi, depth=0, winding=None):
-    """Zeros of s11 inside the box; ``winding`` is its winding number if known."""
-    if winding is None:
-        winding = _winding_number(s11_values(data, _perimeter(re_lo, re_hi, im_lo, im_hi)))
-    if winding == 0:
+def _contour_zeros(f, k, w, vals, tol: Tolerances = Tolerances()):
+    """Zeros of the callable f inside the contour (k, w) of _sector_contour, given
+    vals = f(k): as many as f winds, from the moments s_p of f'/f about the mean
+    node c as eigenvalues of a Hankel pencil (Delves & Lyness, Math. Comp. 21,
+    1967; Kravanja & Van Barel, LNM 1727, 2000), each polished by Newton on f.
+
+    With z = k - c, s_p = -p/(2 pi i) int z^(p-1) log(f / z^n) dk for p > 0 (by
+    parts): f / z^n winds zero times, so its unwrapped log has no jump."""
+    n = _winding_number(vals)
+    if n == 0:
         return []
-    if winding == 1 and max(re_hi - re_lo, im_hi - im_lo) < 2e-2:
-        guess = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-        return [_newton_polish(data, guess)[0]]
-    if depth >= MAX_BOX_DEPTH:
-        raise RuntimeError("unresolved zero cluster")
-    # off-center split so subdivision lines do not land on zeros (e.g. the
-    # real axis, where real-segment zeros live)
-    rm = re_lo + 0.5211 * (re_hi - re_lo)
-    im_ = im_lo + 0.4817 * (im_hi - im_lo)
+    c = k.mean()
+    z = k - c
+    g = vals / z**n
+    logg = np.log(np.abs(g)) + 1j * np.unwrap(np.angle(g))
+    s = [n] + [-p / (2j * np.pi) * np.sum(z ** (p - 1) * logg * w) for p in range(1, 2 * n)]
+    H = np.array([[s[i + j] for j in range(n + 1)] for i in range(n)])
     out = []
-    for sub in [(re_lo, rm, im_lo, im_), (rm, re_hi, im_lo, im_),
-                (re_lo, rm, im_, im_hi), (rm, re_hi, im_, im_hi)]:
-        out.extend(_box_zeros(data, *sub, depth=depth + 1))
+    for guess in c + np.linalg.eigvals(np.linalg.solve(H[:, :n], H[:, 1:])):
+        kz, fz = _newton_polish(f, guess)
+        inside = abs(np.sum(np.angle(np.roll(k - kz, -1) / (k - kz)))) > np.pi
+        if not inside or abs(fz) > tol.zero_residual:
+            raise RuntimeError(f"contour zero {kz}: residual {abs(fz):.2e}, inside {inside}")
+        out.append(kz)
     return out
 
 
+# The admissible region of the nonreal zeros: two open sectors of arg width
+# pi/6 on the real axis, (arg lo, arg hi, sign of |k| - 1).
+ADMISSIBLE_SECTORS = ((0.0, np.pi / 6, 1), (-np.pi, -5 * np.pi / 6, -1))
+
 SEARCH_REGION = {
     "real_segments": [(1.02, 4.0), (-0.98, -0.05)],
-    "boxes": [
-        # right part of the regular region: |k| > 1, 0 < arg k < pi/6 (inscribed box)
-        (1.05, 3.0, 0.02, 0.75),
-        # left part: |k| < 1, pi < arg k < 7 pi/6 (inscribed box)
-        (-0.95, -0.30, -0.45, -0.02),
-    ],
+    "radii": [(1.02, 4.0), (0.05, 0.98)],  # of each sector's contour, as on its real segment
 }
 
 
-def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
-    """Zeros of s11 in SEARCH_REGION (real-segment Newton + winding boxes).
+def search_contours():
+    """(k, w) of the contour inside each admissible sector, SECTOR_MARGIN off its edges."""
+    return tuple(_sector_contour(r_lo, r_hi, lo + SECTOR_MARGIN, hi - SECTOR_MARGIN)
+                 for (lo, hi, _), (r_lo, r_hi) in zip(ADMISSIBLE_SECTORS, SEARCH_REGION["radii"]))
 
-    s11 on both real grids and both box perimeters comes from one march;
-    only Newton steps, subdivided boxes and the residual checks march again.
-    """
+
+def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
+    """Zeros of s11 in SEARCH_REGION: Newton from the sign changes on the real
+    segments, contour moments inside the admissible sectors.  s11 on both grids
+    and both contours comes from one march, then one per Newton step and check."""
     if data.is_zero:
         return []
+    s11 = partial(s11_values, data)
     grids = [np.linspace(lo, hi, N_SEGMENT) for lo, hi in SEARCH_REGION["real_segments"]]
-    rims = [_perimeter(*box) for box in SEARCH_REGION["boxes"]]
-    vals = s11_values(data, np.concatenate(grids + rims))
-    vals = np.split(vals, np.cumsum([len(p) for p in grids + rims])[:-1])
+    contours = search_contours()
+    nodes = grids + [k for k, _ in contours]
+    vals = np.split(s11(np.concatenate(nodes)), np.cumsum([len(p) for p in nodes])[:-1])
     zeros: list[complex] = []
     for ks, v in zip(grids, vals):
-        zeros.extend(_segment_zeros(data, ks, v, tol))
-    for box, v in zip(SEARCH_REGION["boxes"], vals[len(grids):]):
-        zeros.extend(_box_zeros(data, *box, winding=_winding_number(v)))
+        zeros.extend(_segment_zeros(s11, ks, v, tol))
+    for (k, w), v in zip(contours, vals[len(grids):]):
+        zeros.extend(_contour_zeros(s11, k, w, v, tol))
     cleaned = []
     for z in zeros:
         if abs(z.imag) < 1e-9:
             z = complex(z.real, 0.0)
         if all(abs(z - w) > 1e-6 for w in cleaned):
-            resid = abs(s11_values(data, z)[0])
+            resid = abs(s11(z)[0])
             if resid > tol.zero_residual:
                 raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
             cleaned.append(z)
@@ -821,8 +828,5 @@ def _in_admissible_region(k0: complex) -> bool:
     if abs(k0.imag) < 1e-12:
         return (-1 < k0.real < 0) or (k0.real > 1)
     ang = np.angle(k0)
-    mod = abs(k0)
-    # regular region: {|k|>1, 0 < arg k < pi/6} or {|k|<1, -pi < arg k < -5 pi/6}
-    right = (mod > 1) and (0 < ang < np.pi / 6)
-    left = (mod < 1) and (-np.pi < ang < -np.pi * 5 / 6)
-    return bool(right or left)
+    return any(lo < ang < hi and np.sign(abs(k0) - 1) == side
+               for lo, hi, side in ADMISSIBLE_SECTORS)

@@ -9,7 +9,7 @@ import pytest
 
 from bqist import cli
 from bqist import scattering as sc
-from bqist.config import TOLERANCES, ConfigError, RunConfig, Tolerances
+from bqist.config import ConfigError, RunConfig, Tolerances
 
 
 def run_cli(*args):
@@ -64,8 +64,6 @@ def test_missing_csv_names_field(tmp_path):
 
 
 def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
-    for name in TOLERANCES:
-        monkeypatch.delenv(f"BQIST_TOL_{name.upper()}", raising=False)
     before = dict(os.environ)
     loose = RunConfig.load(write_config(tmp_path / "loose.json",
                                         tolerances={"zero_residual": 1e-3}))
@@ -73,9 +71,9 @@ def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
     assert dict(os.environ) == before
     # a later config without overrides gets the defaults back
     assert RunConfig.load(write_config(tmp_path / "plain.json")).tol == Tolerances()
-    # the environment is read at load time; a config value beats it
+    # the config alone sets them: the environment is not read
     monkeypatch.setenv("BQIST_TOL_ZERO_RESIDUAL", "1e-5")
-    assert RunConfig.load(tmp_path / "plain.json").tol.zero_residual == 1e-5
+    assert RunConfig.load(tmp_path / "plain.json").tol == Tolerances()
     assert RunConfig.load(tmp_path / "loose.json").tol.zero_residual == 1e-3
     # names that no check reads are rejected, not silently ignored
     cfgp = write_config(tmp_path / "circle.json", tolerances={"circle_relation": 1e-6})

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from bqist import scattering as sc
+from bqist.config import Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
 from bqist.util import richardson_limit
 
@@ -163,7 +166,7 @@ def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
     where scatter asks for it (elsewhere the other columns grow past 1e100)."""
     grids = np.concatenate([np.linspace(lo, hi, sc.N_SEGMENT)[::8]
                             for lo, hi in sc.SEARCH_REGION["real_segments"]])
-    rims = np.concatenate([sc._perimeter(*box)[::16] for box in sc.SEARCH_REGION["boxes"]])
+    rims = np.concatenate([k[::16] for k, _ in sc.search_contours()])
     segment = 1j * np.linspace(0.06, 0.985, 40)[::4]
     probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
                        for r in (1e-2, 5e-3)])
@@ -326,11 +329,55 @@ def test_soliton_residue_and_nonsingularity(soliton_data, soliton_zeros):
     assert val.real > 0
 
 
-def test_winding_box_cross_validates_real_zero(soliton_data, soliton_zeros):
+def test_contour_moments_cross_validate_real_zero(soliton_data, soliton_zeros):
     k0 = soliton_zeros[0].real
-    found = sc._box_zeros(soliton_data, k0 - 0.15, k0 + 0.15, -0.1, 0.1)
+    k, w = sc._sector_contour(k0 - 0.15, k0 + 0.15, -0.05, 0.05)
+    s11 = partial(sc.s11_values, soliton_data)
+    found = sc._contour_zeros(s11, k, w, s11(k))
     assert len(found) == 1
     assert abs(found[0] - k0) < 1e-6
+
+
+def test_search_contours_admissible():
+    assert len(sc.search_contours()) == len(sc.ADMISSIBLE_SECTORS)
+    for k, w in sc.search_contours():
+        assert len(k) == 4 * sc.N_EDGE
+        assert all(sc._in_admissible_region(complex(kk)) for kk in k)
+        assert abs(np.sum(w)) < 1e-12  # a closed contour
+    # {|k| > 1, 0 < arg k < pi/6} and {|k| < 1, -pi < arg k < -5 pi/6}
+    inside = [1.5 * np.exp(0.5j), 3.9 * np.exp(0.01j), 0.5 * np.exp(-2.7j), 0.99 * np.exp(-3.1j)]
+    outside = [1.5 * np.exp(0.55j), 0.5 * np.exp(0.3j), 0.5 * np.exp(-2.55j), 1.01 * np.exp(-2.7j),
+               np.exp(0.3j), np.exp(-2.7j)]
+    assert all(sc._in_admissible_region(complex(k)) for k in inside)
+    assert not any(sc._in_admissible_region(complex(k)) for k in outside)
+
+
+def test_contour_zeros_analytic():
+    """Known zeros near the sector edges, next to a real zero just outside the
+    contour and a pole at k = 1, in both sectors."""
+    (kr, wr), (kl, wl) = sc.search_contours()
+    m = 2 * sc.SECTOR_MARGIN
+    cases = [
+        (kr, wr, 2.13, [1.3 + 0.06j, 3.0 * np.exp(1j * (np.pi / 6 - m)), 1.1 * np.exp(0.25j)]),
+        (kl, wl, -0.5, [0.6 * np.exp(-1j * (np.pi - m)), 0.9 * np.exp(-1j * (5 * np.pi / 6 + m)),
+                        0.1 * np.exp(-0.9j * np.pi)]),
+    ]
+    for k, w, real_zero, zeros in cases:
+        def h(q):
+            return np.exp(0.3 * q) * (q - real_zero) / (q - 1)
+
+        for n in range(4):
+            zs = zeros[:n]
+
+            def f(q):
+                return np.prod([q - z for z in zs], axis=0) * h(q)
+
+            found = sc._contour_zeros(f, k, w, f(k))
+            assert len(found) == n
+            for j, z in enumerate(zs):
+                # Newton stops at |f| < NEWTON_TOL, so it places z to NEWTON_TOL / |f'(z)|
+                slope = abs(np.prod([z - y for y in zs[:j] + zs[j + 1:]]) * h(z))
+                assert min(abs(g - z) for g in found) * slope < sc.NEWTON_TOL
 
 
 def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
@@ -338,7 +385,9 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
     locs = []
     for fac in (0.98, 1.02):
         d = sc.from_arrays(soliton_data.x, fac * soliton_data.u0, fac * soliton_data.u1)
-        zs = sc._real_axis_zeros(d, k0 - 0.3, k0 + 0.3, n=40)
+        ks = np.linspace(k0 - 0.3, k0 + 0.3, 40)
+        s11 = partial(sc.s11_values, d)
+        zs = sc._segment_zeros(s11, ks, s11(ks.astype(complex)), Tolerances())
         assert len(zs) == 1
         locs.append(zs[0].real)
     assert abs(locs[0] - k0) < 0.05 and abs(locs[1] - k0) < 0.05
@@ -359,12 +408,19 @@ def counted_marches(monkeypatch):
 
 
 def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
-    # one march for both grids and both box perimeters, one per Newton step and
+    # one march for both grids and both sector contours, one per Newton step and
     # one residual check per zero
     calls = counted_marches(monkeypatch)
     zeros = sc.find_s11_zeros(soliton_data)
     assert zeros == soliton_zeros
     assert len(calls) <= 5
+
+
+def test_zero_search_stays_in_admissible_region(data_small, monkeypatch):
+    # both sectors wind zero times and no real segment changes sign
+    calls = counted_marches(monkeypatch)
+    assert sc.find_s11_zeros(data_small) == []
+    assert len(calls) == 1
 
 
 def test_residue_constants_march_once_per_zero(soliton_data, soliton_zeros, monkeypatch):
