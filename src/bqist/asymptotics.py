@@ -251,12 +251,12 @@ def build_ingredients(zeta: float, cf: CircleFunctions,
         z1=z_star(1, arcs),
         z2=z_star(2, arcs),
         chi1_wk4=cy.chi(1, arcs, cf, wk4),
-        chit2_wk4=cy.chi_tilde(2, arcs, cf, wk4),
-        chit3_wk4=cy.chi_tilde(3, arcs, cf, wk4),
+        chit2_wk4=cy.chi(2, arcs, cf, wk4, tilde=True),
+        chit3_wk4=cy.chi(3, arcs, cf, wk4, tilde=True),
         chi2_w2k2=cy.chi(2, arcs, cf, w2k2),
         chi3_w2k2=cy.chi(3, arcs, cf, w2k2),
-        chit4_w2k2=cy.chi_tilde(4, arcs, cf, w2k2),
-        chit5_w2k2=cy.chi_tilde(5, arcs, cf, w2k2),
+        chit4_w2k2=cy.chi(4, arcs, cf, w2k2, tilde=True),
+        chit5_w2k2=cy.chi(5, arcs, cf, w2k2, tilde=True),
         D1_wk4=script_D(1, arcs, cf, wk4),
         D2_w2k2=script_D(2, arcs, cf, w2k2),
         P_ratio1=blaschke_ratio(wk4, OMEGA**2 * sad.k4, solitons),

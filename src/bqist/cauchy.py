@@ -22,6 +22,10 @@ calls).
 The densities ln f and ln f(omega^2 .) are evaluated through the smooth
 cofactor representation ln f = ln c + 2 ln(2 sin((2 pi/3 - theta)/2)) near the
 double zero at omega, where the raw combination loses all relative accuracy.
+
+The chi integrals are integrated by parts into the Cauchy integral of their
+density, the same bounded integral as delta's, plus branch logs at the arc
+ends; no density is ever differentiated.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .scattering import ReflectionData
 from .spectral import OMEGA, SaddleSet, saddle_points
-from .util import ChebPanel, graded_panels, panel_quad, refine_near, richardson_limit
+from .util import ChebPanel, graded_panels, panel_quad, refine_near
 
 TWO_THIRDS_PI = 2 * np.pi / 3
 ARC_LO = np.pi / 2
@@ -78,21 +82,19 @@ class _LayerCofactor:
             raise PositivityError(f"f has imaginary residual {im:.2e} near a zero")
         lnc = np.log(re / (2 * np.sin(0.5 * u)) ** 2)
         self.fit = ChebPanel.fit(np.log(self.U_MIN), np.log(self.U_MAX), lnc)
-        self.dfit = self.fit.derivative()
         # continuation below U_MIN: c is analytic at u = 0 when f really has
         # its double zero (cubic in u), but degenerates to f(omega)/u^2 when
         # the data's reflection is too small to produce one (then f itself is
         # the analytic object); the floor log-slope discriminates
         us = self.U_MIN * np.array([1.0, 1.5, 2.25, 3.375])
         vals = np.real(self.fit(np.log(us)))
-        slope = float(np.real(self.dfit(np.log(self.U_MIN))))
+        slope = float(np.real(self.fit.derivative()(np.log(self.U_MIN))))
         self.quadratic_zero = slope > -1.0
         if self.quadratic_zero:
             self.poly = np.polynomial.polynomial.Polynomial.fit(us, vals, 3)
         else:
             fvals = np.exp(vals) * (2 * np.sin(0.5 * us)) ** 2
             self.poly = np.polynomial.polynomial.Polynomial.fit(us, fvals, 3)
-        self.dpoly = self.poly.deriv()
 
     def ln_c(self, u):
         u = np.asarray(u, dtype=float)
@@ -106,21 +108,6 @@ class _LayerCofactor:
             else:
                 out[small] = (np.log(np.real(self.poly(u[small])))
                               - 2 * np.log(2 * np.sin(0.5 * u[small])))
-        return out
-
-    def dln_c_du(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        small = u < self.U_MIN
-        if np.any(~small):
-            out[~small] = np.real(self.dfit(np.log(u[~small]))) / u[~small]
-        if np.any(small):
-            if self.quadratic_zero:
-                out[small] = np.real(self.dpoly(u[small]))
-            else:
-                us = u[small]
-                out[small] = (np.real(self.dpoly(us)) / np.real(self.poly(us))
-                              - 1.0 / np.tan(0.5 * us))
         return out
 
 
@@ -153,7 +140,6 @@ class CircleFunctions:
         one_p = 1.0 + self.r1r2(th)
         self._check_positive(one_p, th, "1 + r1 r2")
         self.g1 = ChebPanel.fit(lo, hi, np.log(one_p.real))
-        self.dg1 = self.g1.derivative()
         # distance-from-zero profiles of f at omega (from below) and 1 (from below)
         self.layer_omega = _LayerCofactor(lambda u: self.f_raw(TWO_THIRDS_PI - u))
         self.layer_one = _LayerCofactor(lambda u: self.f_raw(-u))
@@ -173,28 +159,15 @@ class CircleFunctions:
     def ln_one_plus_r1r2(self, theta):
         return self.g1(theta)
 
-    def d_ln_one_plus_r1r2(self, theta):
-        return self.dg1(theta)
-
     def _ln_from_layer(self, layer, theta):
         u = TWO_THIRDS_PI - np.asarray(theta, dtype=float)
         return layer.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
 
-    def _dln_from_layer(self, layer, theta):
-        u = TWO_THIRDS_PI - np.asarray(theta, dtype=float)
-        return -layer.dln_c_du(u) - 1.0 / np.tan(0.5 * u)
-
     def ln_f(self, theta):
         return self._ln_from_layer(self.layer_omega, theta)
 
-    def d_ln_f(self, theta):
-        return self._dln_from_layer(self.layer_omega, theta)
-
     def ln_f2(self, theta):
         return self._ln_from_layer(self.layer_one, theta)
-
-    def d_ln_f2(self, theta):
-        return self._dln_from_layer(self.layer_one, theta)
 
     def ln_f_near_one(self, theta):
         """ln f at small negative position angles, through the layer at 1."""
@@ -204,11 +177,7 @@ class CircleFunctions:
         return self.layer_one.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
 
     def density(self, name: str):
-        return {
-            "g1": (self.ln_one_plus_r1r2, self.d_ln_one_plus_r1r2),
-            "lnF": (self.ln_f, self.d_ln_f),
-            "lnF2": (self.ln_f2, self.d_ln_f2),
-        }[name]
+        return {"g1": self.ln_one_plus_r1r2, "lnF": self.ln_f, "lnF2": self.ln_f2}[name]
 
 
 def f_of_k(cf: CircleFunctions, k) -> complex:
@@ -289,29 +258,6 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
     return mag + 1j * _track_arg(k, s, tilde)
 
 
-def ln_branch_sweep(k: complex, thetas: np.ndarray, tilde: bool = False) -> np.ndarray:
-    """ln_s(k - s) for s = e^{i theta} sweeping an arc, continuous in theta.
-
-    Anchors one value with ln_branch and unwraps the principal arguments along
-    the sweep (the branch offset is locally constant in theta for fixed k).
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    s = np.exp(1j * thetas)
-    rel = k - s
-    mags = np.log(np.abs(rel))
-    p = np.angle(rel)
-    # continuous-in-theta argument sequence
-    cont = np.unwrap(p)
-    mid = len(thetas) // 2
-    v_mid = np.imag(ln_branch(k, s[mid], tilde=tilde))
-    shift = v_mid - cont[mid]
-    shift = 2 * np.pi * np.round(shift / (2 * np.pi))
-    # tolerate the anchor landing a hair off a multiple (numerical guard)
-    if abs((v_mid - cont[mid]) - shift) > 1e-6:
-        raise RuntimeError("branch sweep anchor mismatch")
-    return mags + 1j * (cont + shift)
-
-
 # ---------------------------------------------------------------------------
 # arcs per zeta
 # ---------------------------------------------------------------------------
@@ -374,6 +320,19 @@ def _cauchy_panels(lo, hi, k, singular_hi=False, singular_lo=False):
     return panels
 
 
+def _cauchy_integral(dens, k, panels, c=0.0) -> complex:
+    """int (g(theta) - c) i s/(s - k) dtheta over the panels, s = e^{i theta}.
+
+    With c = g at k (on the arc) the subtraction removes the kernel's pole.
+    """
+
+    def integrand(th):
+        s = np.exp(1j * th)
+        return (dens(th) - c) * 1j * s / (s - k)
+
+    return panel_quad(integrand, panels)
+
+
 def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = None) -> complex:
     """delta_j(zeta, k) by direct quadrature of its defining arc integral.
 
@@ -382,7 +341,6 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = N
     """
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
-    dens, _ = cf.density(dens_name)
     k = complex(k)
     dist = _arc_distance(k, lo, hi)
     if dist < BOUNDARY_TOL:
@@ -392,12 +350,8 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = N
         return _delta_boundary(j, arcs, cf, k, side)
 
     singular_hi = name == "hi"  # log-divergent density at omega
-
-    def integrand(th):
-        return dens(th) * 1j * np.exp(1j * th) / (np.exp(1j * th) - k)
-
     panels = _cauchy_panels(lo, hi, k, singular_hi=singular_hi)
-    val = panel_quad(integrand, panels)
+    val = _cauchy_integral(cf.density(dens_name), k, panels)
     return np.exp(sign * val / (2j * np.pi))
 
 
@@ -410,7 +364,7 @@ def _delta_boundary(j, arcs, cf, k, side):
     """
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
-    dens, _ = cf.density(dens_name)
+    dens = cf.density(dens_name)
     theta0 = float(np.angle(k))
     if not (lo + 1e-12 < theta0 < hi - 1e-12):
         raise BoundaryPolicyError(f"delta_{j}: boundary value requested off the open arc")
@@ -422,14 +376,8 @@ def _delta_boundary(j, arcs, cf, k, side):
     if side not in ("interior", "exterior"):
         raise ValueError(f"unknown side {side!r}")
     g0 = complex(dens(theta0))
-    k0 = np.exp(1j * theta0)
-
-    def regular(th):
-        s = np.exp(1j * th)
-        return (dens(th) - g0) * 1j * s / (s - k0)
-
     panels = refine_near(graded_panels(lo, hi, (False, name == "hi")), theta0, min_size=1e-7)
-    pv_reg = panel_quad(regular, panels)
+    pv_reg = _cauchy_integral(dens, np.exp(1j * theta0), panels, g0)
     # closed-form PV of int ds/(s-k0) over the arc
     pv_core = (1j * (hi - lo) / 2
                + np.log(abs(np.sin(0.5 * (hi - theta0)) / np.sin(0.5 * (theta0 - lo)))))
@@ -442,65 +390,42 @@ def _delta_boundary(j, arcs, cf, k, side):
 # chi integrals
 # ---------------------------------------------------------------------------
 
-# geometric ladder (ratio 1/sqrt(10)); the limit is v0 + A eps + B eps ln eps + ...,
-# and five Neville stages push the eps ln eps remainder below 1e-8
-EPS_SEQUENCE = (1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
-
-
 def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -> complex:
-    """chi_j(zeta, k) (or the tilde variant) with explicit branch bookkeeping.
+    """chi_j(zeta, k) = sign/(2 pi i) int ln_s(k - s) dg over arc j, s = e^{i theta}
+    (tilde-ln_s for the tilde variant), with explicit branch bookkeeping.
 
-    j in {4, 5} uses the epsilon-regularized definition: the integral is cut
-    at 2 pi/3 - eps, the divergent endpoint term is subtracted, and the limit
-    is Richardson-extrapolated over ``EPS_SEQUENCE``.
+    Integrated by parts, with c = g(theta_k) when k is an arc end e^{i theta_k}
+    and c = 0 otherwise:
+
+        chi_j = sign/(2 pi i) [B - int (g - c) i s/(s - k) dtheta],
+
+    where B is (g - c) ln_s(k - s) at the upper end minus that at the lower
+    end.  At omega, where ln f diverges, the end term is -c ln_omega(k - omega),
+    the eps -> 0 limit of the integral cut at 2 pi/3 - eps with its divergent
+    term g(2 pi/3 - eps) ln_omega(k - omega) subtracted.
     """
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
-    dens, ddens = cf.density(dens_name)
+    dens = cf.density(dens_name)
     k = complex(k)
+    theta_k = next((t for t in (lo, hi) if abs(np.exp(1j * t) - k) < 1e-7), None)
+    c = 0.0 if theta_k is None else float(dens(theta_k))
+    ends = 0j
+    for theta, orient in ((lo, -1.0), (hi, 1.0)):
+        if theta == theta_k:
+            continue
+        jump = -c if name == "hi" and theta == hi else float(dens(theta)) - c
+        if jump:
+            ends += orient * jump * ln_branch(k, np.exp(1j * theta), tilde=tilde)
 
-    def weighted(lo_, hi_):
-        def integrand(th):
-            return ln_branch_sweep(k, th, tilde=tilde) * ddens(th)
-
+    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-11)
+    if theta_k is None:
         phi0 = float(np.angle(k))
-        sing_lo = abs(np.exp(1j * lo_) - k) < 1e-7
-        sing_hi_pt = abs(np.exp(1j * hi_) - k) < 1e-7
-        panels = graded_panels(lo_, hi_, (sing_lo, sing_hi_pt or name == "hi"),
-                               min_panel=1e-8)
         for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
-            if lo_ - 0.3 <= cand <= hi_ + 0.3 and not (sing_lo or sing_hi_pt):
+            if lo - 0.3 <= cand <= hi + 0.3:
                 gap = max(abs(abs(k) - 1.0), 1e-8)
                 panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
-        return panel_quad(integrand, panels)
-
-    if j in (1, 2, 3):
-        return sign * weighted(lo, hi) / (2j * np.pi)
-
-    # regularized integrals ending at omega
-    omega_log = ln_branch(k, complex(OMEGA), tilde=tilde)
-    eps = np.asarray(EPS_SEQUENCE, dtype=float)
-    vals = []
-    for e in eps:
-        cut = TWO_THIRDS_PI - e
-        raw = weighted(lo, cut)
-        vals.append(raw - omega_log * dens(cut))
-    lim = richardson_limit(eps, vals)
-    if max(abs(v) for v in vals) < 1e-10:
-        return sign * lim / (2j * np.pi)  # identically-zero density, pure noise
-    d1 = abs(vals[-2] - vals[-3])
-    d2 = abs(vals[-1] - vals[-2])
-    if d1 > 0 and d2 > 0:
-        order = np.log(d1 / d2) / np.log(eps[-2] / eps[-1])
-        if order < 0.8:
-            raise RuntimeError(
-                f"chi_{j}: eps-regularization not converging (order {order:.2f}); "
-                f"last extrapolants {vals[-3:]}")
-    return sign * lim / (2j * np.pi)
-
-
-def chi_tilde(j: int, arcs: SectorArcs, cf: CircleFunctions, k) -> complex:
-    return chi(j, arcs, cf, k, tilde=True)
+    return sign * (ends - _cauchy_integral(dens, k, panels, c)) / (2j * np.pi)
 
 
 # ---------------------------------------------------------------------------

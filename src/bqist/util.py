@@ -131,15 +131,3 @@ def panel_quad(fun, panels, n: int = 16):
     vals = fun(x.ravel()).reshape(x.shape)
     return complex(np.sum(half * (vals @ wg)))
 
-
-def richardson_limit(eps, vals):
-    """Polynomial extrapolation of vals(eps) to eps -> 0 (Neville's scheme)."""
-    eps = np.asarray(eps, dtype=float)
-    tab = [complex(v) for v in vals]
-    n = len(tab)
-    for m in range(1, n):
-        tab = [
-            (eps[i + m] * tab[i] - eps[i] * tab[i + 1]) / (eps[i + m] - eps[i])
-            for i in range(n - m)
-        ]
-    return tab[0]

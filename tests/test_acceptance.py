@@ -56,7 +56,7 @@ def test_criterion_1_scattering_identities(data_acc):
 
 
 def test_criterion_2_endpoint_values(data_acc):
-    from bqist.util import richardson_limit
+    from neville import richardson_limit
 
     worst = 0.0
     eps = np.array([4e-3, 2e-3, 1e-3, 5e-4])

@@ -4,6 +4,7 @@ import pytest
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import scattering as sc
+from bqist.config import RunConfig
 from bqist.spectral import OMEGA, phi, saddle_points
 
 ZETA = 0.75
@@ -215,6 +216,19 @@ def test_soliton_phase_shift_additivity(cf_small):
     lefty = asy.build_ingredients(ZETA, cf_small, solitons=[-0.6])
     e2 = asy.amplitudes_phases(lefty, 80.0)
     assert e2.alpha1 == e0.alpha1 and e2.alpha2 == e0.alpha2
+
+
+def test_asym_on_reflectionless_soliton_data(soliton_data, soliton_zeros):
+    """The criterion-8 soliton, read as samples the way the CLI reads a CSV
+    input, has reflection data at noise level; every zeta of the default window
+    still gives finite ingredients and a finite leading term."""
+    data = sc.from_arrays(soliton_data.x, soliton_data.u0, soliton_data.u1)
+    cf = cy.CircleFunctions(sc.reflection_coefficients(data, n_per_arc=56))
+    for zeta in np.linspace(*RunConfig.zeta_window, RunConfig.n_zeta):
+        ing = asy.build_ingredients(float(zeta), cf, solitons=soliton_zeros)
+        for t in RunConfig.t_values:
+            ev = asy.u_asym(zeta * t, t, ing)
+            assert np.all(np.isfinite([ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u]))
 
 
 def test_phase_derivative_identities(cf_small):

@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from bqist import scattering as sc
 from bqist.config import Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
-from bqist.util import richardson_limit
+from neville import richardson_limit
 
 
 def rtilde(k):
