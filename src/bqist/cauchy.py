@@ -6,18 +6,18 @@ Branch conventions for the two log families (s = e^{i theta_s}, theta_s in
 
 * ln_s(k - s) has its cut along the circle arc from i to s plus the ray
   (i, i*inf).  On the unit circle off the cut, its argument is
-  (arg_i(k) + theta_s + pi) / 2 with arg_i(k) in (pi/2, 5 pi/2); in the
-  "safe zone" (position angle in (-pi, pi/2), any radius) it equals the
-  principal argument plus 2 pi.
+  (arg_i(k) + theta_s + pi) / 2 with arg_i(k) in (pi/2, 5 pi/2); off the
+  circle it is Arg(k - s) + 2 pi, except Arg(k - s) itself where |k| > 1,
+  Re k < 0 and Im k > Im s.
 
 * tilde-ln_s(k - s) has its cut along the circle arc from s to -1 plus the
   ray (-inf, 0).  On the circle, its argument is (phi_k + theta_s - pi) / 2
-  with position angle phi_k in (-pi, theta_s); in the safe zone it equals
-  the principal argument.
+  with position angle phi_k in (-pi, theta_s); off the circle it is
+  Arg(k - s), except Arg(k - s) + 2 pi where |k| > 1, Re k < 0 and
+  0 < Im k < Im s.
 
-Off-circle points outside the safe zone are continued explicitly along a
-cut-avoiding path from the anchor k = 1 (winding counter, not principal
-calls).
+Both off-circle rules are the continuation from k = 1 along cut-avoiding
+paths, in closed form.
 
 The densities ln f and ln f(omega^2 .) are evaluated through the smooth
 cofactor representation ln f = ln c + 2 ln(2 sin((2 pi/3 - theta)/2)) near the
@@ -202,44 +202,14 @@ def _arg_i(phi: float) -> float:
     return phi if phi > np.pi / 2 else phi + 2 * np.pi
 
 
-def _track_arg(k: complex, s: complex, tilde: bool) -> float:
-    """Continuous argument of (k' - s) along a cut-avoiding path 1 -> k.
-
-    Anchored at k = 1 where the branch takes the documented value.
-    """
-    theta_s = float(np.angle(s))
-    rho = abs(k)
-    phi = _position_angle(k)
-    v0 = ((theta_s - np.pi) / 2 + 2 * np.pi) if not tilde else (theta_s - np.pi) / 2
-
-    # radial leg from 1 to rho at angle 0, then angular leg to phi
-    if not tilde and rho >= 1.0 and phi > np.pi / 2:
-        sweep = phi - 2 * np.pi  # clockwise, avoiding the ray at +pi/2
-    else:
-        sweep = phi
-    legs = []
-    n_rad = 64
-    legs.append(np.linspace(1.0, rho, n_rad))
-    dist_guard = max(min(abs(rho - 1.0), 1.0) / 3.0, 2e-4)
-    n_ang = 64 + int(abs(sweep) / min(0.01, dist_guard)) + 1
-    legs_ang = rho * np.exp(1j * np.linspace(0.0, sweep, n_ang))
-    path = np.concatenate([legs[0].astype(complex), legs_ang])
-    rel = path - s
-    dargs = np.angle(rel[1:] / rel[:-1])
-    if np.max(np.abs(dargs)) > 2.5:
-        raise RuntimeError("branch tracking step too coarse")
-    return v0 + float(np.sum(dargs))
-
-
 def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
     """ln_s(k - s) or tilde-ln_s(k - s) per the documented cuts."""
     k = complex(k)
     s = complex(s)
     theta_s = float(np.angle(s))
     mag = np.log(abs(k - s))
-    rho = abs(k)
     phi = _position_angle(k)
-    if abs(rho - 1.0) < 1e-12:
+    if abs(abs(k) - 1.0) < 1e-12:
         if not tilde:
             # off the cut arc [pi/2, theta_s]
             if ARC_LO - 1e-14 <= phi <= theta_s + 1e-14:
@@ -248,14 +218,14 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
         if not (-np.pi < phi < theta_s):
             raise ValueError("ln_branch: k on the cut of tilde-ln_s")
         return mag + 0.5j * (phi + theta_s - np.pi)
-    # safe zone: reachable from 1 by a direct swing
-    if not tilde:
-        if -np.pi < phi < ARC_LO or rho < 1.0:
-            return mag + 1j * (np.angle(k - s) + 2 * np.pi)
+    # the principal Arg(k - s) jumps on {Im k = Im s, Re k < Re s}, which lies
+    # in {|k| > 1, Re k < 0}; the region rule moves that jump onto the cut
+    far_left = abs(k) > 1.0 and k.real < 0
+    if tilde:
+        turns = far_left and 0 < k.imag < s.imag
     else:
-        if -np.pi < phi < ARC_LO:
-            return mag + 1j * np.angle(k - s)
-    return mag + 1j * _track_arg(k, s, tilde)
+        turns = not (far_left and k.imag > s.imag)
+    return mag + 1j * (np.angle(k - s) + 2 * np.pi * turns)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, read_columns
+from .config import ConfigError, RunConfig, number_pairs, read_columns
 
 FMT = "%.17g"
 #: reflection.csv columns: one row per node, n_per_arc rows for each of the arcs 0..5 in turn
@@ -123,26 +123,6 @@ def load_reflection(out_dir: Path):
     return sc.ReflectionData(theta=col["theta"], **entries)
 
 
-def _number_pairs(raw, key: str, path: Path, nullable: bool = False) -> list:
-    """``raw[key]`` as a list of complex numbers from [re, im] pairs (None kept
-    where ``nullable``); ConfigError naming the file otherwise."""
-    items = raw.get(key) if isinstance(raw, dict) else None
-    if not isinstance(items, list):
-        raise ConfigError(f"{path} has no list {key!r}; rerun scatter")
-    out = []
-    for item in items:
-        if item is None and nullable:
-            out.append(None)
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and np.isfinite(v) for v in item)):
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"{path}: {key!r} entry {item!r} is not a [re, im] pair of "
-                              "numbers; rerun scatter")
-    return out
-
-
 def load_solitons(out_dir: Path):
     """The SolitonData that ``scatter`` wrote to ``out_dir``/solitons.json (none if absent)."""
     from . import scattering as sc
@@ -154,8 +134,12 @@ def load_solitons(out_dir: Path):
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not JSON ({exc}); rerun scatter") from None
-    zeros, c, d = (_number_pairs(raw, key, path, nullable=key == "d")
-                   for key in ("zeros", "c", "d"))
+    try:
+        zeros, c, d = (number_pairs(raw.get(key) if isinstance(raw, dict) else None,
+                                    f"{path} {key!r}", nullable=key == "d")
+                       for key in ("zeros", "c", "d"))
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; rerun scatter") from None
     if not len(zeros) == len(c) == len(d):
         raise ConfigError(f"{path} has {len(zeros)} zeros, {len(c)} c and {len(d)} d; "
                           "each zero needs one of each; rerun scatter")

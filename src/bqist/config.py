@@ -45,6 +45,10 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
 
 
+#: the top-level fields of a config file
+CONFIG_FIELDS = ("initial_data", "out_dir", "n_per_arc", "zeta_window", "n_zeta", "t_values",
+                 "solitons", "pde", "tolerances")
+
 #: evolve-stage defaults: periodic half-width L, grid points n, step dt, filter cutoff
 PDE_DEFAULTS = {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
 
@@ -97,14 +101,29 @@ def _field(raw: dict, name: str, default, kind, many: bool = False):
         raise ConfigError(f"{name} must be {expected}: {val!r}") from None
 
 
-def _pairs(raw: dict, name: str) -> list:
-    """``raw[name]``, a list of [re, im] number pairs, as complex numbers."""
-    val = raw.get(name, [])
-    try:
-        return [complex(float(re), float(im)) for re, im in val]
-    except (TypeError, ValueError):
-        raise ConfigError(f"solitons.{name} must be a list of [re, im] number pairs: "
-                          f"{val!r}") from None
+def number_pairs(items, name: str, nullable: bool = False) -> list:
+    """``items``, a list of [re, im] pairs of finite numbers, as complex numbers
+    (None kept where ``nullable``); ConfigError naming ``name`` otherwise."""
+    if not isinstance(items, list):
+        raise ConfigError(f"{name} must be a list of [re, im] number pairs: {items!r}")
+    out = []
+    for item in items:
+        if item is None and nullable:
+            out.append(None)
+        elif (isinstance(item, list) and len(item) == 2
+              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and math.isfinite(v) for v in item)):
+            out.append(complex(item[0], item[1]))
+        else:
+            raise ConfigError(f"{name} entry {item!r} is not a [re, im] pair of finite numbers")
+    return out
+
+
+def _reject_unknown(raw: dict, known) -> None:
+    """ConfigError naming the first key of ``raw`` that is not in ``known``."""
+    for name in raw:
+        if name not in known:
+            raise ConfigError(f"unknown config field {name!r}")
 
 
 def _block(raw: dict, name: str, default: dict) -> dict:
@@ -138,6 +157,7 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if "initial_data" not in raw:
             raise ConfigError("config missing required field 'initial_data'")
+        _reject_unknown(raw, CONFIG_FIELDS)
         idata = _block(raw, "initial_data", {})
         if "csv" in idata:
             csv_path = Path(idata["csv"])
@@ -160,7 +180,8 @@ class RunConfig:
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
         if sol["mode"] == "explicit":
-            sol = dict(sol, zeros=_pairs(sol, "zeros"), c=_pairs(sol, "c"))
+            sol = dict(sol, **{key: number_pairs(sol.get(key, []), f"solitons.{key}")
+                               for key in ("zeros", "c")})
             if len(sol["zeros"]) != len(sol["c"]):
                 raise ConfigError("solitons.zeros and solitons.c must have equal length")
         n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
@@ -171,6 +192,7 @@ class RunConfig:
             raise ConfigError("n_zeta must be at least 1")
         # keyed by their dotted names so that a bad value is reported as pde.<key>
         given = {f"pde.{k}": v for k, v in _block(raw, "pde", {}).items()}
+        _reject_unknown(given, [f"pde.{k}" for k in PDE_DEFAULTS])
         pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
         # open intervals; dt is checked against t_values below
         for k, lo, hi in (("L", 0.0, math.inf), ("n", 2, math.inf), ("cutoff", 0.0, 1.0)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import whole_steps
+from .config import ConfigError, whole_steps
 from .scattering import InitialData, _grid
 
 DEFAULT_CUTOFF = 0.9
@@ -146,7 +146,8 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
     h = data.h
     nyq = np.pi / h
     if not nyq >= 2 * cutoff:  # also refuses a NaN cutoff
-        raise ValueError(f"grid Nyquist {nyq:.2f} below 2 x cutoff {2 * cutoff:.2f}")
+        raise ConfigError(f"grid Nyquist {nyq:.2f} below 2 x cutoff {2 * cutoff:.2f}: "
+                          "raise pde.n, or lower pde.L or pde.cutoff")
     nsteps = whole_steps(T, dt)
     if snapshot_times is None:
         snapshot_times = [T]

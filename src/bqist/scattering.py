@@ -563,9 +563,8 @@ def ds11_dk(data: InitialData, k0: complex) -> complex:
     return _s11_and_slope(partial(s11_values, data), k0)[1]
 
 
-N_SEGMENT = 160     # s11 samples per real search segment
 N_EDGE = 96         # Gauss-Legendre nodes per edge of a sector contour
-SECTOR_MARGIN = 0.03  # rad between a sector contour and the sector's edges
+SECTOR_MARGIN = 0.03  # rad by which each sector contour is turned clockwise from its sector
 NEWTON_TOL = 1e-11  # |s11| at which Newton stops
 NEWTON_EVALS = 40   # s11 evaluations before Newton gives up
 
@@ -580,29 +579,6 @@ def _newton_polish(f, k0):
         k = k - fk / df
         fk, df = _s11_and_slope(f, k)
     return k, fk
-
-
-def _segment_zeros(s11, ks, vals, tol: Tolerances):
-    """Zeros of the callable s11 on the real grid ks, given vals = s11(ks).
-
-    s11 is not real-valued there (it carries a slowly varying phase), but its
-    real and imaginary parts vanish together at admissible zeros; a complex
-    Newton polish started from the secant root of each sign change of the
-    real part locates them.
-    """
-    re = vals.real
-    out = []
-    for i in np.flatnonzero((re[:-1] == 0.0) | (re[:-1] * re[1:] < 0)):
-        start = ks[i]
-        if re[i] != 0.0:
-            start -= re[i] * (ks[i + 1] - ks[i]) / (re[i + 1] - re[i])
-        kz, f = _newton_polish(s11, start)
-        if abs(f) > tol.zero_residual:
-            continue  # real-part crossing without a genuine zero
-        if abs(kz.imag) > 1e-6:
-            raise RuntimeError(f"zero off the real segment at {kz}")
-        out.append(complex(kz.real, 0.0))
-    return out
 
 
 def _sector_contour(r_lo, r_hi, th_lo, th_hi):
@@ -659,47 +635,40 @@ def _contour_zeros(f, k, w, vals, tol: Tolerances = Tolerances()):
     return out
 
 
-# The admissible region of the nonreal zeros: two open sectors of arg width
-# pi/6 on the real axis, (arg lo, arg hi, sign of |k| - 1).
-ADMISSIBLE_SECTORS = ((0.0, np.pi / 6, 1), (-np.pi, -5 * np.pi / 6, -1))
-
-SEARCH_REGION = {
-    "real_segments": [(1.02, 4.0), (-0.98, -0.05)],
-    "radii": [(1.02, 4.0), (0.05, 0.98)],  # of each sector's contour, as on its real segment
-}
+# The admissible region of the zeros: two open sectors of arg width pi/6 and
+# their real edges (1, inf) and (-1, 0), as (arg lo, at the real edge; arg hi;
+# sign of |k| - 1; the inner and outer radius of the search).
+ADMISSIBLE_SECTORS = ((0.0, np.pi / 6, 1, 1.02, 4.0), (-np.pi, -5 * np.pi / 6, -1, 0.05, 0.98))
 
 
 def search_contours():
-    """(k, w) of the contour inside each admissible sector, SECTOR_MARGIN off its edges."""
-    return tuple(_sector_contour(r_lo, r_hi, lo + SECTOR_MARGIN, hi - SECTOR_MARGIN)
-                 for (lo, hi, _), (r_lo, r_hi) in zip(ADMISSIBLE_SECTORS, SEARCH_REGION["radii"]))
+    """(k, w) of one contour per admissible sector, over its search radii and
+    turned SECTOR_MARGIN past its real edge, so that the real zeros lie inside."""
+    return tuple(_sector_contour(r_lo, r_hi, lo - SECTOR_MARGIN, hi - SECTOR_MARGIN)
+                 for lo, hi, _, r_lo, r_hi in ADMISSIBLE_SECTORS)
 
 
 def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
-    """Zeros of s11 in SEARCH_REGION: Newton from the sign changes on the real
-    segments, contour moments inside the admissible sectors.  s11 on both grids
-    and both contours comes from one march, then one per Newton step and check."""
+    """Zeros of s11 in the admissible region, real and nonreal, by contour moments
+    inside each of search_contours().  s11 on both contours comes from one march,
+    then one per Newton step and check.  A zero within 1e-9 of the real axis is
+    real; one in the strip between a contour's lower ray and the real edge is not
+    admissible and is dropped."""
     if data.is_zero:
         return []
     s11 = partial(s11_values, data)
-    grids = [np.linspace(lo, hi, N_SEGMENT) for lo, hi in SEARCH_REGION["real_segments"]]
     contours = search_contours()
-    nodes = grids + [k for k, _ in contours]
-    vals = np.split(s11(np.concatenate(nodes)), np.cumsum([len(p) for p in nodes])[:-1])
-    zeros: list[complex] = []
-    for ks, v in zip(grids, vals):
-        zeros.extend(_segment_zeros(s11, ks, v, tol))
-    for (k, w), v in zip(contours, vals[len(grids):]):
-        zeros.extend(_contour_zeros(s11, k, w, v, tol))
+    vals = np.split(s11(np.concatenate([k for k, _ in contours])), len(contours))
     cleaned = []
-    for z in zeros:
-        if abs(z.imag) < 1e-9:
-            z = complex(z.real, 0.0)
-        if all(abs(z - w) > 1e-6 for w in cleaned):
-            resid = abs(s11(z)[0])
-            if resid > tol.zero_residual:
-                raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
-            cleaned.append(z)
+    for (k, w), v in zip(contours, vals):
+        for z in _contour_zeros(s11, k, w, v, tol):
+            if abs(z.imag) < 1e-9:
+                z = complex(z.real, 0.0)
+            if _in_admissible_region(z) and all(abs(z - y) > 1e-6 for y in cleaned):
+                resid = abs(s11(z)[0])
+                if resid > tol.zero_residual:
+                    raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
+                cleaned.append(z)
     return cleaned
 
 
@@ -829,4 +798,4 @@ def _in_admissible_region(k0: complex) -> bool:
         return (-1 < k0.real < 0) or (k0.real > 1)
     ang = np.angle(k0)
     return any(lo < ang < hi and np.sign(abs(k0) - 1) == side
-               for lo, hi, side in ADMISSIBLE_SECTORS)
+               for lo, hi, side, _, _ in ADMISSIBLE_SECTORS)

@@ -324,11 +324,44 @@ def test_branch_log_conventions(arcs):
         cy.ln_branch(np.exp(1j * 0.52 * np.pi), s, tilde=False)  # on the cut
     with pytest.raises(ValueError):
         cy.ln_branch(np.exp(1j * 0.9 * np.pi), s, tilde=True)  # on the tilde cut
-    # tracked off-circle value agrees with a continuity limit onto the circle
+    # the off-circle value agrees with a continuity limit onto the circle
     target = 1.0001 * np.exp(1j * 0.62 * np.pi)
-    tracked = cy.ln_branch(target, s, tilde=False)
+    off_circle = cy.ln_branch(target, s, tilde=False)
     on_circle = cy.ln_branch(np.exp(1j * 0.62 * np.pi), s, tilde=False)
-    assert abs(np.imag(tracked) - np.imag(on_circle)) < 1e-3
+    assert abs(np.imag(off_circle) - np.imag(on_circle)) < 1e-3
+
+
+def continued_arg(k, s, tilde):
+    """arg(k' - s) continued from k' = 1 out to |k'| = 2, round the circle of
+    radius 2 (clockwise for ln_s past pi/2, to miss the ray (i, i inf)) and in
+    to k: a path that meets neither cut when |k| > 1."""
+    phi = float(np.angle(k))
+    sweep = phi - 2 * np.pi if not tilde and phi > np.pi / 2 else phi
+    path = np.concatenate([np.linspace(1.0, 2.0, 400),
+                           2 * np.exp(1j * np.linspace(0.0, sweep, 4000)),
+                           np.linspace(2.0, abs(k), 400) * np.exp(1j * phi)])
+    steps = np.angle((path[1:] - s) / (path[:-1] - s))
+    assert np.max(np.abs(steps)) < 0.1
+    return np.imag(cy.ln_branch(1.0, s, tilde)) + np.sum(steps)
+
+
+def test_branch_log_off_circle_closed_form():
+    s = np.exp(1.8393j)
+    # just outside the tilde cut's arc, where marching a path from k = 1 needs
+    # steps finer than the distance to the circle
+    k = (1 + 2.7e-6) * np.exp(2.8189j)
+    assert abs(np.imag(cy.ln_branch(k, s, tilde=True)) - continued_arg(k, s, True)) < 1e-10
+    rng = np.random.default_rng(5)
+    for k in np.exp(rng.uniform(1e-6, 1.0, 40) + 1j * rng.uniform(-np.pi, np.pi, 40)):
+        for tilde in (False, True):
+            val = cy.ln_branch(k, s, tilde)
+            assert abs(np.exp(val) - (k - s)) < 1e-12 * abs(k - s)
+            assert abs(np.imag(val) - continued_arg(k, s, tilde)) < 1e-10, (k, tilde)
+    # Arg(k - s) jumps across {Im k = Im s, Re k < Re s}; neither branch does
+    for x in (s.real - 1e-3, -0.9, -2.5):
+        for tilde in (False, True):
+            above, below = (cy.ln_branch(x + 1j * (s.imag + e), s, tilde) for e in (1e-9, -1e-9))
+            assert abs(above - below) < 1e-5, (x, tilde)
 
 
 # ---------------------------------------------------------------------------

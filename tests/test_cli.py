@@ -127,6 +127,8 @@ def test_bad_window_exits_2(tmp_path, capsys):
             ("solitons", dict(explicit, zeros=[[1.5]]), "solitons.zeros"),
             ("solitons", dict(explicit, zeros="abc"), "solitons.zeros"),
             ("solitons", dict(explicit, c=[[0.4, "x"]]), "solitons.c"),
+            ("solitons", dict(explicit, zeros=[["nan", 0]]), "solitons.zeros"),
+            ("solitons", dict(explicit, zeros=[[True, 0]]), "solitons.zeros"),
             ("solitons", dict(explicit, c=[]), "solitons.c")):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "evolve"):
@@ -134,6 +136,21 @@ def test_bad_window_exits_2(tmp_path, capsys):
             assert name in capsys.readouterr().err
     assert RunConfig.load(write_config(tmp_path / "c.json", solitons=explicit)).solitons == \
         {"mode": "explicit", "zeros": [1.5 + 0j], "c": [0.4 + 0j]}
+
+
+def test_unknown_config_field_exits_2(tmp_path, capsys):
+    for overrides, name in (({"n_zetas": 3}, "'n_zetas'"), ({"pde": {"LL": 5}}, "'pde.LL'")):
+        cfgp = write_config(tmp_path / "c.json", **overrides)
+        for stage in ("scatter", "evolve"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert f"unknown config field {name}" in capsys.readouterr().err
+
+
+def test_pde_grid_too_coarse_for_filter_exits_2(tmp_path):
+    cfgp = write_config(tmp_path / "c.json", pde={"L": 760, "n": 300})
+    res = run_cli("evolve", "--config", str(cfgp), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert all(name in res.stderr for name in ("pde.n", "pde.L", "pde.cutoff"))
 
 
 def test_unknown_form_exits_2(tmp_path):

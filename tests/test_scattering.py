@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import simpson
 
 from bqist import scattering as sc
-from bqist.config import Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
 from neville import richardson_limit
 
@@ -164,15 +163,13 @@ def test_circle_march_bit_identical():
 def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
     """Both steps on the off-circle k that scatter marches, each column subset
     where scatter asks for it (elsewhere the other columns grow past 1e100)."""
-    grids = np.concatenate([np.linspace(lo, hi, sc.N_SEGMENT)[::8]
-                            for lo, hi in sc.SEARCH_REGION["real_segments"]])
     rims = np.concatenate([k[::16] for k, _ in sc.search_contours()])
     segment = 1j * np.linspace(0.06, 0.985, 40)[::4]
     probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
                        for r in (1e-2, 5e-3)])
     newton = sc._central_points(2.13)[0]
     questions = [
-        ("X", (0,), [grids, rims, segment, newton, probes]),  # s11: zero search, s11'
+        ("X", (0,), [rims, segment, newton, probes]),        # s11: zero search, s11'
         ("X", (0, 1), [segment, newton, probes]),             # r1 on (0, i), s12 at a real zero
         ("X", (0, 1, 2), [probes]),                           # the genericity probes
         ("XA", (0,), [probes]),
@@ -339,10 +336,15 @@ def test_contour_moments_cross_validate_real_zero(soliton_data, soliton_zeros):
 
 
 def test_search_contours_admissible():
+    """Every contour node is admissible except those in the strip between the
+    sector's real edge and the contour's lower ray, SECTOR_MARGIN past it."""
     assert len(sc.search_contours()) == len(sc.ADMISSIBLE_SECTORS)
-    for k, w in sc.search_contours():
+    for (k, w), (lo, *_) in zip(sc.search_contours(), sc.ADMISSIBLE_SECTORS):
         assert len(k) == 4 * sc.N_EDGE
-        assert all(sc._in_admissible_region(complex(kk)) for kk in k)
+        past_edge = np.angle(k * np.exp(-1j * lo))  # arg k - lo, in (-pi, pi]
+        strip = (past_edge < 0) & (past_edge > -sc.SECTOR_MARGIN - 1e-12)
+        assert np.count_nonzero(strip) > sc.N_EDGE  # the lower ray and parts of both arcs
+        assert [sc._in_admissible_region(complex(kk)) for kk in k] == list(~strip)
         assert abs(np.sum(w)) < 1e-12  # a closed contour
     # {|k| > 1, 0 < arg k < pi/6} and {|k| < 1, -pi < arg k < -5 pi/6}
     inside = [1.5 * np.exp(0.5j), 3.9 * np.exp(0.01j), 0.5 * np.exp(-2.7j), 0.99 * np.exp(-3.1j)]
@@ -353,8 +355,8 @@ def test_search_contours_admissible():
 
 
 def test_contour_zeros_analytic():
-    """Known zeros near the sector edges, next to a real zero just outside the
-    contour and a pole at k = 1, in both sectors."""
+    """Known zeros near the sector edges, with a real zero inside the contour
+    and a pole at k = 1, in both sectors."""
     (kr, wr), (kl, wl) = sc.search_contours()
     m = 2 * sc.SECTOR_MARGIN
     cases = [
@@ -364,20 +366,37 @@ def test_contour_zeros_analytic():
     ]
     for k, w, real_zero, zeros in cases:
         def h(q):
-            return np.exp(0.3 * q) * (q - real_zero) / (q - 1)
+            return np.exp(0.3 * q) / (q - 1)
 
         for n in range(4):
-            zs = zeros[:n]
+            zs = [real_zero] + zeros[:n]
 
             def f(q):
                 return np.prod([q - z for z in zs], axis=0) * h(q)
 
             found = sc._contour_zeros(f, k, w, f(k))
-            assert len(found) == n
+            assert len(found) == n + 1
             for j, z in enumerate(zs):
                 # Newton stops at |f| < NEWTON_TOL, so it places z to NEWTON_TOL / |f'(z)|
                 slope = abs(np.prod([z - y for y in zs[:j] + zs[j + 1:]]) * h(z))
                 assert min(abs(g - z) for g in found) * slope < sc.NEWTON_TOL
+
+
+def test_find_s11_zeros_drops_the_strip_past_the_real_edge(data_small, monkeypatch):
+    """A real zero and an admissible nonreal zero are kept; a zero between the
+    real edge and the contour's lower ray, inside the contour, is not."""
+    real, nonreal, strip = 2.5, 1.5 * np.exp(0.3j), 2.0 * np.exp(-0.5j * sc.SECTOR_MARGIN)
+    assert not sc._in_admissible_region(strip)
+
+    def fake_s11(data, k):
+        k = np.atleast_1d(np.asarray(k, dtype=complex))
+        return (k - real) * (k - nonreal) * (k - strip) * np.exp(0.2 * k)
+
+    monkeypatch.setattr(sc, "s11_values", fake_s11)
+    zeros = sorted(sc.find_s11_zeros(data_small), key=lambda z: z.imag)
+    assert len(zeros) == 2
+    assert abs(zeros[0] - real) < 1e-11 and zeros[0].imag == 0.0
+    assert abs(zeros[1] - nonreal) < 1e-11
 
 
 def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
@@ -385,10 +404,9 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
     locs = []
     for fac in (0.98, 1.02):
         d = sc.from_arrays(soliton_data.x, fac * soliton_data.u0, fac * soliton_data.u1)
-        ks = np.linspace(k0 - 0.3, k0 + 0.3, 40)
-        s11 = partial(sc.s11_values, d)
-        zs = sc._segment_zeros(s11, ks, s11(ks.astype(complex)), Tolerances())
-        assert len(zs) == 1
+        zs = sc.find_s11_zeros(d)
+        # off the exact soliton the zero leaves the axis by about 3e-7, on any grid
+        assert len(zs) == 1 and abs(zs[0].imag) < 1e-6
         locs.append(zs[0].real)
     assert abs(locs[0] - k0) < 0.05 and abs(locs[1] - k0) < 0.05
     assert (locs[0] - k0) * (locs[1] - k0) < 0  # moves through k0 monotonically
@@ -408,16 +426,16 @@ def counted_marches(monkeypatch):
 
 
 def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
-    # one march for both grids and both sector contours, one per Newton step and
-    # one residual check per zero
+    # one march for both sector contours, one per Newton step and one residual
+    # check per zero
     calls = counted_marches(monkeypatch)
     zeros = sc.find_s11_zeros(soliton_data)
     assert zeros == soliton_zeros
-    assert len(calls) <= 5
+    assert len(calls) == 4
 
 
 def test_zero_search_stays_in_admissible_region(data_small, monkeypatch):
-    # both sectors wind zero times and no real segment changes sign
+    # both sector contours wind zero times
     calls = counted_marches(monkeypatch)
     assert sc.find_s11_zeros(data_small) == []
     assert len(calls) == 1
