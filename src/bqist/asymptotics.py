@@ -99,14 +99,15 @@ _TRANSFORMS = {
 
 
 def script_D(which: int, arcs: SectorArcs, cf: CircleFunctions, k) -> complex:
-    """The delta-ratio product D1 or D2 at k, each factor by arc quadrature."""
+    """The delta-ratio product D1 or D2 at k, with one arc quadrature per delta_j
+    for all the points that delta_j is taken at."""
     table = {1: _D1_EXP, 2: _D2_EXP}[which]
     k = complex(k)
     out = 1.0 + 0.0j
     for j, factors in table.items():
-        for name, expo in factors.items():
-            arg = _TRANSFORMS[name](k)
-            out *= cy.delta(j, arcs, cf, arg) ** expo
+        vals = cy.delta(j, arcs, cf, [_TRANSFORMS[name](k) for name in factors])
+        for val, expo in zip(vals, factors.values()):
+            out *= val ** expo
     return out
 
 

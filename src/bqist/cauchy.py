@@ -26,6 +26,12 @@ double zero at omega, where the raw combination loses all relative accuracy.
 The chi integrals are integrated by parts into the Cauchy integral of their
 density, the same bounded integral as delta's, plus branch logs at the arc
 ends; no density is ever differentiated.
+
+Every arc integral goes through one panel rule (_arc_panels) and one
+quadrature (_cauchy_integral).  delta takes an array of points: their panels
+are shared, the density is evaluated once, and the kernel is a (points x
+nodes) product.  delta is not evaluated within BOUNDARY_TOL of its arc; its
+boundary values there are limits from either side.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ BOUNDARY_TOL = 1e-6
 
 
 class BoundaryPolicyError(ValueError):
-    """Evaluation point is on (or too close to) the defining arc; pass a side."""
+    """Evaluation point is on (or within BOUNDARY_TOL of) the defining arc, where
+    delta has no value; its boundary values are limits from either side."""
 
 
 class PositivityError(ValueError):
@@ -280,21 +287,27 @@ def _arc_distance(k: complex, lo: float, hi: float) -> float:
     return min(d1, d2)
 
 
-def _cauchy_panels(lo, hi, k, singular_hi=False, singular_lo=False):
-    panels = graded_panels(lo, hi, (singular_lo, singular_hi))
-    phi = float(np.angle(k))
-    for cand in (phi, phi + 2 * np.pi, phi - 2 * np.pi):
-        if lo - 0.3 <= cand <= hi + 0.3:
-            gap = max(abs(abs(k) - 1.0), 1e-9)
-            panels = refine_near(panels, cand, min_size=min(1e-4, gap / 4))
+def _arc_panels(lo, hi, name, ks):
+    """Panels on [lo, hi] for Cauchy integrals at the points ks: graded toward
+    omega on the hi arc, where ln f diverges, and refined near the projection of
+    every k within 0.3 rad of the arc."""
+    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-11)
+    for k in ks:
+        phi0 = float(np.angle(k))
+        for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
+            if lo - 0.3 <= cand <= hi + 0.3:
+                gap = max(abs(abs(k) - 1.0), 1e-8)
+                panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
     return panels
 
 
-def _cauchy_integral(dens, k, panels, c=0.0) -> complex:
-    """int (g(theta) - c) i s/(s - k) dtheta over the panels, s = e^{i theta}.
+def _cauchy_integral(dens, k, panels, c=0.0):
+    """int (g(theta) - c) i s/(s - k) dtheta over the panels, s = e^{i theta},
+    for each point of k (any shape); the density is evaluated once.
 
-    With c = g at k (on the arc) the subtraction removes the kernel's pole.
+    With c = g at k (an arc end) the subtraction removes the kernel's pole.
     """
+    k = np.asarray(k)[..., None]
 
     def integrand(th):
         s = np.exp(1j * th)
@@ -303,57 +316,17 @@ def _cauchy_integral(dens, k, panels, c=0.0) -> complex:
     return panel_quad(integrand, panels)
 
 
-def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k, side: str | None = None) -> complex:
-    """delta_j(zeta, k) by direct quadrature of its defining arc integral.
-
-    ``side`` ("interior"/"exterior", or the oriented "+"/"-") selects a
-    boundary value via the principal-value formula when k lies on the arc.
-    """
+def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k):
+    """delta_j(zeta, k) at one point or an array of points, by one quadrature of
+    its defining arc integral on panels shared by all the points."""
     name, dens_name, sign = _ARC_SPEC[j]
     lo, hi = _arc_interval(arcs, name)
-    k = complex(k)
-    dist = _arc_distance(k, lo, hi)
-    if dist < BOUNDARY_TOL:
-        if side is None:
-            raise BoundaryPolicyError(
-                f"delta_{j}: k={k} within {BOUNDARY_TOL:.0e} of the arc; specify a side")
-        return _delta_boundary(j, arcs, cf, k, side)
-
-    singular_hi = name == "hi"  # log-divergent density at omega
-    panels = _cauchy_panels(lo, hi, k, singular_hi=singular_hi)
-    val = _cauchy_integral(cf.density(dens_name), k, panels)
+    k = np.asarray(k, dtype=complex)
+    for kk in k.ravel():
+        if _arc_distance(kk, lo, hi) < BOUNDARY_TOL:
+            raise BoundaryPolicyError(f"delta_{j}: k={kk} within {BOUNDARY_TOL:.0e} of the arc")
+    val = _cauchy_integral(cf.density(dens_name), k, _arc_panels(lo, hi, name, k.ravel()))
     return np.exp(sign * val / (2j * np.pi))
-
-
-def _delta_boundary(j, arcs, cf, k, side):
-    """Plemelj boundary value on the open arc: exp(sign(PV +- g/2)/(2 pi i) ...).
-
-    The "+"/"-" aliases follow the arc orientations of the jump relations:
-    the low arc is traversed clockwise (so "+" is the exterior), the others
-    counterclockwise ("+" is the interior).
-    """
-    name, dens_name, sign = _ARC_SPEC[j]
-    lo, hi = _arc_interval(arcs, name)
-    dens = cf.density(dens_name)
-    theta0 = float(np.angle(k))
-    if not (lo + 1e-12 < theta0 < hi - 1e-12):
-        raise BoundaryPolicyError(f"delta_{j}: boundary value requested off the open arc")
-    if side in ("+", "-"):
-        if j == 1:
-            side = "exterior" if side == "+" else "interior"
-        else:
-            side = "interior" if side == "+" else "exterior"
-    if side not in ("interior", "exterior"):
-        raise ValueError(f"unknown side {side!r}")
-    g0 = complex(dens(theta0))
-    panels = refine_near(graded_panels(lo, hi, (False, name == "hi")), theta0, min_size=1e-7)
-    pv_reg = _cauchy_integral(dens, np.exp(1j * theta0), panels, g0)
-    # closed-form PV of int ds/(s-k0) over the arc
-    pv_core = (1j * (hi - lo) / 2
-               + np.log(abs(np.sin(0.5 * (hi - theta0)) / np.sin(0.5 * (theta0 - lo)))))
-    pv = pv_reg + g0 * pv_core
-    half = 0.5 * g0 if side == "interior" else -0.5 * g0
-    return np.exp(sign * (pv / (2j * np.pi) + half))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +361,7 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -
         if jump:
             ends += orient * jump * ln_branch(k, np.exp(1j * theta), tilde=tilde)
 
-    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-11)
-    if theta_k is None:
-        phi0 = float(np.angle(k))
-        for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
-            if lo - 0.3 <= cand <= hi + 0.3:
-                gap = max(abs(abs(k) - 1.0), 1e-8)
-                panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
+    panels = _arc_panels(lo, hi, name, [k] if theta_k is None else [])
     return sign * (ends - _cauchy_integral(dens, k, panels, c)) / (2j * np.pi)
 
 

@@ -155,11 +155,15 @@ class RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object of fields: {raw!r}")
         if "initial_data" not in raw:
             raise ConfigError("config missing required field 'initial_data'")
         _reject_unknown(raw, CONFIG_FIELDS)
         idata = _block(raw, "initial_data", {})
         if "csv" in idata:
+            if not isinstance(idata["csv"], str):
+                raise ConfigError(f"initial_data.csv must be a file path: {idata['csv']!r}")
             csv_path = Path(idata["csv"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path
@@ -222,7 +226,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad initial_data.csv {path}: {exc}") from exc
         form = idata["form"]
-        if form not in sc.NAMED_FORMS:
+        if not isinstance(form, str) or form not in sc.NAMED_FORMS:
             raise ConfigError(f"unknown initial-data form {form!r}; "
                               f"choose from {sorted(sc.NAMED_FORMS)} or give csv")
         kwargs = {k: v for k, v in idata.items() if k != "form"}

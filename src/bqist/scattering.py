@@ -31,7 +31,8 @@ class DegenerateSpectralPointError(ValueError):
 
 @dataclass
 class InitialData:
-    """Samples of (u0, u1) on a uniform grid [-L, L], with v0 = int_-inf^x u1.
+    """Samples of (u0, u1) on a uniform increasing grid from x[0] = -L (the
+    named forms use [-L, L]), with v0 = int_-inf^x u1.
 
     The grid has an even number of intervals so the RK4 marcher can use the
     odd-index points as midpoints.
@@ -50,6 +51,8 @@ class InitialData:
         n = len(self.x)
         if n % 2 == 0:
             raise ValueError("InitialData grid must have an odd number of points")
+        if not self.h > 0:
+            raise ValueError(f"InitialData grid must be increasing: x[1] - x[0] = {self.h!r}")
         if not np.allclose(np.diff(self.x), self.h, rtol=0, atol=1e-12 * max(1.0, self.h)):
             raise ValueError("InitialData grid must be uniform")
 
@@ -77,6 +80,8 @@ class InitialData:
 def _grid(L: float, n: int):
     if n % 2 == 0:
         n += 1
+    if n < 3:
+        raise ValueError(f"n = {n}: the x grid needs at least 3 points")
     x = np.linspace(-L, L, n)
     return x, x[1] - x[0]
 
@@ -87,10 +92,13 @@ def from_arrays(x, u0, u1, label="samples") -> InitialData:
     u1 = np.asarray(u1, dtype=float)
     if len(x) % 2 == 0:
         x, u0, u1 = x[:-1], u0[:-1], u1[:-1]
+    if len(x) < 3:
+        raise ValueError(f"the x grid needs at least 3 points, got {len(x)}")
     h = x[1] - x[0]
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])
     du0 = np.gradient(u0, x, edge_order=2)
-    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=float(abs(x[0])), h=float(h),
+    # the march ends at x[0], where the terminal formula's e^{L ad(diag l)} needs L = -x[0]
+    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=float(-x[0]), h=float(h),
                        label=label)
 
 

@@ -122,12 +122,14 @@ def refine_near(panels: list[tuple[float, float]], point: float,
 def panel_quad(fun, panels, n: int = 16):
     """Composite Gauss-Legendre quadrature of ``fun`` over the panel list.
 
-    ``fun`` is called once, on the nodes of all panels in panel order.
+    ``fun`` is called once, on the nodes of all panels in panel order, and
+    returns values of shape (..., nodes); the result has shape (...).
     """
     xg, wg = gauss_legendre(n)
     lo, hi = np.asarray(panels, dtype=float).reshape(-1, 2).T
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * xg
-    vals = fun(x.ravel()).reshape(x.shape)
-    return complex(np.sum(half * (vals @ wg)))
+    vals = fun(x.ravel())
+    vals = vals.reshape(vals.shape[:-1] + x.shape)
+    return np.sum(half * (vals @ wg), axis=-1)
 

@@ -57,7 +57,7 @@ def test_f_rejects_off_circle(cf_small):
 
 
 # ---------------------------------------------------------------------------
-# delta: decay, jumps, boundary values
+# delta: decay, jumps, the arc itself
 # ---------------------------------------------------------------------------
 
 
@@ -102,13 +102,26 @@ def test_boundary_value_policy(arcs, cf_small):
     th2 = 0.5 * (arcs.a4 + arcs.a2)
     with pytest.raises(cy.BoundaryPolicyError):
         cy.delta(2, arcs, cf_small, np.exp(1j * th2))
-    din, dout = two_sided_limits(2, arcs, cf_small, th2)
-    bin_ = cy.delta(2, arcs, cf_small, np.exp(1j * th2), side="interior")
-    bout = cy.delta(2, arcs, cf_small, np.exp(1j * th2), side="exterior")
-    assert abs(bin_ - din) < 1e-9
-    assert abs(bout - dout) < 1e-9
-    # oriented aliases: "+" is the interior side for the middle arc
-    assert abs(cy.delta(2, arcs, cf_small, np.exp(1j * th2), side="+") - bin_) == 0
+    # one point on the arc among admissible ones fails the whole batch
+    with pytest.raises(cy.BoundaryPolicyError):
+        cy.delta(2, arcs, cf_small, [0.5 + 0.1j, np.exp(1j * th2), 2.0 + 0j])
+
+
+def test_batched_delta_matches_pointwise(cf_small):
+    """delta at the points of each script_D factor, in one call, against one call
+    per point: the shared panels are refined near every point of the batch."""
+    worst = 0.0
+    for zeta in (0.64, 0.78, 0.93):
+        arcs = cy.SectorArcs.from_zeta(zeta)
+        for table, k in ((asy._D1_EXP, OMEGA * arcs.saddles.k4),
+                         (asy._D2_EXP, OMEGA**2 * arcs.saddles.k2)):
+            for j, factors in table.items():
+                points = [asy._TRANSFORMS[name](k) for name in factors]
+                batched = cy.delta(j, arcs, cf_small, points)
+                assert batched.shape == (len(points),)
+                single = [cy.delta(j, arcs, cf_small, p) for p in points]
+                worst = max(worst, np.max(np.abs(batched - single)))
+    assert worst < 1e-12
 
 
 def test_delta_analytic_off_arcs(arcs, cf_small):
@@ -410,12 +423,13 @@ def test_re_chi_formula_at_saddle(arcs, cf_small, nu):
 
 
 def panel_loop_quad(fun, panels, n=16):
-    """Reference composite rule: one call of ``fun`` per panel, summed in order."""
+    """Reference composite rule: one call of ``fun`` per panel, summed in order;
+    ``fun`` returns values of shape (..., nodes)."""
     xg, wg = gauss_legendre(n)
     total = 0.0 + 0.0j
     for lo, hi in panels:
         half = 0.5 * (hi - lo)
-        total += half * np.sum(wg * fun(0.5 * (lo + hi) + half * xg))
+        total = total + half * np.sum(wg * fun(0.5 * (lo + hi) + half * xg), axis=-1)
     return total
 
 
@@ -435,7 +449,8 @@ def test_panel_quad_one_call_matches_panel_loop():
 
 def test_delta_chi_match_panel_loop_quadrature(cf_small, monkeypatch):
     """Whole-arc evaluation (one integrand call per arc) against the
-    panel-by-panel rule, at the saddle images the asymptotic formula uses."""
+    panel-by-panel rule, at the saddle images the asymptotic formula uses; delta
+    is called as script_D calls it, once per factor on all its points."""
     chi_at = {  # (image, tilde) -> j where the branch is defined at that image
         ("wk4", False): (1,), ("wk4", True): (2, 3, 4, 5),
         ("w2k2", False): (1, 2, 3), ("w2k2", True): (4, 5),
@@ -450,8 +465,8 @@ def test_delta_chi_match_panel_loop_quadrature(cf_small, monkeypatch):
                       "w2k2": OMEGA**2 * arcs.saddles.k2}
             for table, k in ((asy._D1_EXP, images["wk4"]), (asy._D2_EXP, images["w2k2"])):
                 for j, factors in table.items():
-                    out += [cy.delta(j, arcs, cf_small, asy._TRANSFORMS[name](k))
-                            for name in factors]
+                    out += list(cy.delta(j, arcs, cf_small,
+                                         [asy._TRANSFORMS[name](k) for name in factors]))
             for (image, tilde), js in chi_at.items():
                 out += [cy.chi(j, arcs, cf_small, images[image], tilde=tilde) for j in js]
         return np.array(out)

@@ -37,10 +37,15 @@ def write_config(path, **overrides):
     return path
 
 
-def test_missing_config_exits_2(tmp_path):
+def test_missing_config_exits_2(tmp_path, capsys):
     res = run_cli("scatter", "--config", str(tmp_path / "nope.json"))
     assert res.returncode == 2
     assert "nope.json" in res.stderr
+    # a config that is JSON but not an object of fields
+    for text in ("3", "null"):
+        (tmp_path / "c.json").write_text(text)
+        assert cli.main(["scatter", "--config", str(tmp_path / "c.json")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_csv_names_field(tmp_path):
@@ -54,13 +59,20 @@ def test_missing_csv_names_field(tmp_path):
     write_csv(tmp_path / "skewed.csv", x**3 / 400.0, np.zeros_like(x), np.zeros_like(x))
     (tmp_path / "no_u1.csv").write_text("x,u0\n0,0\n1,0\n2,0\n")
     (tmp_path / "word.csv").write_text("x,u0,u1\n0,0,0\n1,abc,0\n2,0,0\n")
+    write_csv(tmp_path / "decreasing.csv", x[::-1], np.zeros_like(x), np.zeros_like(x))
+    (tmp_path / "one_row.csv").write_text("x,u0,u1\n0,0,0\n")
+    (tmp_path / "two_rows.csv").write_text("x,u0,u1\n0,0,0\n1,0,0\n")
     for name, message in (("skewed.csv", "uniform"), ("no_u1.csv", "'u1'"),
-                          ("word.csv", "'abc'")):
+                          ("word.csv", "'abc'"), ("decreasing.csv", "increasing"),
+                          ("one_row.csv", "3 points"), ("two_rows.csv", "3 points")):
         cfgp.write_text(json.dumps({"initial_data": {"csv": name}}))
         for stage in ("scatter", "evolve"):
             res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
             assert res.returncode == 2, res.stderr
             assert name in res.stderr and message in res.stderr
+    cfgp.write_text(json.dumps({"initial_data": {"csv": 5}}))
+    res = run_cli("scatter", "--config", str(cfgp))
+    assert res.returncode == 2 and "initial_data.csv" in res.stderr
 
 
 def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
@@ -154,15 +166,20 @@ def test_pde_grid_too_coarse_for_filter_exits_2(tmp_path):
 
 
 def test_unknown_form_exits_2(tmp_path):
-    cfgp = write_config(tmp_path / "c.json", initial_data={"form": "sinc"})
-    res = run_cli("scatter", "--config", str(cfgp))
-    assert res.returncode == 2
+    for form in ("sinc", ["zero"]):
+        cfgp = write_config(tmp_path / "c.json", initial_data={"form": form})
+        res = run_cli("scatter", "--config", str(cfgp))
+        assert res.returncode == 2 and "initial-data form" in res.stderr
     cfgp = write_config(tmp_path / "c.json",
                         initial_data={"form": "gaussian", "amplitude": 0.1, "width": 2.0,
                                       "u1_mode": "sideways"})
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
     assert "sideways" in res.stderr
+    cfgp = write_config(tmp_path / "c.json", initial_data={"form": "zero", "n": 1})
+    res = run_cli("scatter", "--config", str(cfgp))
+    assert res.returncode == 2
+    assert "n = 1" in res.stderr
 
 
 def test_zero_data_pipeline(tmp_path):

@@ -194,6 +194,19 @@ def test_grid_refinement_stable():
     assert abs(vals[1] - vals[0]) < 1e-9
 
 
+def test_translated_samples_obey_the_translation_law():
+    """Samples moved by s give r1 e^{-s(l1 - l2)}, wherever the grid starts."""
+    d = sc.gaussian(0.05, 2.0, L=20.0, n=1025)
+    base = sc.from_arrays(d.x, d.u0, d.u1)
+    k = np.exp(1j * np.linspace(0.3, 1.2, 5))
+    r0 = sc.r1_values(base, k)
+    l = phase_values(k).l
+    for shift in (25.0, -5.0, 20.0):  # grids [5, 45], [-25, 15] and [0, 40]
+        r = sc.r1_values(sc.from_arrays(d.x + shift, d.u0, d.u1), k)
+        law = r0 * np.exp(-shift * (l[0] - l[1]))
+        assert np.max(np.abs(r - law)) < 1e-12 * np.max(np.abs(r0))
+
+
 # ---------------------------------------------------------------------------
 # scattering matrices and reflection coefficients
 # ---------------------------------------------------------------------------
