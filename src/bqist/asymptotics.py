@@ -23,7 +23,6 @@ from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, PositivityError, SectorArcs
 from .config import Tolerances
 from .gammafn import arg_gamma, log_gamma
-from .scattering import SolitonData
 from .spectral import OMEGA, SQRT3, phi
 
 NU_TINY = 1e-13
@@ -40,14 +39,12 @@ def rtilde(k) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def blaschke_P(k, solitons: SolitonData | list | None) -> complex:
-    """Product over right-moving soliton zeros; identically 1 for an empty set."""
+def blaschke_P(k, zeros: list | None) -> complex:
+    """Product over the right-moving soliton zeros; identically 1 for none."""
     k = complex(k)
-    zeros = [] if solitons is None else (
-        solitons.zeros if isinstance(solitons, SolitonData) else list(solitons))
     out = 1.0 + 0.0j
     w = OMEGA
-    for k0 in zeros:
+    for k0 in zeros or []:
         k0 = complex(k0)
         if k0.real <= 0:
             continue  # left movers do not enter
@@ -64,8 +61,8 @@ def blaschke_P(k, solitons: SolitonData | list | None) -> complex:
     return out
 
 
-def blaschke_ratio(a, b, solitons) -> complex:
-    return blaschke_P(a, solitons) / blaschke_P(b, solitons)
+def blaschke_ratio(a, b, zeros) -> complex:
+    return blaschke_P(a, zeros) / blaschke_P(b, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +223,9 @@ class SectorIngredients:
     im_phi32: float    # Im Phi_32(zeta, w2 k2)
 
 
-def build_ingredients(zeta: float, cf: CircleFunctions,
-                      solitons: SolitonData | list | None = None,
+def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = None,
                       tol: Tolerances = Tolerances()) -> SectorIngredients:
+    """The per-zeta bundle; ``solitons`` are the zeros of s11 (None for none)."""
     arcs = SectorArcs.from_zeta(zeta)
     nu = cy.nu_bundle(arcs, cf)
     if nu.nu_hat1 < tol.nu_hat_floor or nu.nu_hat2 < tol.nu_hat_floor:
@@ -313,7 +310,10 @@ class AsymptoticEvaluation:
     err_scale: float
 
 
-def amplitudes_phases(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
+def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
+    """Leading-order u at x = zeta t, zeta the bundle's."""
+    if t < 2:
+        raise ValueError("u_asym: t must be at least 2")
     nu = ing.nu
     sad = ing.arcs.saddles
     hat1 = max(nu.nu_hat1, 0.0)
@@ -352,16 +352,6 @@ def amplitudes_phases(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
         alpha1=float(alpha1), alpha2=float(alpha2),
         u=float(u), err_scale=float(np.log(t) / t),
     )
-
-
-def u_asym(x: float, t: float, ing: SectorIngredients) -> AsymptoticEvaluation:
-    """Leading-order u at (x, t); requires zeta = x/t to match the bundle."""
-    if t < 2:
-        raise ValueError("u_asym: t must be at least 2")
-    zeta = x / t
-    if abs(zeta - ing.zeta) > 1e-12:
-        raise ValueError(f"ingredients built for zeta={ing.zeta}, got x/t={zeta}")
-    return amplitudes_phases(ing, t)
 
 
 # ---------------------------------------------------------------------------

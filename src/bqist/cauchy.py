@@ -126,9 +126,11 @@ class CircleFunctions:
     lnF2 = ln f(omega^2 .) on [pi/2, 2 pi/3)  (layer cofactor at 1, lower side)
     """
 
-    def __init__(self, refl: ReflectionData, n_fit: int = 96):
+    N_FIT = 96  # Chebyshev nodes of the g1 fit
+
+    def __init__(self, refl: ReflectionData):
         self.refl = refl
-        self._fit(n_fit)
+        self._fit()
 
     # -- raw products ------------------------------------------------------
 
@@ -141,9 +143,9 @@ class CircleFunctions:
 
     # -- fits ----------------------------------------------------------------
 
-    def _fit(self, n: int):
+    def _fit(self):
         lo, hi = ARC_LO - 0.03, TWO_THIRDS_PI
-        th = ChebPanel.nodes(lo, hi, n)
+        th = ChebPanel.nodes(lo, hi, self.N_FIT)
         one_p = 1.0 + self.r1r2(th)
         self._check_positive(one_p, th, "1 + r1 r2")
         self.g1 = ChebPanel.fit(lo, hi, np.log(one_p.real))
@@ -185,14 +187,6 @@ class CircleFunctions:
 
     def density(self, name: str):
         return {"g1": self.ln_one_plus_r1r2, "lnF": self.ln_f, "lnF2": self.ln_f2}[name]
-
-
-def f_of_k(cf: CircleFunctions, k) -> complex:
-    """f on the unit circle via the defining combination of reflection values."""
-    k = complex(k)
-    if abs(abs(k) - 1.0) > 1e-9:
-        raise ValueError("f_of_k expects k on the unit circle")
-    return complex(cf.f_raw(np.angle(k)))
 
 
 # ---------------------------------------------------------------------------

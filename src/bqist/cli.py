@@ -164,9 +164,9 @@ def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
     rows, dbg_rows = [], []
     for z in np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta):
         z = float(z)
-        ing = asy.build_ingredients(z, cf, solitons=sol, tol=cfg.tol)
+        ing = asy.build_ingredients(z, cf, solitons=sol.zeros, tol=cfg.tol)
         for t in cfg.t_values:
-            ev = asy.u_asym(z * t, t, ing)
+            ev = asy.u_asym(ing, t)
             rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
         if debug_deltas:
             for name in _DEBUG_QUANTITIES:
@@ -222,8 +222,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     snaps = []
     for t in cfg.t_values:
         snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", ("x", "u", "u_t"))
-        snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t,
-                                       cutoff=cfg.pde["cutoff"]))
+        snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t))
 
     def ua_fn(zetas, t):
         at_t = asym["t"] == t

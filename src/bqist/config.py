@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 
 #: the top-level fields of a config file
-CONFIG_FIELDS = ("initial_data", "out_dir", "n_per_arc", "zeta_window", "n_zeta", "t_values",
+CONFIG_FIELDS = ("initial_data", "n_per_arc", "zeta_window", "n_zeta", "t_values",
                  "solitons", "pde", "tolerances")
 
 #: evolve-stage defaults: periodic half-width L, grid points n, step dt, filter cutoff
@@ -119,9 +119,9 @@ def number_pairs(items, name: str, nullable: bool = False) -> list:
     return out
 
 
-def _reject_unknown(raw: dict, known) -> None:
-    """ConfigError naming the first key of ``raw`` that is not in ``known``."""
-    for name in raw:
+def _reject_unknown(names, known) -> None:
+    """ConfigError naming the first of ``names`` that is not in ``known``."""
+    for name in names:
         if name not in known:
             raise ConfigError(f"unknown config field {name!r}")
 
@@ -162,6 +162,7 @@ class RunConfig:
         _reject_unknown(raw, CONFIG_FIELDS)
         idata = _block(raw, "initial_data", {})
         if "csv" in idata:
+            _reject_unknown([f"initial_data.{k}" for k in idata], ["initial_data.csv"])
             if not isinstance(idata["csv"], str):
                 raise ConfigError(f"initial_data.csv must be a file path: {idata['csv']!r}")
             csv_path = Path(idata["csv"])
@@ -183,6 +184,8 @@ class RunConfig:
         sol = _block(raw, "solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
+        known = ("mode", "zeros", "c") if sol["mode"] == "explicit" else ("mode",)
+        _reject_unknown([f"solitons.{k}" for k in sol], [f"solitons.{k}" for k in known])
         if sol["mode"] == "explicit":
             sol = dict(sol, **{key: number_pairs(sol.get(key, []), f"solitons.{key}")
                                for key in ("zeros", "c")})
@@ -208,8 +211,7 @@ class RunConfig:
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
         tol = Tolerances.resolve(_block(raw, "tolerances", {}))
-        out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "bqist_out"))
-        return cls(initial_data=idata, out_dir=out, n_per_arc=n_per_arc,
+        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), n_per_arc=n_per_arc,
                    zeta_window=window, n_zeta=n_zeta,
                    t_values=t_values, solitons=sol, pde=pde, tol=tol)
 

@@ -41,8 +41,7 @@ def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -
     du0 = -2.0 * a * b * s**2 * np.tanh(b * (x - x0))
     u1 = -v * du0
     v0 = -v * u0
-    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=L, h=h,
-                       label=f"soliton(v={v},x0={x0})")
+    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=L, h=h)
 
 
 @dataclass
@@ -53,7 +52,6 @@ class FieldSnapshot:
     u: np.ndarray
     ut: np.ndarray
     t: float
-    cutoff: float
 
     def mass(self) -> float:
         return float(np.trapezoid(self.u, dx=self.x[1] - self.x[0]))
@@ -75,7 +73,7 @@ class FieldSnapshot:
         ext = lambda a: np.append(a, a[0])
         return InitialData(x=self.x.copy(), u0=self.u.copy(), u1=self.ut.copy(),
                            v0=ext(v0), du0=ext(du0),
-                           L=float(self.x[-1]), h=float(h), label=f"snapshot(t={self.t})")
+                           L=float(self.x[-1]), h=float(h))
 
     def eval_at(self, xq) -> np.ndarray:
         """Trigonometric (exact, band-limited) evaluation off the grid."""
@@ -207,20 +205,19 @@ def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT
             raise BlowupError(t, bands)
         sup_prev = max(sup, 1e-30)
         while remaining and abs(t - remaining[0]) < dt / 2:
-            out.append(_snapshot(x, xi_n, padded(uh), padded(wh), remaining.pop(0),
-                                 cutoff, data))
+            out.append(_snapshot(x, xi_n, padded(uh), padded(wh), remaining.pop(0), data))
     if remaining:
         raise RuntimeError(f"snapshot times not hit: {remaining}")
     return out
 
 
-def _snapshot(x, xi, uh, wh, t, cutoff, data):
+def _snapshot(x, xi, uh, wh, t, data):
     n = len(x)
     u = np.fft.irfft(uh, n=n)
     ut = np.fft.irfft(1j * xi * wh, n=n)
     return FieldSnapshot(x=np.append(x, data.x[-1]),
                          u=np.append(u, u[0]), ut=np.append(ut, ut[0]),
-                         t=t, cutoff=cutoff)
+                         t=t)
 
 
 def linear_evolution(data: InitialData, T: float, cutoff: float = DEFAULT_CUTOFF):
@@ -233,7 +230,7 @@ def linear_evolution(data: InitialData, T: float, cutoff: float = DEFAULT_CUTOFF
     wh = np.fft.rfft(data.v0[:-1]) * mask
     c, a, b = _propagator(xi, T)
     uh, wh = c * uh + a * wh, b * uh + c * wh
-    return _snapshot(x, xi, uh, wh, T, cutoff, data)
+    return _snapshot(x, xi, uh, wh, T, data)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +275,4 @@ def compare(u_asym_fn, snapshots: list[FieldSnapshot], zeta_window=(0.62, 0.95),
         "rows": rows,
         "envelope_exponent": float(slope),
         "error_ratios": [float(r) for r in ratios],
-        "zeta_window": list(zeta_window),
-        "n_zeta": n_zeta,
     }

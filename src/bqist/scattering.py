@@ -45,12 +45,14 @@ class InitialData:
     du0: np.ndarray
     L: float
     h: float
-    label: str = ""
 
     def __post_init__(self):
         n = len(self.x)
         if n % 2 == 0:
             raise ValueError("InitialData grid must have an odd number of points")
+        for name in ("u0", "u1", "v0", "du0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"InitialData {name} has non-finite values")
         if not self.h > 0:
             raise ValueError(f"InitialData grid must be increasing: x[1] - x[0] = {self.h!r}")
         if not np.allclose(np.diff(self.x), self.h, rtol=0, atol=1e-12 * max(1.0, self.h)):
@@ -86,7 +88,7 @@ def _grid(L: float, n: int):
     return x, x[1] - x[0]
 
 
-def from_arrays(x, u0, u1, label="samples") -> InitialData:
+def from_arrays(x, u0, u1) -> InitialData:
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
@@ -98,14 +100,23 @@ def from_arrays(x, u0, u1, label="samples") -> InitialData:
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])
     du0 = np.gradient(u0, x, edge_order=2)
     # the march ends at x[0], where the terminal formula's e^{L ad(diag l)} needs L = -x[0]
-    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=float(-x[0]), h=float(h),
-                       label=label)
+    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=float(-x[0]), h=float(h))
 
 
 def zero_data(L: float = 20.0, n: int = 513) -> InitialData:
     x, h = _grid(L, n)
     z = np.zeros_like(x)
-    return InitialData(x, z.copy(), z.copy(), z.copy(), z.copy(), L, h, label="zero")
+    return InitialData(x, z.copy(), z.copy(), z.copy(), z.copy(), L, h)
+
+
+def _with_u1_mode(x, u0, du0, L, h, u1_mode: str) -> InitialData:
+    """Initial data (u0, u1) with u1 = -d/dx u0 (mass-free, v0 = -u0) for
+    ``u1_mode`` "minus_du0", or u1 = 0 for "zero"."""
+    if u1_mode == "minus_du0":
+        return InitialData(x, u0, -du0, -u0, du0, L, h)
+    if u1_mode == "zero":
+        return InitialData(x, u0, np.zeros_like(u0), np.zeros_like(u0), du0, L, h)
+    raise ValueError(f"unknown u1_mode {u1_mode!r}")
 
 
 def gaussian(amplitude: float, width: float, L: float = 30.0, n: int = 4097,
@@ -113,16 +124,7 @@ def gaussian(amplitude: float, width: float, L: float = 30.0, n: int = 4097,
     """u0 = a exp(-(x/w)^2); u1 = -d/dx u0 (mass-free) or zero."""
     x, h = _grid(L, n)
     u0 = amplitude * np.exp(-((x / width) ** 2))
-    du0 = u0 * (-2.0 * x / width**2)
-    if u1_mode == "minus_du0":
-        u1 = -du0
-        v0 = -u0
-    elif u1_mode == "zero":
-        u1 = np.zeros_like(x)
-        v0 = np.zeros_like(x)
-    else:
-        raise ValueError(f"unknown u1_mode {u1_mode!r}")
-    return InitialData(x, u0, u1, v0, du0, L, h, label=f"gaussian(a={amplitude},w={width})")
+    return _with_u1_mode(x, u0, u0 * (-2.0 * x / width**2), L, h, u1_mode)
 
 
 def band_limit_mask(xi, edge: float = 0.60, sigma: float = 0.054) -> np.ndarray:
@@ -141,7 +143,6 @@ def band_limit_mask(xi, edge: float = 0.60, sigma: float = 0.054) -> np.ndarray:
 
 
 def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: int = 16385,
-                         edge: float = 0.60, sigma: float = 0.054,
                          u1_mode: str = "minus_du0") -> InitialData:
     """Gaussian with its spectrum smoothly confined below the unstable band.
 
@@ -153,22 +154,12 @@ def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: in
     xs = x[:-1]
     gs = amplitude * np.exp(-((xs / width) ** 2))
     xi = 2 * np.pi * np.fft.fftfreq(len(xs), d=h)
-    mask = band_limit_mask(np.abs(xi), edge, sigma)
+    mask = band_limit_mask(np.abs(xi))
     ghat = np.fft.fft(gs) * mask
     u0s = np.real(np.fft.ifft(ghat))
     du0s = np.real(np.fft.ifft(1j * xi * ghat))
-    u0 = np.concatenate([u0s, u0s[:1]])
-    du0 = np.concatenate([du0s, du0s[:1]])
-    if u1_mode == "minus_du0":
-        u1 = -du0
-        v0 = -u0
-    elif u1_mode == "zero":
-        u1 = np.zeros_like(u0)
-        v0 = np.zeros_like(u0)
-    else:
-        raise ValueError(f"unknown u1_mode {u1_mode!r}")
-    return InitialData(x, u0, u1, v0, du0, L, h,
-                       label=f"gaussian_bl(a={amplitude},w={width})")
+    return _with_u1_mode(x, np.concatenate([u0s, u0s[:1]]), np.concatenate([du0s, du0s[:1]]),
+                         L, h, u1_mode)
 
 
 def sech2(amplitude: float, width: float, L: float = 40.0, n: int = 4097) -> InitialData:
@@ -176,7 +167,7 @@ def sech2(amplitude: float, width: float, L: float = 40.0, n: int = 4097) -> Ini
     u0 = amplitude / np.cosh(x / width) ** 2
     du0 = -2.0 * u0 * np.tanh(x / width) / width
     u1 = np.zeros_like(x)
-    return InitialData(x, u0, u1, u1.copy(), du0, L, h, label=f"sech2(a={amplitude},w={width})")
+    return InitialData(x, u0, u1, u1.copy(), du0, L, h)
 
 
 NAMED_FORMS = {
@@ -190,7 +181,7 @@ NAMED_FORMS = {
 def load_csv(path) -> InitialData:
     """Initial data from a CSV file with columns x, u0, u1."""
     col = read_columns(path, ("x", "u0", "u1"))
-    return from_arrays(col["x"], col["u0"], col["u1"], label=str(path))
+    return from_arrays(col["x"], col["u0"], col["u1"])
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +347,6 @@ def _march_rank_one(data, k, which, cols, keep_trajectory=False):
             np.stack(traj[::-1]).transpose(0, 3, 1, 2) if keep_trajectory else None)
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """s(k) and s^A(k), batched over k (leading axis)."""
-
-    s: np.ndarray
-    sA: np.ndarray
-
-
 def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.ndarray:
     """Terminal-value formula on the columns ``cols``: s = e^{L ad(diag l)} X(-L)
     for ``which`` = "X", s^A = e^{-L ad(diag l)} X^A(-L) for "XA"; (nk, 3, len(cols))."""
@@ -374,12 +357,6 @@ def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.n
     return np.exp(_WHICH[which][0] * data.L * ediff) * X
 
 
-def scattering_matrices(data: InitialData, k) -> ScatteringMatrix:
-    """s(k) and s^A(k) in full."""
-    return ScatteringMatrix(s=scattering_columns(data, k, "X"),
-                            sA=scattering_columns(data, k, "XA"))
-
-
 def s11_values(data: InitialData, k) -> np.ndarray:
     """s11 alone, from a column-1 march (stable at all admissible k)."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
@@ -387,7 +364,7 @@ def s11_values(data: InitialData, k) -> np.ndarray:
     return X1[:, 0, 0]
 
 
-def _reflection_ratio(data: InitialData, k, which: str):
+def reflection_ratio(data: InitialData, k, which: str):
     """(s12/s11, s11) for ``which`` = "X", (sA12/sA11, sA11) for "XA"; NaN ratio
     where |s11| < 1e-12.  Marches only the first two columns and phases only the
     (1,2) entry (s11 = X11 exactly), so the possibly exploding third column and
@@ -400,16 +377,6 @@ def _reflection_ratio(data: InitialData, k, which: str):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = phase12 * X[:, 0, 1] / s11
     return np.where(np.abs(s11) < 1e-12, np.nan + 0j, ratio), s11
-
-
-def r1_values(data: InitialData, k) -> np.ndarray:
-    """r1 alone (valid off the unit circle wherever its two columns are tame)."""
-    return _reflection_ratio(data, k, "X")[0]
-
-
-def reflection_values(data: InitialData, k):
-    """(r1, r2) at the given spectral points; NaN where s11 (resp. sA11) vanishes."""
-    return _reflection_ratio(data, k, "X")[0], _reflection_ratio(data, k, "XA")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +499,8 @@ def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> Reflectio
                                             ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
                             for a in range(6)])
     k = np.exp(1j * theta)
-    r1, s11 = _reflection_ratio(data, k, "X")
-    r2, sA11 = _reflection_ratio(data, k, "XA")
+    r1, s11 = reflection_ratio(data, k, "X")
+    r2, sA11 = reflection_ratio(data, k, "XA")
     return ReflectionData(theta=theta, r1=r1, r2=r2, s11=s11, sA11=sA11)
 
 
@@ -745,7 +712,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
 
     # (iii) r1 on the segment (0, i)
     ys = np.linspace(0.06, 0.985, 40)
-    r1seg = r1_values(data, 1j * ys)
+    r1seg = reflection_ratio(data, 1j * ys, "X")[0]
     sup = float(np.nanmax(np.abs(r1seg)))
     report["no_high_frequency"] = {"sup_r1_segment": sup,
                                    "ok": bool(sup <= tol.r1_segment),
@@ -754,9 +721,9 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
     # (ii) generic behavior near k = +-1: scaled entries have finite nonzero limits
     at = [(kstar, rad) for kstar in (1.0, -1.0) for rad in (1e-2, 5e-3)]
     kprobes = np.array([kstar + rad * np.exp(1j * np.pi / 3) for kstar, rad in at])
-    sm = scattering_matrices(data, kprobes)
+    s_all, sA_all = (scattering_columns(data, kprobes, which) for which in ("X", "XA"))
     probes = {}
-    for (kstar, rad), kprobe, s, sA in zip(at, kprobes, sm.s, sm.sA):
+    for (kstar, rad), kprobe, s, sA in zip(at, kprobes, s_all, sA_all):
         dk = kprobe - kstar
         vals = {
             "(k-k*)s11": dk * s[0, 0],

@@ -27,8 +27,8 @@ def nu(arcs, cf_small):
 
 
 def test_zero_data_everything_trivial(zero_refl, arcs):
-    cf0 = cy.CircleFunctions(zero_refl, n_fit=48)
-    assert abs(cy.f_of_k(cf0, np.exp(1j * np.pi / 5)) - 1.0) < 1e-13
+    cf0 = cy.CircleFunctions(zero_refl)
+    assert abs(cf0.f_raw(np.pi / 5) - 1.0) < 1e-13
     for j in range(1, 6):
         assert abs(cy.delta(j, arcs, cf0, 0.4 + 0.2j) - 1.0) < 1e-12
         assert abs(cy.chi(j, arcs, cf0, 0.4 + 0.2j)) < 1e-11
@@ -37,7 +37,7 @@ def test_zero_data_everything_trivial(zero_refl, arcs):
 
 
 def test_f_real_on_circle(cf_small):
-    val = cy.f_of_k(cf_small, np.exp(1j * np.pi / 5))
+    val = complex(cf_small.f_raw(np.pi / 5))
     assert abs(val.imag) < 1e-8
     assert val.real > 0
 
@@ -49,11 +49,6 @@ def test_f_vanishes_quadratically_at_one(cf_small):
         f = complex(cf_small.f_raw(-u))
         cs.append(f.real / (2 * np.sin(u / 2)) ** 2)
     assert cs[0] > 0 and abs(cs[2] / cs[0] - 1) < 0.25
-
-
-def test_f_rejects_off_circle(cf_small):
-    with pytest.raises(ValueError):
-        cy.f_of_k(cf_small, 1.2 + 0j)
 
 
 # ---------------------------------------------------------------------------
