@@ -60,16 +60,15 @@ def gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def graded_panels(a: float, b: float, singular_ends=(False, False), levels: int = 30,
-                  base: int = 8, ratio: float = 0.5,
-                  min_panel: float = 1e-9) -> list[tuple[float, float]]:
+def graded_panels(a: float, b: float, singular_ends=(False, False), base: int = 8,
+                  ratio: float = 0.5, min_panel: float = 1e-9) -> list[tuple[float, float]]:
     """Split [a, b] into panels, geometrically graded toward singular endpoints.
 
     With no singular ends, returns ``base`` equal panels.  A graded end gets
-    panels shrinking by ``ratio`` toward it, stopping at ``min_panel`` (the
-    truncated endpoint sliver contributes O(min_panel log min_panel) for a
-    log-integrable singularity, and smaller scales drown in roundoff of the
-    chord k - s anyway).
+    panels shrinking by ``ratio`` toward it, the last one between ``min_panel``
+    and ``min_panel / ratio`` long (the truncated endpoint sliver contributes
+    O(min_panel log min_panel) for a log-integrable singularity, and smaller
+    scales drown in roundoff of the chord k - s anyway).
     """
     if b <= a:
         raise ValueError("graded_panels: empty interval")
@@ -77,9 +76,9 @@ def graded_panels(a: float, b: float, singular_ends=(False, False), levels: int 
     length = b - a
     if left and right:
         mid = 0.5 * (a + b)
-        return (graded_panels(a, mid, (True, False), levels, base, ratio, min_panel)
-                + graded_panels(mid, b, (False, True), levels, base, ratio, min_panel))
-    levels = min(levels, max(1, int(np.log(length / min_panel) / np.log(1.0 / ratio))))
+        return (graded_panels(a, mid, (True, False), base, ratio, min_panel)
+                + graded_panels(mid, b, (False, True), base, ratio, min_panel))
+    levels = max(1, int(np.log(length / min_panel) / np.log(1.0 / ratio)))
     if not left and not right:
         edges = list(np.linspace(a, b, base + 1))
     elif left:

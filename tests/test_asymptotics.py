@@ -116,7 +116,7 @@ def refined_delta(j, arcs, cf, k):
     with a 32-point rule: a reference for the production quadrature."""
     name, dens_name, sign = cy._ARC_SPEC[j]
     lo, hi = cy._arc_interval(arcs, name)
-    panels = graded_panels(lo, hi, (False, name == "hi"), levels=60, min_panel=1e-13)
+    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-13)
     phi0 = float(np.angle(k))
     for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
         if lo - 0.5 <= cand <= hi + 0.5:

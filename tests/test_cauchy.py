@@ -442,6 +442,13 @@ def test_panel_quad_one_call_matches_panel_loop():
     assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
+def test_graded_panels_reach_min_panel():
+    # the hi arc at zeta = 0.62 is 0.082 rad long, so 30 halvings end at 7.6e-11
+    arcs = cy.SectorArcs.from_zeta(0.62)
+    lo, hi = graded_panels(arcs.a2, cy.TWO_THIRDS_PI, (False, True), min_panel=1e-11)[-1]
+    assert hi == cy.TWO_THIRDS_PI and 1e-11 <= hi - lo < 2e-11
+
+
 def test_delta_chi_match_panel_loop_quadrature(cf_small, monkeypatch):
     """Whole-arc evaluation (one integrand call per arc) against the
     panel-by-panel rule, at the saddle images the asymptotic formula uses; delta
