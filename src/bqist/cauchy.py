@@ -76,9 +76,10 @@ class _LayerCofactor:
 
     U_MIN = 1.5e-4
     U_MAX = 0.56
+    N_FIT = 80  # Chebyshev nodes in tau
 
-    def __init__(self, f_at_distance, n: int = 80):
-        tau = ChebPanel.nodes(np.log(self.U_MIN), np.log(self.U_MAX), n)
+    def __init__(self, f_at_distance):
+        tau = ChebPanel.nodes(np.log(self.U_MIN), np.log(self.U_MAX), self.N_FIT)
         u = np.exp(tau)
         f = f_at_distance(u)
         re = np.real(f)

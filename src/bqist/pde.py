@@ -216,8 +216,7 @@ def _snapshot(x, xi, uh, wh, t, data):
     u = np.fft.irfft(uh, n=n)
     ut = np.fft.irfft(1j * xi * wh, n=n)
     return FieldSnapshot(x=np.append(x, data.x[-1]),
-                         u=np.append(u, u[0]), ut=np.append(ut, ut[0]),
-                         t=t)
+                         u=np.append(u, u[0]), ut=np.append(ut, ut[0]), t=t)
 
 
 def linear_evolution(data: InitialData, T: float, cutoff: float = DEFAULT_CUTOFF):

@@ -127,8 +127,9 @@ def gaussian(amplitude: float, width: float, L: float = 30.0, n: int = 4097,
     return _with_u1_mode(x, u0, u0 * (-2.0 * x / width**2), L, h, u1_mode)
 
 
-def band_limit_mask(xi, edge: float = 0.60, sigma: float = 0.054) -> np.ndarray:
-    """Spectral taper: indicator(|xi| <= edge) mollified by a Gaussian of width sigma.
+def band_limit_mask(xi) -> np.ndarray:
+    """Spectral taper: indicator(|xi| <= edge) mollified by a Gaussian of width
+    sigma, with edge = 0.60 and sigma = 0.054.
 
     The Gaussian edges make both the stopband leakage (beyond edge + ~5 sigma)
     and the spatial tails of the filtered data (envelope e^{-sigma^2 x^2 / 2})
@@ -136,6 +137,7 @@ def band_limit_mask(xi, edge: float = 0.60, sigma: float = 0.054) -> np.ndarray:
     """
     from math import erf
 
+    edge, sigma = 0.60, 0.054
     verf = np.vectorize(erf)
     xi = np.asarray(xi, dtype=float)
     s = np.sqrt(2.0) * sigma
