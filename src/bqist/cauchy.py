@@ -401,16 +401,3 @@ def nu_bundle(arcs: SectorArcs, cf: CircleFunctions) -> NuBundle:
         nu4=-inv2pi * lnf_a2,
         nu5=-inv2pi * lnf_wk2,
     )
-
-
-def nu_hat2_pointwise(arcs: SectorArcs, cf: CircleFunctions) -> float:
-    """nu2(k2) + nu3(k2) - nu4(k2) with nu3 evaluated as the pointwise function
-    -(1/2 pi) ln f(omega k) at k = k2 (raw-combination route)."""
-    inv2pi = 1.0 / (2 * np.pi)
-    th_wk2 = float(np.angle(OMEGA * arcs.saddles.k2))
-    f_wk2 = complex(cf.f_raw(th_wk2))
-    if f_wk2.real <= 0:
-        raise PositivityError(f"f(omega k2) = {f_wk2} not positive")
-    nu3_pt = -inv2pi * float(np.log(f_wk2.real))
-    nb = nu_bundle(arcs, cf)
-    return nb.nu2 + nu3_pt - nb.nu4

@@ -1,4 +1,4 @@
-"""Command-line pipeline: scatter -> asym -> evolve -> compare, plus selftest.
+"""Command-line pipeline: scatter -> asym -> evolve -> compare.
 
 All outputs are plain CSV/JSON, written atomically (temp file + rename).
 Exit codes: 0 success, 1 numerical failure, 2 configuration/IO error.
@@ -254,59 +254,6 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-
-def cmd_selftest() -> int:
-    from . import asymptotics as asy
-    from . import gammafn
-    from . import spectral as sp
-
-    ok = True
-
-    def check(name, cond):
-        nonlocal ok
-        print(f"  {'pass' if cond else 'FAIL'}  {name}")
-        ok &= bool(cond)
-
-    rng = np.random.default_rng(11)
-    ks = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    ks = ks[np.abs(ks) > 0.1]
-    p = sp.phase_values(ks)
-    check("sum of linear phases vanishes", np.max(np.abs(p.l.sum(0))) < 1e-13)
-    check("sum of quadratic phases vanishes", np.max(np.abs(p.z.sum(0))) < 1e-13)
-    z = 0.7
-    sad = sp.saddle_points(z)
-    check("saddle moduli on unit circle",
-          max(abs(abs(sad.k2) - 1), abs(abs(sad.k4) - 1)) < 1e-12)
-    h = 1e-6
-    d = abs(sp.phi(2, 1, z, sad.k4 + h) - sp.phi(2, 1, z, sad.k4 - h)) / (2 * h)
-    check("saddle derivative vanishes (finite difference)", d < 1e-8)
-    th = rng.uniform(0, 2 * np.pi, 5)
-    rel = sp.phi(3, 1, z, np.exp(1j * th)) + sp.phi(2, 1, z, sp.OMEGA**2 * np.exp(1j * th))
-    check("phase rotation relation", np.max(np.abs(rel)) < 1e-14)
-    nu = 0.37
-    lhs = abs(np.exp(gammafn.log_gamma(1j * nu)))
-    check("gamma modulus identity",
-          abs(lhs - gammafn.abs_gamma_imag_axis(nu)) < 1e-12)
-    prod_ok = True
-    for _ in range(20):
-        q1 = rng.standard_normal() + 1j * rng.standard_normal()
-        q3 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.4
-        if 1 + abs(q1) ** 2 - abs(q3) ** 2 <= 0.05:
-            continue
-        b12, b21 = asy.model_beta(1, q1, q3)
-        hat = (np.log(1 + abs(q1) ** 2) - np.log(1 + abs(q1) ** 2 - abs(q3) ** 2)) / (2 * np.pi)
-        prod_ok &= abs(b12 * b21 - hat) < 1e-12
-    check("model coefficient product identity", prod_ok)
-    check("empty soliton set gives unit product",
-          abs(asy.blaschke_P(0.3 + 0.2j, None) - 1) == 0)
-    print("selftest:", "all passed" if ok else "FAILURES")
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -323,11 +270,8 @@ def main(argv=None) -> int:
         if name == "asym":
             p.add_argument("--debug-deltas", action="store_true",
                            help="dump the per-zeta delta/chi ingredients to CSV")
-    sub.add_parser("selftest")
     args = ap.parse_args(argv)
 
-    if args.command == "selftest":
-        return cmd_selftest()
     try:
         cfg = RunConfig.load(args.config, out_dir=args.out)
         if args.command == "asym":

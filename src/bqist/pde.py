@@ -219,19 +219,6 @@ def _snapshot(x, xi, uh, wh, t, data):
                          u=np.append(u, u[0]), ut=np.append(ut, ut[0]), t=t)
 
 
-def linear_evolution(data: InitialData, T: float, cutoff: float = DEFAULT_CUTOFF):
-    """Closed-form evolution of the linearized equation on the filtered band."""
-    x = data.x[:-1]
-    n = len(x)
-    xi = 2 * np.pi * np.fft.rfftfreq(n, d=data.h)
-    mask = (np.abs(xi) <= cutoff).astype(float)
-    uh = np.fft.rfft(data.u0[:-1]) * mask
-    wh = np.fft.rfft(data.v0[:-1]) * mask
-    c, a, b = _propagator(xi, T)
-    uh, wh = c * uh + a * wh, b * uh + c * wh
-    return _snapshot(x, xi, uh, wh, T, data)
-
-
 # ---------------------------------------------------------------------------
 # comparison against the leading-order formula
 # ---------------------------------------------------------------------------

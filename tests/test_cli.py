@@ -402,9 +402,3 @@ def test_pipeline_evolve_compare(small_run):
     res = run_cli("compare", "--config", str(cfgp2), "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "t = [120.0]" in res.stderr
-
-
-def test_selftest_passes():
-    res = run_cli("selftest")
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert "all passed" in res.stdout

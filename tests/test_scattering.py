@@ -120,9 +120,11 @@ def test_volterra_adjoint_residual(data_small):
     assert np.max(np.abs(traj[xi] - (np.eye(3)[None] + I))) < 1e-8
 
 
-def reference_march(data, k, which, cols):
+def reference_march(data, k, which, cols, keep_trajectory=False):
     """The matmul RK4 march as reflection.csv was first made with: U rebuilt at
-    every stage and sign * [diag l, X] + U X (a copy kept to pin the bits)."""
+    every stage and sign * [diag l, X] + U X, one (3, 3) @ (3, ncol) product
+    per k (a copy kept to pin the bits).  Returns X(-L), or the trajectory
+    from x = -L up to x = L if ``keep_trajectory``."""
     sign, transpose = {"X": (+1, False), "XA": (-1, True)}[which]
     M1, M2 = sc.potential_frame(k)
     w31, w32 = sc.potential_weights(data)
@@ -131,6 +133,7 @@ def reference_march(data, k, which, cols):
         w31, w32 = -w31, -w32
     l = phase_values(k).l.T
     X = np.broadcast_to(np.eye(3, dtype=complex)[:, cols], (len(k), 3, len(cols))).copy()
+    traj = [X]
     lcol = l[:, :, None]
     lrow = l[:, None, list(cols)]
 
@@ -146,16 +149,45 @@ def reference_march(data, k, which, cols):
         k3 = F(w31[i - 1], w32[i - 1], X + 0.5 * step * k2)
         k4 = F(w31[i - 2], w32[i - 2], X + step * k3)
         X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return X
+        traj.append(X)
+    return np.stack(traj[::-1]) if keep_trajectory else X
 
 
 def test_circle_march_bit_identical():
+    """The packed matmul step against one product per k, bit for bit: batch
+    sizes that do and do not fill whole blocks of sc.PACK, every column set
+    the callers ask for, and the trajectory as well as X(-L)."""
     d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
-    k = np.exp(1j * np.linspace(0.1, 6.1, 12))
+    for nk in (1, 5, 12):
+        k = np.exp(1j * np.linspace(0.1, 6.1, nk))
+        for which in ("X", "XA"):
+            for cols in ((0,), (0, 1), (0, 1, 2)):
+                assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
+                                      reference_march(d, k, which, cols)), (nk, which, cols)
+    k = np.exp(1j * np.linspace(0.1, 6.1, 5))
     for which in ("X", "XA"):
-        for cols in ((0, 1), (0, 1, 2)):
-            assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
-                                  reference_march(d, k, which, cols)), (which, cols)
+        X, traj = sc.march_volterra(d, k, which, keep_trajectory=True, cols=(0, 1))
+        ref = reference_march(d, k, which, (0, 1), keep_trajectory=True)
+        assert traj.shape == ref.shape == ((len(d.x) + 1) // 2, 5, 3, 2)
+        assert np.array_equal(traj, ref) and np.array_equal(X, ref[0]), which
+
+
+def test_block_diagonal_product_keeps_bits():
+    """The packing trick on its own: one (nb, 3 PACK, 3 PACK) @ (nb, 3 PACK,
+    ncol) product equals the stack of (3, 3) @ (3, ncol) products bit for
+    bit, for random complex entries of mixed scale."""
+    rng = np.random.default_rng(3)
+
+    def draw(*shape):
+        scale = 10.0 ** rng.uniform(-8, 8, shape)
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    for nb in (1, 3, 16):
+        nk = nb * sc.PACK
+        for ncol in (2, 3):
+            M, X = draw(nk, 3, 3), draw(nk, 3, ncol)
+            packed = sc._block_diagonal(M, sc.PACK) @ X.reshape(nb, 3 * sc.PACK, ncol)
+            assert np.array_equal(packed.reshape(nk, 3, ncol), M @ X), (nb, ncol)
 
 
 def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
