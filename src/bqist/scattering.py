@@ -253,11 +253,8 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
     The step follows from k alone.  A batch on the unit circle, where the
     reflection data are sampled, takes the matmul step and keeps its bits:
     A2 loses about seven digits to cancellation, so a last-bit change there
-    moves it by about 1e-5.  That step packs PACK systems into one
-    block-diagonal product, which adds only exact zeros to each entry's FMA
-    chain, so packing leaves the bits as they are.  Any other batch takes the
-    rank-one step, which is faster; both run the same RK4 stages on the same
-    grid.
+    moves it by about 1e-5.  Any other batch takes the rank-one step, which
+    is faster; both run the same RK4 stages on the same grid.
     """
     if which not in _WHICH:
         raise ValueError(f"unknown Volterra system {which!r}")
@@ -272,14 +269,11 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
 PACK = 4  # systems per block-diagonal product in the matmul step
 
 
-def _block_diagonal(M, pack):
-    """(nb pack, 3, 3) -> (nb, 3 pack, 3 pack), with each run of ``pack``
-    consecutive systems on the diagonal of one block and zeros elsewhere."""
-    nb = M.shape[0] // pack
-    B = np.zeros((nb, pack, 3, pack, 3), dtype=M.dtype)
-    for j in range(pack):
-        B[:, j, :, j, :] = M[j::pack]
-    return B.reshape(nb, 3 * pack, 3 * pack)
+def _diagonal_index(nb, pack):
+    """Flat indices of the diagonal 3x3 blocks of an (nb, 3 pack, 3 pack)
+    array, in the entry order of an (nb pack, 3, 3) stack."""
+    b, j, r, c = np.ix_(range(nb), range(pack), range(3), range(3))
+    return ((b * 3 * pack + 3 * j + r) * 3 * pack + 3 * j + c).ravel()
 
 
 def _march_matmul(data, k, which, cols, keep_trajectory=False):
@@ -287,13 +281,15 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
     (X(-L) as (nk, 3, ncol), trajectory or None).
 
     PACK systems share one block-diagonal product, (nb, 12, 12) @ (nb, 12,
-    ncol), so NumPy makes a quarter of the BLAS calls of a (3, 3) @ (3, ncol)
-    stack.  The bits do not change: each output entry is still the same
-    sequential FMA chain over its own system's three terms, and the zero
-    blocks only add exact zeros.  X packs by a reshape, since system j of a
-    block is rows 3j..3j+2; the zero systems that pad nk to a multiple of
-    PACK stay zero.  A one-column march is not packed: NumPy sends it to
-    gemv, whose kernel sums a 12-term dot in another order than a 3-term one.
+    ncol), a quarter of the BLAS calls of a (3, 3) @ (3, ncol) stack.  Each
+    output entry is still its own system's sequential FMA chain plus exact
+    zeros, so the bits do not change.  X packs by a reshape (system j of a
+    block is rows 3j..3j+2); zero systems pad nk to a multiple of PACK.  A
+    one-column march is not packed: NumPy sends it to gemv, whose kernel sums
+    a 12-term dot in another order than a 3-term one.  No step allocates:
+    w31 M1 + w32 M2 is computed on the (3, 3) stack and written into the
+    diagonal blocks of one of three zeroed buffers, and the stages run on
+    fixed buffers in the order X + (h/2) k1 and ((k1 + 2 k2) + 2 k3) + k4.
     """
     sign, transpose = _WHICH[which]
     M1, M2 = potential_frame(k)
@@ -304,44 +300,48 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
     nk, ncol = k.shape[0], len(cols)
     pack = PACK if ncol > 1 else 1
     pad = ((0, -nk % pack), (0, 0))
-    M1, M2 = (_block_diagonal(np.pad(M, pad + ((0, 0),)), pack) for M in (M1, M2))
-    nb = M1.shape[0]
+    M1, M2 = (np.pad(M, pad + ((0, 0),)) for M in (M1, M2))
+    nb = M1.shape[0] // pack
     l = np.pad(phase_values(k).l.T, pad)  # (nb pack, 3)
-    X = np.zeros((nb * pack, 3, ncol), dtype=complex)
-    X[:nk] = np.eye(3, dtype=complex)[:, cols]
-    X = X.reshape(nb, 3 * pack, ncol)
+    X = np.zeros((nb, 3 * pack, ncol), dtype=complex)
+    Xk = X.reshape(-1, 3, ncol)[:nk]  # the systems unpacked, a view of X
+    Xk[:] = np.eye(3, dtype=complex)[:, cols]
+    traj = [Xk.copy()]  # from x = L down to x = -L
+    lcol = np.repeat(l.reshape(nb, 3 * pack, 1), ncol, axis=2)
+    lrow = np.repeat(l[:, list(cols)], 3, axis=0).reshape(X.shape)
+    diag = _diagonal_index(nb, pack)
+    U1, Umid, Uend = (np.zeros((nb, 3 * pack, 3 * pack), dtype=complex) for _ in range(3))
+    W1, W2 = np.empty_like(M1), np.empty_like(M2)
+    acc, kj, Y, T = (np.empty_like(X) for _ in range(4))
 
-    def unpack(Xp):
-        return Xp.reshape(-1, 3, ncol)[:nk]
+    def U(i, out):  # the diagonal blocks of out = w31[i] M1 + w32[i] M2
+        np.add(np.multiply(w31[i], M1, out=W1), np.multiply(w32[i], M2, out=W2), out=W1)
+        out.reshape(-1)[diag] = W1.reshape(-1)
+        return out
 
-    traj = [unpack(X)]  # from x = L down to x = -L
+    def F(Ui, Xc, out):  # sign (lcol Xc - Xc lrow) + Ui Xc
+        np.subtract(np.multiply(lcol, Xc, out=out), np.multiply(Xc, lrow, out=T), out=out)
+        np.matmul(Ui, Xc, out=T)
+        return np.add(out, T, out=out) if sign > 0 else np.subtract(T, out, out=out)
 
-    lcol = l.reshape(nb, 3 * pack, 1)
-    lrow = np.repeat(l[:, list(cols)], 3, axis=0).reshape(nb, 3 * pack, ncol)
-
-    def U(i):
-        return w31[i] * M1 + w32[i] * M2
-
-    if sign > 0:
-        def F(Ui, Xc):
-            return (lcol * Xc - Xc * lrow) + Ui @ Xc
-    else:
-        def F(Ui, Xc):
-            return Ui @ Xc - (lcol * Xc - Xc * lrow)
+    def stage(c, kc):  # Y = X + c kc
+        return np.add(X, np.multiply(c, kc, out=Y), out=Y)
 
     step = -2 * data.h
-    n = len(data.x)
-    Uend = U(n - 1)
-    for i in range(n - 1, 0, -2):
-        U1, Umid, Uend = Uend, U(i - 1), U(i - 2)
-        k1 = F(U1, X)
-        k2 = F(Umid, X + 0.5 * step * k1)
-        k3 = F(Umid, X + 0.5 * step * k2)
-        k4 = F(Uend, X + step * k3)
-        X = X + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    U(len(data.x) - 1, Uend)
+    for i in range(len(data.x) - 1, 0, -2):
+        U1, Uend = Uend, U(i - 2, U1)
+        U(i - 1, Umid)
+        F(Umid, stage(0.5 * step, F(U1, X, acc)), kj)  # k1 in acc, k2 in kj
+        stage(0.5 * step, kj)
+        np.add(acc, np.multiply(2, kj, out=kj), out=acc)  # k1 + 2 k2
+        stage(step, F(Umid, Y, kj))  # k3
+        np.add(acc, np.multiply(2, kj, out=kj), out=acc)
+        np.add(acc, F(Uend, Y, kj), out=acc)  # + k4
+        np.add(X, np.multiply(step / 6.0, acc, out=acc), out=X)
         if keep_trajectory:
-            traj.append(unpack(X))
-    return unpack(X), (np.stack(traj[::-1]) if keep_trajectory else None)
+            traj.append(Xk.copy())
+    return Xk, (np.stack(traj[::-1]) if keep_trajectory else None)
 
 
 def _march_rank_one(data, k, which, cols, keep_trajectory=False):

@@ -6,6 +6,7 @@ from scipy.integrate import simpson
 
 from bqist import scattering as sc
 from bqist.spectral import OMEGA, SQRT3, phase_values
+from bqist.util import ChebPanel
 
 
 def rtilde(k):
@@ -156,7 +157,8 @@ def reference_march(data, k, which, cols, keep_trajectory=False):
 def test_circle_march_bit_identical():
     """The packed matmul step against one product per k, bit for bit: batch
     sizes that do and do not fill whole blocks of sc.PACK, every column set
-    the callers ask for, and the trajectory as well as X(-L)."""
+    the callers ask for, the trajectory as well as X(-L), and the 336 k of
+    reflection_coefficients (84 packed blocks) on a short grid."""
     d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
     for nk in (1, 5, 12):
         k = np.exp(1j * np.linspace(0.1, 6.1, nk))
@@ -170,12 +172,21 @@ def test_circle_march_bit_identical():
         ref = reference_march(d, k, which, (0, 1), keep_trajectory=True)
         assert traj.shape == ref.shape == ((len(d.x) + 1) // 2, 5, 3, 2)
         assert np.array_equal(traj, ref) and np.array_equal(X, ref[0]), which
+    short = sc.gaussian(0.2, 2.0, L=20.0, n=129)
+    k = np.exp(1j * np.concatenate([ChebPanel.nodes(sc.ARC_EDGES[a] + sc.EXCLUSION,
+                                                    sc.ARC_EDGES[a + 1] - sc.EXCLUSION, 56)
+                                    for a in range(6)]))
+    assert len(k) == 336
+    for which in ("X", "XA"):
+        assert np.array_equal(sc.march_volterra(short, k, which, cols=(0, 1)),
+                              reference_march(short, k, which, (0, 1))), which
 
 
 def test_block_diagonal_product_keeps_bits():
-    """The packing trick on its own: one (nb, 3 PACK, 3 PACK) @ (nb, 3 PACK,
-    ncol) product equals the stack of (3, 3) @ (3, ncol) products bit for
-    bit, for random complex entries of mixed scale."""
+    """The packing trick on its own: potentials written through
+    sc._diagonal_index into zeroed (nb, 3 PACK, 3 PACK) blocks, times X packed
+    by a reshape, equal the stack of (3, 3) @ (3, ncol) products bit for bit,
+    for random complex entries of mixed scale."""
     rng = np.random.default_rng(3)
 
     def draw(*shape):
@@ -186,7 +197,13 @@ def test_block_diagonal_product_keeps_bits():
         nk = nb * sc.PACK
         for ncol in (2, 3):
             M, X = draw(nk, 3, 3), draw(nk, 3, ncol)
-            packed = sc._block_diagonal(M, sc.PACK) @ X.reshape(nb, 3 * sc.PACK, ncol)
+            B = np.zeros((nb, 3 * sc.PACK, 3 * sc.PACK), dtype=complex)
+            B.reshape(-1)[sc._diagonal_index(nb, sc.PACK)] = M.reshape(-1)
+            for s in range(nk):  # system s sits on diagonal block s % PACK of block s // PACK
+                j = 3 * (s % sc.PACK)
+                assert np.array_equal(B[s // sc.PACK, j:j + 3, j:j + 3], M[s])
+            assert np.count_nonzero(B) == np.count_nonzero(M)
+            packed = B @ X.reshape(nb, 3 * sc.PACK, ncol)
             assert np.array_equal(packed.reshape(nk, 3, ncol), M @ X), (nb, ncol)
 
 
