@@ -84,7 +84,7 @@ def graded_panels(a: float, b: float, singular_ends=(False, False), base: int = 
     elif left:
         edges = [a] + [a + length * ratio**j for j in range(levels, 0, -1)] + [b]
     else:
-        edges = [a] + [b - length * ratio**j for j in range(levels, 0, -1)] + [b]
+        edges = [a] + [b - length * ratio**j for j in range(1, levels + 1)] + [b]
     # cap panel length so the smooth far end is still resolved
     cap = length / base
     refined: list[float] = []

@@ -462,6 +462,20 @@ def test_graded_panels_reach_min_panel():
     assert hi == cy.TWO_THIRDS_PI and 1e-11 <= hi - lo < 2e-11
 
 
+def test_graded_panels_never_below_min_panel():
+    """Panels tile [a, b] in order and none is narrower than min_panel, with
+    the graded end on either side or both; the hi arcs at these zetas once
+    kept a one-ulp sliver and panels of 5e-12 next to the right-hand end."""
+    cases = [(cy.SectorArcs.from_zeta(z).a2, cy.TWO_THIRDS_PI, 1e-11) for z in (0.62, 0.78, 0.86)]
+    cases += [(0.0, 1.0, 1e-9), (2.0, 2.1, 1e-9), (1.0, 3.0, 1e-11)]
+    for a, b, min_panel in cases:
+        for ends in ((True, False), (False, True), (True, True)):
+            edges = np.array(graded_panels(a, b, ends, min_panel=min_panel))
+            assert edges[0, 0] == a and edges[-1, 1] == b
+            assert np.array_equal(edges[1:, 0], edges[:-1, 1]), (a, b, ends)
+            assert np.min(edges[:, 1] - edges[:, 0]) >= min_panel, (a, b, ends)
+
+
 def test_delta_chi_match_panel_loop_quadrature(cf_small, monkeypatch):
     """Whole-arc evaluation (one integrand call per arc) against the
     panel-by-panel rule, at the saddle images the asymptotic formula uses; delta
