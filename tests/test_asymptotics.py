@@ -149,14 +149,9 @@ def test_script_D_matches_refined_quadrature(cf_small):
 
 def test_script_D_two_representations(cf_small, ing):
     """Factor-by-factor representation (a) rebuild vs the arc-quadrature product."""
-    arcs = ing.arcs
-    nu = ing.nu
-    spec = {1: ((-nu.nu1, arcs.a4),),
-            2: ((-nu.nu1, arcs.a4), (nu.nu2, arcs.a2)),
-            3: ((-nu.nu3, arcs.a4), (nu.nu4, arcs.a2)),
-            4: ((-nu.nu4, arcs.a2),),
-            5: ((-nu.nu5, arcs.a2),)}
-    k = OMEGA * arcs.saddles.k4
+    from tests.test_cauchy import rep_value
+
+    k = OMEGA * ing.arcs.saddles.k4
     rebuilt = 1.0 + 0.0j
     for j, factors in asy._D1_EXP.items():
         for name, expo in factors.items():
@@ -164,16 +159,13 @@ def test_script_D_two_representations(cf_small, ing):
             # arguments on one branch family's cut use the other family
             for tilde in (False, True):
                 try:
-                    expo_val = -cy.chi(j, arcs, cf_small, arg, tilde=tilde)
-                    for nuv, ths in spec[j]:
-                        expo_val += 1j * nuv * cy.ln_branch(arg, np.exp(1j * ths),
-                                                            tilde=tilde)
+                    value = rep_value(j, ing.arcs, cf_small, ing.nu, arg, tilde)
                     break
                 except ValueError:
                     continue
             else:
                 raise AssertionError(f"no branch family works at {arg}")
-            rebuilt *= np.exp(expo_val) ** expo
+            rebuilt *= value ** expo
     assert abs(rebuilt - ing.D1_wk4) < 1e-7
 
 

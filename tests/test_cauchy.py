@@ -143,10 +143,16 @@ _REP_NUS = {
 
 
 def rep_value(j, arcs, cf, nu, k, tilde):
+    """delta_j(k) as exp(-chi_j) times the end terms of chi_j's integration by
+    parts: the nu terms at the saddle-angle ends and, for j = 1, the term
+    g1(pi/2) ln(k - i)/(2 pi i) of the lower end at s = i, where
+    g1 = ln(1 + |r1(i)|^2) is small but not zero."""
     expo = -cy.chi(j, arcs, cf, k, tilde=tilde)
     for name, sgn, arc_attr in _REP_NUS[j]:
         s = np.exp(1j * getattr(arcs, arc_attr))
         expo += sgn * 1j * getattr(nu, name) * cy.ln_branch(k, s, tilde=tilde)
+    if j == 1:
+        expo += cf.density("g1")(cy.ARC_LO) * cy.ln_branch(k, 1j, tilde=tilde) / (2j * np.pi)
     return np.exp(expo)
 
 
