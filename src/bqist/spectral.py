@@ -71,12 +71,6 @@ def dphi_dk(i: int, j: int, zeta: float, k):
     return (dl[i - 1] - dl[j - 1]) * zeta + (dz[i - 1] - dz[j - 1])
 
 
-def phi21_circle(zeta: float, theta):
-    """Phi_21 on the unit circle: i (zeta - cos theta) sin theta (purely imaginary)."""
-    theta = np.asarray(theta, dtype=float)
-    return 1j * (zeta - np.cos(theta)) * np.sin(theta)
-
-
 @dataclass(frozen=True)
 class SaddleSet:
     """The four critical points of Phi_21 at a given zeta; k1 = conj k2, k3 = conj k4."""
