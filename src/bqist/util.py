@@ -94,8 +94,7 @@ def graded_panels(a: float, b: float, singular_ends=(False, False), base: int = 
         if m > 1:
             refined.extend(np.linspace(lo, hi, m + 1)[1:-1])
     refined.append(b)
-    edges = sorted(set(refined))
-    return list(zip(edges[:-1], edges[1:]))
+    return list(zip(refined[:-1], refined[1:]))
 
 
 def refine_near(panels: list[tuple[float, float]], point: float,
