@@ -289,7 +289,7 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
     a 12-term dot in another order than a 3-term one.  No step allocates:
     w31 M1 + w32 M2 is computed on the (3, 3) stack and written into the
     diagonal blocks of one of three zeroed buffers, and the stages run on
-    fixed buffers in the order X + (h/2) k1 and ((k1 + 2 k2) + 2 k3) + k4.
+    fixed buffers in the order X + (step/2) k1 and ((k1 + 2 k2) + 2 k3) + k4.
     """
     sign, transpose = _WHICH[which]
     M1, M2 = potential_frame(k)
@@ -335,8 +335,8 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
         F(Umid, stage(0.5 * step, F(U1, X, acc)), kj)  # k1 in acc, k2 in kj
         stage(0.5 * step, kj)
         np.add(acc, np.multiply(2, kj, out=kj), out=acc)  # k1 + 2 k2
-        stage(step, F(Umid, Y, kj))  # k3
-        np.add(acc, np.multiply(2, kj, out=kj), out=acc)
+        stage(step, F(Umid, Y, kj))  # k3 in kj
+        np.add(acc, np.multiply(2, kj, out=kj), out=acc)  # + 2 k3
         np.add(acc, F(Uend, Y, kj), out=acc)  # + k4
         np.add(X, np.multiply(step / 6.0, acc, out=acc), out=X)
         if keep_trajectory:

@@ -470,8 +470,8 @@ def test_graded_panels_reach_min_panel():
 
 def test_graded_panels_never_below_min_panel():
     """Panels tile [a, b] in order and none is narrower than min_panel, with
-    the graded end on either side or both; the hi arcs at these zetas once
-    kept a one-ulp sliver and panels of 5e-12 next to the right-hand end."""
+    the graded end on either side or both, on the hi arcs that _arc_panels
+    grades toward omega and on plain intervals."""
     cases = [(cy.SectorArcs.from_zeta(z).a2, cy.TWO_THIRDS_PI, 1e-11) for z in (0.62, 0.78, 0.86)]
     cases += [(0.0, 1.0, 1e-9), (2.0, 2.1, 1e-9), (1.0, 3.0, 1e-11)]
     for a, b, min_panel in cases:
