@@ -22,7 +22,8 @@ import numpy as np
 from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, PositivityError, SectorArcs
 from .config import Tolerances
-from .gammafn import arg_gamma, log_gamma
+from .gammafn import arg_gamma
+from .scattering import is_real
 from .spectral import OMEGA, SQRT3, phi
 
 NU_TINY = 1e-13
@@ -48,7 +49,7 @@ def blaschke_P(k, zeros: list | None) -> complex:
         k0 = complex(k0)
         if k0.real <= 0:
             continue  # left movers do not enter
-        if abs(k0.imag) < 1e-12:
+        if is_real(k0):
             num = (k - w**2 * k0) * (k - w / k0)
             den = (k - w * k0) * (k - w**2 / k0)
         else:
@@ -59,10 +60,6 @@ def blaschke_P(k, zeros: list | None) -> complex:
             raise ValueError(f"blaschke_P: pole at k = {k}")
         out *= num / den
     return out
-
-
-def blaschke_ratio(a, b, zeros) -> complex:
-    return blaschke_P(a, zeros) / blaschke_P(b, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +254,11 @@ def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = 
         chit5_w2k2=cy.chi(5, arcs, cf, w2k2, tilde=True),
         D1_wk4=script_D(1, arcs, cf, wk4),
         D2_w2k2=script_D(2, arcs, cf, w2k2),
-        P_ratio1=blaschke_ratio(wk4, OMEGA**2 * sad.k4, solitons),
-        P_ratio2=blaschke_ratio(w2k2, OMEGA * sad.k2, solitons),
+        P_ratio1=blaschke_P(wk4, solitons) / blaschke_P(OMEGA**2 * sad.k4, solitons),
+        P_ratio2=blaschke_P(w2k2, solitons) / blaschke_P(OMEGA * sad.k2, solitons),
         im_phi31=float(phi31.imag),
         im_phi32=float(phi32.imag),
     )
-
-
-def chord_gap(arcs: SectorArcs) -> complex:
-    """omega k4 - omega^2 k2 (the separation of the two saddle images)."""
-    return OMEGA * arcs.saddles.k4 - OMEGA**2 * arcs.saddles.k2
 
 
 def d_coefficients(ing: SectorIngredients, t: float) -> tuple[complex, complex]:
@@ -274,7 +266,7 @@ def d_coefficients(ing: SectorIngredients, t: float) -> tuple[complex, complex]:
     if t <= 0:
         raise ValueError("t must be positive")
     nu = ing.nu
-    gap = abs(chord_gap(ing.arcs))
+    gap = abs(OMEGA * ing.arcs.saddles.k4 - OMEGA**2 * ing.arcs.saddles.k2)
     # tilde-ln_{w2k2}(w k4 - w2 k2) and ln_{w k4}(w2 k2 - w k4)
     lt = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 - np.pi)
     ln2 = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 + np.pi)
@@ -352,59 +344,3 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
         alpha1=float(alpha1), alpha2=float(alpha2),
         u=float(u), err_scale=float(np.log(t) / t),
     )
-
-
-# ---------------------------------------------------------------------------
-# model problem coefficients (closed forms)
-# ---------------------------------------------------------------------------
-
-
-def model_beta(which: int, *qs) -> tuple[complex, complex]:
-    """Closed-form (beta12, beta21) of the two cross-shaped model problems.
-
-    which=1 takes (q1, q3); which=2 takes (q2, q4, q5, q6) subject to
-    q4 = conj(q5) + q2 conj(q6).
-    """
-    root = np.exp(3j * np.pi / 4) * np.sqrt(2 * np.pi)
-    rootc = np.conj(root)
-    if which == 1:
-        q1, q3 = (complex(q) for q in qs)
-        if not 1 + abs(q1) ** 2 - abs(q3) > 0:
-            raise PositivityError("model 1 requires 1 + |q1|^2 - |q3| > 0")
-        arg3 = 1 + abs(q1) ** 2 - abs(q3) ** 2
-        if arg3 <= 0:
-            raise PositivityError("model 1 requires 1 + |q1|^2 - |q3|^2 > 0")
-        nu1 = -np.log(1 + abs(q1) ** 2) / (2 * np.pi)
-        nu3 = -np.log(arg3) / (2 * np.pi)
-        hat = nu3 - nu1
-        if hat == 0:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        den = np.expm1(2 * np.pi * hat)
-        b12 = root * np.exp(3 * np.pi * hat / 2) * np.exp(2 * np.pi * nu1) * q3 / (
-            den * np.exp(log_gamma(-1j * hat)))
-        b21 = rootc * np.exp(3 * np.pi * hat / 2) * np.conj(q3) / (
-            den * np.exp(log_gamma(1j * hat)))
-        return complex(b12), complex(b21)
-    if which == 2:
-        q2, q4, q5, q6 = (complex(q) for q in qs)
-        if abs(q4 - np.conj(q5) - q2 * np.conj(q6)) > 1e-9:
-            raise ValueError("model 2 constraint q4 - conj(q5) - q2 conj(q6) = 0 violated")
-        a24 = 1 + abs(q2) ** 2 - abs(q4) ** 2
-        a56 = 1 - abs(q5) ** 2 - abs(q6) ** 2
-        if a24 <= 0:
-            raise PositivityError("model 2 requires 1 + |q2|^2 - |q4|^2 > 0")
-        if a56 <= 0:
-            raise PositivityError("model 2 requires 1 - |q5|^2 - |q6|^2 > 0")
-        nu2 = -np.log(1 + abs(q2) ** 2) / (2 * np.pi)
-        nu4 = -np.log(a24) / (2 * np.pi)
-        nu5 = -np.log(a56) / (2 * np.pi)
-        hat = nu2 + nu5 - nu4
-        if hat == 0:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        den = np.exp(np.pi * hat) - np.exp(-np.pi * hat)
-        b12 = root * np.exp(np.pi * hat / 2) * np.exp(2 * np.pi * (nu4 - nu2)) * (
-            np.conj(q6) - np.conj(q2) * np.conj(q5)) / (den * np.exp(log_gamma(-1j * hat)))
-        b21 = rootc * np.exp(np.pi * hat / 2) * np.exp(2 * np.pi * nu2) * (
-            q6 - q2 * q5) / (den * np.exp(log_gamma(1j * hat)))
-        return complex(b12), complex(b21)
-    raise ValueError("which must be 1 or 2")

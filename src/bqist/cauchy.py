@@ -166,9 +166,6 @@ class CircleFunctions:
 
     # -- density evaluations -------------------------------------------------
 
-    def ln_one_plus_r1r2(self, theta):
-        return self.g1(theta)
-
     def _ln_from_layer(self, layer, theta):
         u = TWO_THIRDS_PI - np.asarray(theta, dtype=float)
         return layer.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
@@ -187,16 +184,12 @@ class CircleFunctions:
         return self.layer_one.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
 
     def density(self, name: str):
-        return {"g1": self.ln_one_plus_r1r2, "lnF": self.ln_f, "lnF2": self.ln_f2}[name]
+        return {"g1": self.g1, "lnF": self.ln_f, "lnF2": self.ln_f2}[name]
 
 
 # ---------------------------------------------------------------------------
 # branch-resolved logarithms
 # ---------------------------------------------------------------------------
-
-
-def _position_angle(k: complex) -> float:
-    return float(np.angle(k))
 
 
 def _arg_i(phi: float) -> float:
@@ -210,7 +203,7 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
     s = complex(s)
     theta_s = float(np.angle(s))
     mag = np.log(abs(k - s))
-    phi = _position_angle(k)
+    phi = float(np.angle(k))
     if abs(abs(k) - 1.0) < 1e-12:
         if not tilde:
             # off the cut arc [pi/2, theta_s]
@@ -387,8 +380,8 @@ class NuBundle:
 
 def nu_bundle(arcs: SectorArcs, cf: CircleFunctions) -> NuBundle:
     inv2pi = 1.0 / (2 * np.pi)
-    g1_a4 = float(np.real(cf.ln_one_plus_r1r2(arcs.a4)))
-    g1_a2 = float(np.real(cf.ln_one_plus_r1r2(arcs.a2)))
+    g1_a4 = float(np.real(cf.g1(arcs.a4)))
+    g1_a2 = float(np.real(cf.g1(arcs.a2)))
     lnf_a4 = float(cf.ln_f(arcs.a4))
     lnf_a2 = float(cf.ln_f(arcs.a2))
     th_wk2 = float(np.angle(OMEGA * arcs.saddles.k2))

@@ -124,16 +124,14 @@ def load_reflection(out_dir: Path):
 
 
 def load_solitons(out_dir: Path):
-    """The SolitonData that ``scatter`` wrote to ``out_dir``/solitons.json (none if absent)."""
+    """The SolitonData that ``scatter`` wrote to ``out_dir``/solitons.json."""
     from . import scattering as sc
 
     path = Path(out_dir) / "solitons.json"
-    if not path.exists():
-        return sc.SolitonData([], [], [])
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not JSON ({exc}); rerun scatter") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path} ({exc}); rerun scatter") from None
     try:
         zeros, c, d = (number_pairs(raw.get(key) if isinstance(raw, dict) else None,
                                     f"{path} {key!r}", nullable=key == "d")
@@ -219,20 +217,19 @@ def cmd_compare(cfg: RunConfig) -> int:
     if missing:
         raise ConfigError(f"asymptotics.csv has no rows for t = {missing}; "
                           "rerun asym with this config")
-    snaps = []
+    zetas = np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta)
+    snaps, u_asym = [], []
     for t in cfg.t_values:
+        at_t = asym["t"] == t
+        order = np.argsort(asym["zeta"][at_t], kind="stable")
+        zs = asym["zeta"][at_t][order]
+        if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
+            raise ConfigError("asymptotics.csv zeta grid does not match the config")
+        u_asym.append(asym["u_asym"][at_t][order])
         snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", ("x", "u", "u_t"))
         snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t))
 
-    def ua_fn(zetas, t):
-        at_t = asym["t"] == t
-        order = np.argsort(asym["zeta"][at_t], kind="stable")
-        zs, vals = asym["zeta"][at_t][order], asym["u_asym"][at_t][order]
-        if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
-            raise ConfigError("asymptotics.csv zeta grid does not match the config")
-        return vals
-
-    rep = pde.compare(ua_fn, snaps, cfg.zeta_window, cfg.n_zeta)
+    rep = pde.compare(zetas, u_asym, snaps)
     rows = [(r["t"], r["max_err"], r["rms_err"], r["envelope_pde"], r["envelope_asym"])
             for r in rep["rows"]]
     _write_csv(cfg.out_dir / "compare.csv",

@@ -10,6 +10,21 @@ from pathlib import Path
 import numpy as np
 
 
+#: what a config number is not, in the errors of the fields that take one
+_NUMBER_RULE = "(not a string, a bool or non-finite)"
+
+
+def is_number(v) -> bool:
+    """Whether ``v`` is a number of the config: an int or a float, not a bool
+    (``true`` or a string is not a number), and finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Thresholds of the admissibility checks, passed to every site that applies one."""
@@ -23,18 +38,13 @@ class Tolerances:
     @classmethod
     def resolve(cls, overrides: dict) -> "Tolerances":
         """The defaults, with the config's ``overrides`` in their place."""
-        values = {}
         for name, val in overrides.items():
             if name not in TOLERANCES:
                 raise ConfigError(f"unknown tolerance override {name!r}")
-            try:
-                values[name] = float(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"tolerance {name!r} is not a number: {val!r}") from None
-            if not math.isfinite(values[name]) or (values[name] <= 0 and name != "nu_hat_floor"):
-                need = "finite" if name == "nu_hat_floor" else "finite and positive"
-                raise ConfigError(f"tolerance {name!r} must be {need}: {val!r}")
-        return cls(**values)
+            if not is_number(val) or (val <= 0 and name != "nu_hat_floor"):
+                need = "a number" if name == "nu_hat_floor" else "a positive number"
+                raise ConfigError(f"tolerance {name!r} must be {need} {_NUMBER_RULE}: {val!r}")
+        return cls(**{name: float(val) for name, val in overrides.items()})
 
 
 #: documented tolerance names and defaults; the config's "tolerances" override them
@@ -82,37 +92,30 @@ def whole_steps(T: float, dt: float) -> int:
 
 
 def _field(raw: dict, name: str, default, kind, many: bool = False):
-    """``raw[name]`` (or ``default``) converted by ``kind``, element-wise if ``many``.
-
-    An int field takes only values equal to their int(): 56 and 56.0, not 2.9.
-    """
+    """``raw[name]`` (or ``default``) as ``kind``, element-wise if ``many``; each
+    value must be a number (is_number), and an int field's equal to its int():
+    56 and 56.0, not 2.9."""
     val = raw.get(name, default)
-
-    def convert(v):
-        out = kind(v)
-        if kind is int and out != v:
-            raise ValueError
-        return out
-
-    try:
-        return tuple(convert(v) for v in val) if many else convert(val)
-    except (TypeError, ValueError, OverflowError):
-        expected = f"a list of {kind.__name__}" if many else f"one {kind.__name__}"
-        raise ConfigError(f"{name} must be {expected}: {val!r}") from None
+    vals = val if many else [val]
+    if not (isinstance(vals, (list, tuple))
+            and all(is_number(v) and (kind is float or v == int(v)) for v in vals)):
+        what = "whole number" if kind is int else "number"
+        expected = f"a list of {what}s" if many else f"a {what}"
+        raise ConfigError(f"{name} must be {expected} {_NUMBER_RULE}: {val!r}")
+    out = tuple(kind(v) for v in vals)
+    return out if many else out[0]
 
 
 def number_pairs(items, name: str, nullable: bool = False) -> list:
-    """``items``, a list of [re, im] pairs of finite numbers, as complex numbers
-    (None kept where ``nullable``); ConfigError naming ``name`` otherwise."""
+    """``items``, a list of [re, im] pairs of numbers (is_number), as complex
+    numbers (None kept where ``nullable``); ConfigError naming ``name`` otherwise."""
     if not isinstance(items, list):
         raise ConfigError(f"{name} must be a list of [re, im] number pairs: {items!r}")
     out = []
     for item in items:
         if item is None and nullable:
             out.append(None)
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and math.isfinite(v) for v in item)):
+        elif isinstance(item, list) and len(item) == 2 and all(map(is_number, item)):
             out.append(complex(item[0], item[1]))
         else:
             raise ConfigError(f"{name} entry {item!r} is not a [re, im] pair of finite numbers")
@@ -173,14 +176,19 @@ class RunConfig:
             idata = dict(idata, csv=str(csv_path))
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
+        else:
+            for key, val in idata.items():
+                if key not in ("form", "u1_mode") and not is_number(val):
+                    raise ConfigError(f"initial_data.{key} must be a number "
+                                      f"{_NUMBER_RULE}: {val!r}")
         window = _field(raw, "zeta_window", cls.zeta_window, float, many=True)
         lo_edge = 1.0 / 3.0**0.5
         if len(window) != 2 or not (lo_edge < window[0] < window[1] < 1.0):
             raise ConfigError(f"zeta_window must be two increasing values inside "
                               f"(1/sqrt(3), 1): {window}")
         t_values = _field(raw, "t_values", cls.t_values, float, many=True)
-        if not t_values or not all(2 <= t < float("inf") for t in t_values):
-            raise ConfigError("t_values must be a nonempty list, all finite and >= 2")
+        if not t_values or not all(t >= 2 for t in t_values):
+            raise ConfigError("t_values must be a nonempty list, all >= 2")
         sol = _block(raw, "solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")

@@ -52,10 +52,3 @@ def log_gamma(z: complex) -> complex:
 def arg_gamma(z: complex) -> float:
     """arg Gamma(z) from log_gamma (continuous near the imaginary axis)."""
     return float(np.imag(log_gamma(z)))
-
-
-def abs_gamma_imag_axis(nu: float) -> float:
-    """|Gamma(i nu)| from the closed identity (independent oracle)."""
-    if nu == 0:
-        raise ValueError("abs_gamma_imag_axis: nu = 0 is a pole")
-    return float(np.sqrt(2 * np.pi / (nu * (np.exp(np.pi * nu) - np.exp(-np.pi * nu)))))

@@ -35,13 +35,13 @@ def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -
         raise ValueError("soliton speed must exceed 1")
     a = 1.5 * (v * v - 1.0)
     b = 0.5 * np.sqrt(v * v - 1.0)
-    x, h = _grid(L, n)
+    x = _grid(L, n)
     s = 1.0 / np.cosh(b * (x - x0))
     u0 = a * s**2
     du0 = -2.0 * a * b * s**2 * np.tanh(b * (x - x0))
     u1 = -v * du0
     v0 = -v * u0
-    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=L, h=h)
+    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0)
 
 
 @dataclass
@@ -53,27 +53,9 @@ class FieldSnapshot:
     ut: np.ndarray
     t: float
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.u, dx=self.x[1] - self.x[0]))
-
     def uhat(self) -> np.ndarray:
         # the stored grid duplicates the first point at the right edge
         return np.fft.rfft(self.u[:-1])
-
-    def to_initial_data(self) -> InitialData:
-        """Repackage (u, u_t) as initial data with w recovered spectrally."""
-        n = len(self.x) - 1
-        h = self.x[1] - self.x[0]
-        xi = 2 * np.pi * np.fft.rfftfreq(n, d=h)
-        uth = np.fft.rfft(self.ut[:-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wh = np.where(xi > 0, uth / (1j * xi), 0.0)
-        v0 = np.fft.irfft(wh, n=n)
-        du0 = np.fft.irfft(1j * xi * np.fft.rfft(self.u[:-1]), n=n)
-        ext = lambda a: np.append(a, a[0])
-        return InitialData(x=self.x.copy(), u0=self.u.copy(), u1=self.ut.copy(),
-                           v0=ext(v0), du0=ext(du0),
-                           L=float(self.x[-1]), h=float(h))
 
     def eval_at(self, xq) -> np.ndarray:
         """Trigonometric (exact, band-limited) evaluation off the grid."""
@@ -224,22 +206,21 @@ def _snapshot(x, xi, uh, wh, t, data):
 # ---------------------------------------------------------------------------
 
 
-def compare(u_asym_fn, snapshots: list[FieldSnapshot], zeta_window=(0.62, 0.95),
-            n_zeta: int = 120) -> dict:
-    """Windowed error report: u_asym_fn(zeta_array, t) vs PDE snapshots.
+def compare(zetas, u_asym, snapshots: list[FieldSnapshot]) -> dict:
+    """Windowed error report: the rows of u_asym at the points ``zetas`` against
+    the PDE snapshots, one row per snapshot.
 
     Returns pointwise/envelope errors per snapshot, the fitted envelope decay
     exponent of the PDE field, and error ratios between consecutive times.
     """
-    zetas = np.linspace(zeta_window[0], zeta_window[1], n_zeta)
+    zetas = np.asarray(zetas, dtype=float)
     rows = []
-    for snap in snapshots:
+    for snap, u_a in zip(snapshots, u_asym, strict=True):
         xq = zetas * snap.t
         if xq.max() >= snap.x[-1]:
             raise ValueError("zeta window leaves the unwrapped domain at "
                              f"t={snap.t}: x={xq.max():.1f} >= {snap.x[-1]:.1f}")
         u_pde = snap.eval_at(xq)
-        u_a = u_asym_fn(zetas, snap.t)
         err = np.abs(u_pde - u_a)
         rows.append({
             "t": snap.t,

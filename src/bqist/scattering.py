@@ -43,8 +43,17 @@ class InitialData:
     u1: np.ndarray
     v0: np.ndarray
     du0: np.ndarray
-    L: float
-    h: float
+
+    @property
+    def L(self) -> float:
+        """-x[0]: the march ends there, where the terminal formula's
+        e^{L ad(diag l)} needs it."""
+        return float(-self.x[0])
+
+    @property
+    def h(self) -> float:
+        """The grid step x[1] - x[0]."""
+        return float(self.x[1] - self.x[0])
 
     def __post_init__(self):
         n = len(self.x)
@@ -79,13 +88,12 @@ class InitialData:
             raise ValueError(f"initial data not numerically compactly supported: tail {t:.3e}")
 
 
-def _grid(L: float, n: int):
+def _grid(L: float, n: int) -> np.ndarray:
     if n % 2 == 0:
         n += 1
     if n < 3:
         raise ValueError(f"n = {n}: the x grid needs at least 3 points")
-    x = np.linspace(-L, L, n)
-    return x, x[1] - x[0]
+    return np.linspace(-L, L, n)
 
 
 def from_arrays(x, u0, u1) -> InitialData:
@@ -96,35 +104,33 @@ def from_arrays(x, u0, u1) -> InitialData:
         x, u0, u1 = x[:-1], u0[:-1], u1[:-1]
     if len(x) < 3:
         raise ValueError(f"the x grid needs at least 3 points, got {len(x)}")
-    h = x[1] - x[0]
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])
     du0 = np.gradient(u0, x, edge_order=2)
-    # the march ends at x[0], where the terminal formula's e^{L ad(diag l)} needs L = -x[0]
-    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0, L=float(-x[0]), h=float(h))
+    return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0)
 
 
 def zero_data(L: float = 20.0, n: int = 513) -> InitialData:
-    x, h = _grid(L, n)
+    x = _grid(L, n)
     z = np.zeros_like(x)
-    return InitialData(x, z.copy(), z.copy(), z.copy(), z.copy(), L, h)
+    return InitialData(x, z.copy(), z.copy(), z.copy(), z.copy())
 
 
-def _with_u1_mode(x, u0, du0, L, h, u1_mode: str) -> InitialData:
+def _with_u1_mode(x, u0, du0, u1_mode: str) -> InitialData:
     """Initial data (u0, u1) with u1 = -d/dx u0 (mass-free, v0 = -u0) for
     ``u1_mode`` "minus_du0", or u1 = 0 for "zero"."""
     if u1_mode == "minus_du0":
-        return InitialData(x, u0, -du0, -u0, du0, L, h)
+        return InitialData(x, u0, -du0, -u0, du0)
     if u1_mode == "zero":
-        return InitialData(x, u0, np.zeros_like(u0), np.zeros_like(u0), du0, L, h)
+        return InitialData(x, u0, np.zeros_like(u0), np.zeros_like(u0), du0)
     raise ValueError(f"unknown u1_mode {u1_mode!r}")
 
 
 def gaussian(amplitude: float, width: float, L: float = 30.0, n: int = 4097,
              u1_mode: str = "minus_du0") -> InitialData:
     """u0 = a exp(-(x/w)^2); u1 = -d/dx u0 (mass-free) or zero."""
-    x, h = _grid(L, n)
+    x = _grid(L, n)
     u0 = amplitude * np.exp(-((x / width) ** 2))
-    return _with_u1_mode(x, u0, u0 * (-2.0 * x / width**2), L, h, u1_mode)
+    return _with_u1_mode(x, u0, u0 * (-2.0 * x / width**2), u1_mode)
 
 
 def band_limit_mask(xi) -> np.ndarray:
@@ -151,7 +157,8 @@ def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: in
     Deterministic given the grid: the taper acts on the FFT of the sampled
     Gaussian and the result is transformed back.
     """
-    x, h = _grid(L, n)
+    x = _grid(L, n)
+    h = x[1] - x[0]
     # periodic FFT on [-L, L); the last sample duplicates the first up to 1e-200 tails
     xs = x[:-1]
     gs = amplitude * np.exp(-((xs / width) ** 2))
@@ -161,22 +168,13 @@ def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: in
     u0s = np.real(np.fft.ifft(ghat))
     du0s = np.real(np.fft.ifft(1j * xi * ghat))
     return _with_u1_mode(x, np.concatenate([u0s, u0s[:1]]), np.concatenate([du0s, du0s[:1]]),
-                         L, h, u1_mode)
-
-
-def sech2(amplitude: float, width: float, L: float = 40.0, n: int = 4097) -> InitialData:
-    x, h = _grid(L, n)
-    u0 = amplitude / np.cosh(x / width) ** 2
-    du0 = -2.0 * u0 * np.tanh(x / width) / width
-    u1 = np.zeros_like(x)
-    return InitialData(x, u0, u1, u1.copy(), du0, L, h)
+                         u1_mode)
 
 
 NAMED_FORMS = {
     "zero": zero_data,
     "gaussian": gaussian,
     "gaussian_bl": gaussian_bandlimited,
-    "sech2": sech2,
 }
 
 
@@ -557,11 +555,17 @@ class SolitonData:
     d: list  # d constants for nonreal zeros, None for real ones
 
 
+def is_real(k) -> bool:
+    """Whether k is on the real axis, as the formulas for a real zero of s11
+    (residue, soliton d, Blaschke factor, admissibility) take it: |Im k| < 1e-12."""
+    return abs(complex(k).imag) < 1e-12
+
+
 def _central_points(k):
     """[k, k + dk, k - dk] with |dk| = 1e-6 along a direction interior to the
     analyticity domain, and dk."""
     k = complex(k)
-    dk = 1e-6 * (1.0 + 0j if abs(k.imag) < 1e-12 else k / abs(k))
+    dk = 1e-6 * (1.0 + 0j if is_real(k) else k / abs(k))
     return np.array([k, k + dk, k - dk]), dk
 
 
@@ -570,11 +574,6 @@ def _s11_and_slope(f, k):
     pts, dk = _central_points(k)
     f0, fp, fm = f(pts)
     return complex(f0), complex((fp - fm) / (2 * dk))
-
-
-def ds11_dk(data: InitialData, k0: complex) -> complex:
-    """Central difference along a direction interior to the analyticity domain."""
-    return _s11_and_slope(partial(s11_values, data), k0)[1]
 
 
 N_EDGE = 96         # Gauss-Legendre nodes per edge of a sector contour
@@ -691,7 +690,7 @@ def soliton_d(k0: complex, c: complex):
 
     Defined at a nonreal zero k0 with residue constant c; None at a real zero.
     """
-    if abs(k0.imag) < 1e-12:
+    if is_real(k0):
         return None
     kb = np.conj(k0)
     return (kb**2 - 1) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
@@ -705,7 +704,7 @@ def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) 
         k0 = complex(k0)
         # s11 at k0 +- dk for s11', and s12 (real k0) or s13 at k0, from one march
         pts, dk = _central_points(k0)
-        s = scattering_columns(data, pts, "X", cols=(0, 1 if abs(k0.imag) < 1e-12 else 2))
+        s = scattering_columns(data, pts, "X", cols=(0, 1 if is_real(k0) else 2))
         dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
         if abs(dek) < 1e-10:
             raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
@@ -791,7 +790,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
         for k0, c in zip(solitons.zeros, solitons.c):
             inside = _in_admissible_region(k0)
             entry = {"k0": k0, "region_ok": inside}
-            if abs(k0.imag) < 1e-12:
+            if is_real(k0):
                 val = nonsingularity_value(k0, c)
                 nonsing = not (abs(val.imag) < 1e-10 and val.real < 0)
                 entry["nonsingularity"] = nonsing
@@ -808,7 +807,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
 
 
 def _in_admissible_region(k0: complex) -> bool:
-    if abs(k0.imag) < 1e-12:
+    if is_real(k0):
         return (-1 < k0.real < 0) or (k0.real > 1)
     ang = np.angle(k0)
     return any(lo < ang < hi and np.sign(abs(k0) - 1) == side

@@ -58,19 +58,6 @@ def phi(i: int, j: int, zeta: float, k):
     return (p.l[i - 1] - p.l[j - 1]) * zeta + (p.z[i - 1] - p.z[j - 1])
 
 
-def dphi_dk(i: int, j: int, zeta: float, k):
-    """Closed-form d/dk of Phi_ij (used by saddle verification and Newton)."""
-    _check_pair(i, j)
-    k = np.asarray(k, dtype=complex)
-    if np.any(k == 0):
-        raise ValueError("dphi_dk: k = 0 is outside the domain")
-    wj = OMEGA ** np.arange(1, 4)
-    wk = wj.reshape((3,) + (1,) * k.ndim) * k
-    dl = 1j * (wk - 1.0 / wk) / (2 * SQRT3 * k)
-    dz = 1j * (wk**2 - 1.0 / wk**2) / (2 * SQRT3 * k)
-    return (dl[i - 1] - dl[j - 1]) * zeta + (dz[i - 1] - dz[j - 1])
-
-
 @dataclass(frozen=True)
 class SaddleSet:
     """The four critical points of Phi_21 at a given zeta; k1 = conj k2, k3 = conj k4."""

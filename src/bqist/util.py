@@ -47,12 +47,6 @@ class ChebPanel:
         dc = _cheb.chebder(self.coeffs) * (2.0 / (self.b - self.a))
         return ChebPanel(self.a, self.b, dc)
 
-    def tail_magnitude(self) -> float:
-        """Relative size of the trailing coefficients (convergence diagnostic)."""
-        c = np.abs(self.coeffs)
-        scale = c.max() if c.max() > 0 else 1.0
-        return float(c[-2:].max() / scale)
-
 
 @cache
 def gauss_legendre(n: int):

@@ -75,7 +75,7 @@ def two_sided_limits(j, arcs, cf, theta, eps=JUMP_EPS):
 
 
 def test_all_five_jump_relations(arcs, cf_small):
-    onep = lambda th: np.exp(cf_small.ln_one_plus_r1r2(th))
+    onep = lambda th: np.exp(cf_small.g1(th))
     fv = lambda th: np.exp(cf_small.ln_f(th))
     fv2 = lambda th: np.exp(cf_small.ln_f2(th))
     th1 = 0.5 * (cy.ARC_LO + arcs.a4)
@@ -168,8 +168,8 @@ def test_representations_match_direct(arcs, cf_small, nu):
     for k in safe_zone_points(5):
         for j in range(1, 6):
             direct = cy.delta(j, arcs, cf_small, k)
-            assert abs(direct - rep_value(j, arcs, cf_small, nu, k, False)) < 1e-8
-            assert abs(direct - rep_value(j, arcs, cf_small, nu, k, True)) < 1e-8
+            assert abs(direct - rep_value(j, arcs, cf_small, nu, k, False)) < 1e-14
+            assert abs(direct - rep_value(j, arcs, cf_small, nu, k, True)) < 1e-14
 
 
 # (j, saddle image, tilde) of the seven chi values that build_ingredients reads
@@ -414,7 +414,7 @@ def test_nu1_from_jump_magnitude(arcs, cf_small, nu):
     th = arcs.a4 - 0.3 * (arcs.a4 - cy.ARC_LO)
     din, dout = two_sided_limits(1, arcs, cf_small, th)
     nu_from_jump = -np.log(abs(dout / din)) / (2 * np.pi)
-    direct = -float(np.real(cf_small.ln_one_plus_r1r2(th))) / (2 * np.pi)
+    direct = -float(np.real(cf_small.g1(th))) / (2 * np.pi)
     assert abs(nu_from_jump - direct) < 1e-8
 
 

@@ -105,7 +105,9 @@ def test_bad_window_exits_2(tmp_path, capsys):
     for field, value in (("zeta_window", [0.7]), ("n_per_arc", "abc"),
                          ("n_zeta", -1), ("n_zeta", 0), ("t_values", []),
                          ("t_values", [60.0, float("nan")]),
-                         ("n_zeta", 2.9), ("n_per_arc", 8.5)):
+                         ("n_zeta", 2.9), ("n_per_arc", 8.5),
+                         # a string or a bool is not a number
+                         ("n_zeta", True), ("zeta_window", ["0.62", "0.95"])):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "asym"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
@@ -122,7 +124,8 @@ def test_bad_window_exits_2(tmp_path, capsys):
                          ({"cutoff": -0.5}, "pde.cutoff"), ({"cutoff": 1.5}, "pde.cutoff"),
                          ({"L": float("nan")}, "pde.L"),
                          ({"L": float("inf")}, "pde.L"), ({"L": -100.0}, "pde.L"),
-                         ({"n": 1}, "pde.n")):
+                         ({"n": 1}, "pde.n"), ({"dt": True}, "pde.dt"),
+                         ({"dt": "0.1"}, "pde.dt")):
         cfgp = write_config(tmp_path / "c.json", pde=block)
         assert cli.main(["evolve", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
@@ -133,11 +136,17 @@ def test_bad_window_exits_2(tmp_path, capsys):
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert f"{field} must be an object" in capsys.readouterr().err
-    # tolerances must be finite, and explicit solitons equal-length lists of [re, im] pairs
+    # tolerances and named-form parameters must be finite numbers, and explicit solitons
+    # equal-length lists of [re, im] pairs
     explicit = {"mode": "explicit", "zeros": [[1.5, 0.0]], "c": [[0.4, 0.0]]}
     for field, value, name in (
             ("tolerances", {"mass_condition": float("nan")}, "mass_condition"),
             ("tolerances", {"nu_hat_floor": float("nan")}, "nu_hat_floor"),
+            ("tolerances", {"tail": True}, "tail"),
+            ("initial_data", {"form": "gaussian", "amplitude": True, "width": 2.0},
+             "initial_data.amplitude"),
+            ("initial_data", {"form": "gaussian", "amplitude": 0.1, "width": True},
+             "initial_data.width"),
             ("solitons", dict(explicit, zeros=[[1.5]]), "solitons.zeros"),
             ("solitons", dict(explicit, zeros="abc"), "solitons.zeros"),
             ("solitons", dict(explicit, c=[[0.4, "x"]]), "solitons.c"),
@@ -337,6 +346,11 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
         sol_path.write_text(text)
         assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2, why
         assert str(sol_path) in capsys.readouterr().err, why
+    # and a missing solitons.json, which would drop the Blaschke factors silently
+    sol_path.unlink()
+    assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(sol_path) in err and "rerun scatter" in err
     sol_path.write_text(sol_text)
     assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 0
 

@@ -9,11 +9,15 @@ def test_real_values():
     assert abs(np.exp(gammafn.log_gamma(5.0)) - 24.0) < 1e-10
 
 
+def abs_gamma_imag_axis(nu):
+    """|Gamma(i nu)| from the identity |Gamma(i nu)|^2 = 2 pi / (nu (e^{pi nu} - e^{-pi nu}))."""
+    return float(np.sqrt(2 * np.pi / (nu * (np.exp(np.pi * nu) - np.exp(-np.pi * nu)))))
+
+
 def test_modulus_identity_on_imag_axis():
-    # |Gamma(i nu)|^2 = 2 pi / (nu (e^{pi nu} - e^{-pi nu}))
     for nu in (1e-4, 0.01, 0.2, 0.8, 2.5):
         lhs = abs(np.exp(gammafn.log_gamma(1j * nu)))
-        assert abs(lhs - gammafn.abs_gamma_imag_axis(nu)) < 1e-12 * max(1, lhs)
+        assert abs(lhs - abs_gamma_imag_axis(nu)) < 1e-12 * max(1, lhs)
 
 
 def test_against_scipy_oracle():
