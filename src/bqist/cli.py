@@ -144,12 +144,12 @@ def load_solitons(out_dir: Path):
     return sc.SolitonData(zeros=zeros, c=c, d=d)
 
 
-#: SectorIngredients fields dumped by ``asym --debug-deltas``
+#: SectorIngredients fields that ``asym`` writes to deltas_debug.csv, per zeta
 _DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4", "chit3_wk4",
                      "chi2_w2k2", "chi3_w2k2", "chit4_w2k2", "chit5_w2k2")
 
 
-def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
+def cmd_asym(cfg: RunConfig) -> int:
     from . import asymptotics as asy
     from . import cauchy as cy
 
@@ -166,16 +166,13 @@ def cmd_asym(cfg: RunConfig, debug_deltas: bool = False) -> int:
         for t in cfg.t_values:
             ev = asy.u_asym(ing, t)
             rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
-        if debug_deltas:
-            for name in _DEBUG_QUANTITIES:
-                v = complex(getattr(ing, name))
-                dbg_rows.append((z, name, v.real, v.imag))
+        for name in _DEBUG_QUANTITIES:
+            v = complex(getattr(ing, name))
+            dbg_rows.append((z, name, v.real, v.imag))
     _write_csv(cfg.out_dir / "asymptotics.csv",
                ["x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u_asym"], rows)
-    if debug_deltas:
-        _write_csv(cfg.out_dir / "deltas_debug.csv",
-                   ["zeta", "quantity", "re", "im"], dbg_rows)
-    print(f"asym: wrote asymptotics.csv ({len(rows)} rows)")
+    _write_csv(cfg.out_dir / "deltas_debug.csv", ["zeta", "quantity", "re", "im"], dbg_rows)
+    print(f"asym: wrote asymptotics.csv ({len(rows)} rows) and deltas_debug.csv")
     return 0
 
 
@@ -259,23 +256,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="bqist",
                                  description="Boussinesq inverse scattering and "
                                              "long-time asymptotics pipeline")
+    commands = {"scatter": cmd_scatter, "asym": cmd_asym,
+                "evolve": cmd_evolve, "compare": cmd_compare}
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("scatter", "asym", "evolve", "compare"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory override")
-        if name == "asym":
-            p.add_argument("--debug-deltas", action="store_true",
-                           help="dump the per-zeta delta/chi ingredients to CSV")
     args = ap.parse_args(argv)
 
     try:
-        cfg = RunConfig.load(args.config, out_dir=args.out)
-        if args.command == "asym":
-            return cmd_asym(cfg, debug_deltas=args.debug_deltas)
-        handler = {"scatter": cmd_scatter,
-                   "evolve": cmd_evolve, "compare": cmd_compare}[args.command]
-        return handler(cfg)
+        return commands[args.command](RunConfig.load(args.config, out_dir=args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

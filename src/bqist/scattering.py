@@ -239,14 +239,12 @@ _WHICH = {
 ON_CIRCLE = 1e-12  # a batch with every ||k| - 1| <= ON_CIRCLE takes the matmul step
 
 
-def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool = False,
-                   cols=None):
+def march_volterra(data: InitialData, k, which: str = "X", cols=None):
     """March the Volterra solution `which` from +L across the grid with batched RK4.
 
     Columns decouple, so ``cols`` restricts the march to a subset (avoids the
     exponential growth of unwanted columns at spectral points far from the
-    unit circle).  Returns terminal matrices of shape (nk, 3, len(cols)), plus
-    the trajectory at even grid indices if requested.
+    unit circle).  Returns the terminal matrices X(-L), shape (nk, 3, len(cols)).
 
     The step follows from k alone.  A batch on the unit circle, where the
     reflection data are sampled, takes the matmul step and keeps its bits:
@@ -260,8 +258,7 @@ def march_volterra(data: InitialData, k, which: str = "X", keep_trajectory: bool
     cols = tuple(range(3)) if cols is None else tuple(cols)
     on_circle = np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE)
     step = _march_matmul if on_circle else _march_rank_one
-    X, traj = step(data, k, which, cols, keep_trajectory)
-    return (X, traj) if keep_trajectory else X
+    return step(data, k, which, cols)
 
 
 PACK = 4  # systems per block-diagonal product in the matmul step
@@ -274,9 +271,9 @@ def _diagonal_index(nb, pack):
     return ((b * 3 * pack + 3 * j + r) * 3 * pack + 3 * j + c).ravel()
 
 
-def _march_matmul(data, k, which, cols, keep_trajectory=False):
+def _march_matmul(data, k, which, cols):
     """RK4 with F = sign [diag l, X] + U X and U built as a 3x3 matrix per k;
-    (X(-L) as (nk, 3, ncol), trajectory or None).
+    X(-L) as (nk, 3, ncol).
 
     PACK systems share one block-diagonal product, (nb, 12, 12) @ (nb, 12,
     ncol), a quarter of the BLAS calls of a (3, 3) @ (3, ncol) stack.  Each
@@ -304,7 +301,6 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
     X = np.zeros((nb, 3 * pack, ncol), dtype=complex)
     Xk = X.reshape(-1, 3, ncol)[:nk]  # the systems unpacked, a view of X
     Xk[:] = np.eye(3, dtype=complex)[:, cols]
-    traj = [Xk.copy()]  # from x = L down to x = -L
     lcol = np.repeat(l.reshape(nb, 3 * pack, 1), ncol, axis=2)
     lrow = np.repeat(l[:, list(cols)], 3, axis=0).reshape(X.shape)
     diag = _diagonal_index(nb, pack)
@@ -337,12 +333,10 @@ def _march_matmul(data, k, which, cols, keep_trajectory=False):
         np.add(acc, np.multiply(2, kj, out=kj), out=acc)  # + 2 k3
         np.add(acc, F(Uend, Y, kj), out=acc)  # + k4
         np.add(X, np.multiply(step / 6.0, acc, out=acc), out=X)
-        if keep_trajectory:
-            traj.append(Xk.copy())
-    return Xk, (np.stack(traj[::-1]) if keep_trajectory else None)
+    return Xk
 
 
-def _march_rank_one(data, k, which, cols, keep_trajectory=False):
+def _march_rank_one(data, k, which, cols):
     """RK4 on k-last arrays (3, ncol, nk) with the rank-one potential U = a (x) g;
     returns like _march_matmul.
 
@@ -360,7 +354,6 @@ def _march_rank_one(data, k, which, cols, keep_trajectory=False):
     w31, w32 = potential_weights(data)
     X = np.zeros((3, len(cols), k.shape[0]), dtype=complex)
     X[list(cols), range(len(cols))] = 1.0
-    traj = [X]  # from x = L down to x = -L
 
     if transpose:
         def F(g, Y):
@@ -378,10 +371,7 @@ def _march_rank_one(data, k, which, cols, keep_trajectory=False):
         K3 = F(gmid, X + K2)
         K4 = F(gend, X + 2 * K3)
         X = X + (K1 + K4 + 2 * (K2 + K3)) / 3
-        if keep_trajectory:
-            traj.append(X)
-    return (X.transpose(2, 0, 1),
-            np.stack(traj[::-1]).transpose(0, 3, 1, 2) if keep_trajectory else None)
+    return X.transpose(2, 0, 1)
 
 
 def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.ndarray:

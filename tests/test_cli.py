@@ -256,15 +256,17 @@ def test_emitted_csv_circle_relation(small_run):
 
 
 def test_debug_dump(small_run):
+    """asym writes deltas_debug.csv, nine rows per zeta, with no flag; the
+    --debug-deltas flag that once asked for it is gone."""
     cfgp, out = small_run
-    plain = (out / "asymptotics.csv").read_bytes()
-    res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--debug-deltas")
-    assert res.returncode == 0, res.stderr
-    assert (out / "asymptotics.csv").read_bytes() == plain
     dbg = (out / "deltas_debug.csv").read_text().splitlines()
     assert dbg[0] == "zeta,quantity,re,im"
     assert len(dbg) == 1 + 3 * 9
     assert [row.split(",")[1] for row in dbg[1:10]] == list(cli._DEBUG_QUANTITIES)
+    zetas = np.linspace(0.66, 0.9, 3)
+    assert [float(row.split(",")[0]) for row in dbg[1:]] == list(np.repeat(zetas, 9))
+    res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--debug-deltas")
+    assert res.returncode == 2 and "--debug-deltas" in res.stderr
     # the zeta sweep is serial; there is no worker-process option
     res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--jobs", "2")
     assert res.returncode == 2 and "--jobs" in res.stderr
