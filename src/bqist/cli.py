@@ -160,7 +160,7 @@ def cmd_asym(cfg: RunConfig) -> int:
     sol = load_solitons(cfg.out_dir)
     cf = cy.CircleFunctions(refl)
     rows, dbg_rows = [], []
-    for z in np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta):
+    for z in cfg.zetas:
         z = float(z)
         ing = asy.build_ingredients(z, cf, solitons=sol.zeros, tol=cfg.tol)
         for t in cfg.t_values:
@@ -181,18 +181,10 @@ def cmd_asym(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pde_data(cfg: RunConfig):
-    """Initial data re-sampled on the long periodic grid of the PDE stage (CSV as given)."""
-    idata = dict(cfg.initial_data)
-    if "csv" not in idata:
-        idata["L"], idata["n"] = cfg.pde["L"], cfg.pde["n"]
-    return RunConfig(initial_data=idata, out_dir=cfg.out_dir).build_initial_data()
-
-
 def cmd_evolve(cfg: RunConfig) -> int:
     from . import pde
 
-    data = _pde_data(cfg)
+    data = cfg.build_pde_data()
     snaps = pde.evolve(data, max(cfg.t_values), dt=cfg.pde["dt"], cutoff=cfg.pde["cutoff"],
                        snapshot_times=list(cfg.t_values))
     for snap in snaps:
@@ -214,7 +206,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     if missing:
         raise ConfigError(f"asymptotics.csv has no rows for t = {missing}; "
                           "rerun asym with this config")
-    zetas = np.linspace(cfg.zeta_window[0], cfg.zeta_window[1], cfg.n_zeta)
+    zetas = cfg.zetas
     snaps, u_asym = [], []
     for t in cfg.t_values:
         at_t = asym["t"] == t

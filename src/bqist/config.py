@@ -176,19 +176,21 @@ class RunConfig:
             idata = dict(idata, csv=str(csv_path))
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
-        else:
-            for key, val in idata.items():
-                if key not in ("form", "u1_mode") and not is_number(val):
-                    raise ConfigError(f"initial_data.{key} must be a number "
-                                      f"{_NUMBER_RULE}: {val!r}")
+        else:  # numbers, keyed by their dotted names for the errors; the grid size n a count
+            idata = {key: val if key in ("form", "u1_mode") else
+                     _field({f"initial_data.{key}": val}, f"initial_data.{key}", None,
+                            int if key == "n" else float)
+                     for key, val in idata.items()}
         window = _field(raw, "zeta_window", cls.zeta_window, float, many=True)
         lo_edge = 1.0 / 3.0**0.5
         if len(window) != 2 or not (lo_edge < window[0] < window[1] < 1.0):
             raise ConfigError(f"zeta_window must be two increasing values inside "
                               f"(1/sqrt(3), 1): {window}")
         t_values = _field(raw, "t_values", cls.t_values, float, many=True)
-        if not t_values or not all(t >= 2 for t in t_values):
-            raise ConfigError("t_values must be a nonempty list, all >= 2")
+        if not (t_values and t_values[0] >= 2
+                and all(a < b for a, b in zip(t_values, t_values[1:]))):
+            raise ConfigError(f"t_values must be a nonempty, strictly increasing list, "
+                              f"all >= 2: {list(t_values)}")
         sol = _block(raw, "solitons", {"mode": "none"})
         if sol.get("mode") not in ("none", "detect", "explicit"):
             raise ConfigError("solitons.mode must be none|detect|explicit")
@@ -208,6 +210,10 @@ class RunConfig:
         # keyed by their dotted names so that a bad value is reported as pde.<key>
         given = {f"pde.{k}": v for k, v in _block(raw, "pde", {}).items()}
         _reject_unknown(given, [f"pde.{k}" for k in PDE_DEFAULTS])
+        for name in ("pde.L", "pde.n"):
+            if "csv" in idata and name in given:
+                raise ConfigError(f"{name} does not apply to a CSV run: "
+                                  "its PDE grid is the CSV grid")
         pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
         # open intervals; dt is checked against t_values below
         for k, lo, hi in (("L", 0.0, math.inf), ("n", 2, math.inf), ("cutoff", 0.0, 1.0)):
@@ -223,10 +229,33 @@ class RunConfig:
                    zeta_window=window, n_zeta=n_zeta,
                    t_values=t_values, solitons=sol, pde=pde, tol=tol)
 
+    @property
+    def zetas(self) -> np.ndarray:
+        """The n_zeta points of the zeta window, ends included."""
+        return np.linspace(self.zeta_window[0], self.zeta_window[1], self.n_zeta)
+
     def build_initial_data(self):
+        return self._build(self.initial_data)
+
+    def build_pde_data(self):
+        """The initial data on the periodic grid of the evolve stage: a named form
+        re-sampled with pde.L and pde.n, CSV data as given.  ConfigError if the
+        zeta window leaves that grid by the last t (pde.compare's rule)."""
+        idata = self.initial_data
+        csv = "csv" in idata
+        data = self._build(idata if csv else dict(idata, L=self.pde["L"], n=self.pde["n"]))
+        reach = self.zetas[-1] * self.t_values[-1]
+        if not reach < data.x[-1]:
+            grid, fix = ((f"the CSV grid, which ends at x = {data.x[-1]:g}", "widen the CSV grid")
+                         if csv else (f"pde.L = {self.pde['L']:g}", "raise pde.L"))
+            raise ConfigError(f"zeta window reaches x = {reach:g} at t = {self.t_values[-1]:g}, "
+                              f"beyond {grid}; {fix} or narrow zeta_window")
+        return data
+
+    @staticmethod
+    def _build(idata: dict):
         from . import scattering as sc
 
-        idata = self.initial_data
         if "csv" in idata:
             path = idata["csv"]
             try:

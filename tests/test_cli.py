@@ -105,6 +105,8 @@ def test_bad_window_exits_2(tmp_path, capsys):
     for field, value in (("zeta_window", [0.7]), ("n_per_arc", "abc"),
                          ("n_zeta", -1), ("n_zeta", 0), ("t_values", []),
                          ("t_values", [60.0, float("nan")]),
+                         # t_values increase strictly: no repeated or reordered time
+                         ("t_values", [60.0, 60.0]), ("t_values", [120.0, 60.0]),
                          ("n_zeta", 2.9), ("n_per_arc", 8.5),
                          # a string or a bool is not a number
                          ("n_zeta", True), ("zeta_window", ["0.62", "0.95"])):
@@ -112,9 +114,11 @@ def test_bad_window_exits_2(tmp_path, capsys):
         for stage in ("scatter", "asym"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert field in capsys.readouterr().err
-    # a whole number written as a float is still a count
-    cfg = RunConfig.load(write_config(tmp_path / "c.json", n_per_arc=56.0, n_zeta=4.0))
+    # a whole number written as a float is still a count, a named form's grid size too
+    cfg = RunConfig.load(write_config(tmp_path / "c.json", n_per_arc=56.0, n_zeta=4.0,
+                                      initial_data={"form": "zero", "L": 20.0, "n": 513.0}))
     assert (cfg.n_per_arc, cfg.n_zeta) == (56, 4)
+    assert type(cfg.initial_data["n"]) is int and len(cfg.build_initial_data().x) == 513
     assert cfg.pde == {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
     # so are malformed pde fields and a step that does not reach every t exactly
     for block, field in (({"dt": "abc"}, "pde.dt"), ({"cutoff": "x"}, "pde.cutoff"),
@@ -147,6 +151,7 @@ def test_bad_window_exits_2(tmp_path, capsys):
              "initial_data.amplitude"),
             ("initial_data", {"form": "gaussian", "amplitude": 0.1, "width": True},
              "initial_data.width"),
+            ("initial_data", {"form": "zero", "n": 512.5}, "initial_data.n"),
             ("solitons", dict(explicit, zeros=[[1.5]]), "solitons.zeros"),
             ("solitons", dict(explicit, zeros="abc"), "solitons.zeros"),
             ("solitons", dict(explicit, c=[[0.4, "x"]]), "solitons.c"),
@@ -178,6 +183,44 @@ def test_pde_grid_too_coarse_for_filter_exits_2(tmp_path):
     res = run_cli("evolve", "--config", str(cfgp), "--out", str(tmp_path / "out"))
     assert res.returncode == 2, res.stderr
     assert all(name in res.stderr for name in ("pde.n", "pde.L", "pde.cutoff"))
+
+
+def test_window_beyond_pde_grid_exits_2_before_evolve(tmp_path, capsys):
+    """A zeta window that leaves the PDE grid by the last t is a config error of
+    evolve, raised before it steps, not a numerical failure of compare."""
+    out = tmp_path / "out"
+    # 0.9 * 60 = 54 reaches past x = 40
+    cfgp = write_config(tmp_path / "c.json", pde={"L": 40.0, "n": 513, "dt": 0.5})
+    assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "pde.L = 40" in err and "x = 54" in err
+    assert not out.exists()
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "d.csv", x, np.zeros_like(x), np.zeros_like(x))
+    cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "d.csv"}, pde={"dt": 0.5})
+    assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert "CSV grid, which ends at x = 20" in capsys.readouterr().err
+    assert not out.exists()
+    # the rule is pde.compare's own: a window that ends inside the grid passes
+    cfgp = write_config(tmp_path / "c.json", pde={"L": 55.0, "n": 513, "dt": 0.5})
+    assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 0
+
+
+def test_csv_run_rejects_pde_grid(tmp_path, capsys):
+    """A CSV run evolves on the CSV grid, so pde.L and pde.n are config errors."""
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "d.csv", x, np.zeros_like(x), np.zeros_like(x))
+    for block, name in (({"L": 999.0, "n": 77777}, "pde.L"), ({"n": 77777}, "pde.n")):
+        cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "d.csv"}, pde=block)
+        for stage in ("scatter", "evolve"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert f"{name} does not apply to a CSV run" in capsys.readouterr().err
+    cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "d.csv"}, t_values=[10.0],
+                        pde={"dt": 0.5, "cutoff": 0.8})
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 0
+    snap = np.loadtxt(out / "evolution_t10.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(snap[:, 0], x)
 
 
 def test_unknown_form_exits_2(tmp_path):
