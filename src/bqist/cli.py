@@ -67,16 +67,8 @@ def cmd_scatter(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER,
                zip(*(c.tolist() for c in columns)))
 
-    mode = cfg.solitons["mode"]
-    if mode == "detect":
-        zeros = sc.find_s11_zeros(data, tol=cfg.tol)
-        sol = (sc.residue_constants(data, zeros, tol=cfg.tol) if zeros
-               else sc.SolitonData([], [], []))
-    elif mode == "explicit":
-        zs, cs = cfg.solitons["zeros"], cfg.solitons["c"]
-        sol = sc.SolitonData(zeros=zs, c=cs, d=[sc.soliton_d(z, c) for z, c in zip(zs, cs)])
-    else:
-        sol = sc.SolitonData([], [], [])
+    zeros = sc.find_s11_zeros(data, tol=cfg.tol) if cfg.solitons["mode"] == "detect" else []
+    sol = sc.residue_constants(data, zeros, tol=cfg.tol) if zeros else sc.SolitonData([], [], [])
     sol_payload = {
         "zeros": [_c2pair(z) for z in sol.zeros],
         "c": [_c2pair(c) for c in sol.c],

@@ -192,15 +192,9 @@ class RunConfig:
             raise ConfigError(f"t_values must be a nonempty, strictly increasing list, "
                               f"all >= 2: {list(t_values)}")
         sol = _block(raw, "solitons", {"mode": "none"})
-        if sol.get("mode") not in ("none", "detect", "explicit"):
-            raise ConfigError("solitons.mode must be none|detect|explicit")
-        known = ("mode", "zeros", "c") if sol["mode"] == "explicit" else ("mode",)
-        _reject_unknown([f"solitons.{k}" for k in sol], [f"solitons.{k}" for k in known])
-        if sol["mode"] == "explicit":
-            sol = dict(sol, **{key: number_pairs(sol.get(key, []), f"solitons.{key}")
-                               for key in ("zeros", "c")})
-            if len(sol["zeros"]) != len(sol["c"]):
-                raise ConfigError("solitons.zeros and solitons.c must have equal length")
+        if sol.get("mode") not in ("none", "detect"):
+            raise ConfigError(f"solitons.mode must be none|detect: {sol.get('mode')!r}")
+        _reject_unknown([f"solitons.{k}" for k in sol], ["solitons.mode"])
         n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
         if n_per_arc < 8:
             raise ConfigError("n_per_arc must be at least 8")

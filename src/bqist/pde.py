@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, whole_steps
+from .config import PDE_DEFAULTS, ConfigError, whole_steps
 from .scattering import InitialData, _grid
 
-DEFAULT_CUTOFF = 0.9
+DEFAULT_CUTOFF = PDE_DEFAULTS["cutoff"]
 
 
 def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -> InitialData:
@@ -109,7 +109,7 @@ def alias_free_size(n: int, nyq: float, cutoff: float) -> int:
     return m
 
 
-def evolve(data: InitialData, T: float, dt: float = 0.1, cutoff: float = DEFAULT_CUTOFF,
+def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOFF,
            snapshot_times=None) -> list[FieldSnapshot]:
     """Integrate to time T (possibly negative) with integrating-factor RK4.
 

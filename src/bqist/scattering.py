@@ -100,8 +100,6 @@ def from_arrays(x, u0, u1) -> InitialData:
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if len(x) % 2 == 0:
-        x, u0, u1 = x[:-1], u0[:-1], u1[:-1]
     if len(x) < 3:
         raise ValueError(f"the x grid needs at least 3 points, got {len(x)}")
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])

@@ -55,12 +55,12 @@ def gauss_legendre(n: int):
 
 
 def graded_panels(a: float, b: float, singular_ends=(False, False), base: int = 8,
-                  ratio: float = 0.5, min_panel: float = 1e-9) -> list[tuple[float, float]]:
+                  min_panel: float = 1e-9) -> list[tuple[float, float]]:
     """Split [a, b] into panels, geometrically graded toward singular endpoints.
 
     With no singular ends, returns ``base`` equal panels.  A graded end gets
-    panels shrinking by ``ratio`` toward it, the last one between ``min_panel``
-    and ``min_panel / ratio`` long (the truncated endpoint sliver contributes
+    panels halving toward it, the last one between ``min_panel`` and
+    ``2 min_panel`` long (the truncated endpoint sliver contributes
     O(min_panel log min_panel) for a log-integrable singularity, and smaller
     scales drown in roundoff of the chord k - s anyway).
     """
@@ -70,15 +70,15 @@ def graded_panels(a: float, b: float, singular_ends=(False, False), base: int = 
     length = b - a
     if left and right:
         mid = 0.5 * (a + b)
-        return (graded_panels(a, mid, (True, False), base, ratio, min_panel)
-                + graded_panels(mid, b, (False, True), base, ratio, min_panel))
-    levels = max(1, int(np.log(length / min_panel) / np.log(1.0 / ratio)))
+        return (graded_panels(a, mid, (True, False), base, min_panel)
+                + graded_panels(mid, b, (False, True), base, min_panel))
+    levels = max(1, int(np.log(length / min_panel) / np.log(2.0)))
     if not left and not right:
         edges = list(np.linspace(a, b, base + 1))
     elif left:
-        edges = [a] + [a + length * ratio**j for j in range(levels, 0, -1)] + [b]
+        edges = [a] + [a + length * 0.5**j for j in range(levels, 0, -1)] + [b]
     else:
-        edges = [a] + [b - length * ratio**j for j in range(1, levels + 1)] + [b]
+        edges = [a] + [b - length * 0.5**j for j in range(1, levels + 1)] + [b]
     # cap panel length so the smooth far end is still resolved
     cap = length / base
     refined: list[float] = []

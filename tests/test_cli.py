@@ -63,10 +63,12 @@ def test_missing_csv_names_field(tmp_path):
     (tmp_path / "one_row.csv").write_text("x,u0,u1\n0,0,0\n")
     (tmp_path / "two_rows.csv").write_text("x,u0,u1\n0,0,0\n1,0,0\n")
     (tmp_path / "nan.csv").write_text("x,u0,u1\n0,0,0\n1,nan,0\n2,0,0\n")
+    x_even = np.linspace(-20.0, 20.0, 512)
+    write_csv(tmp_path / "even.csv", x_even, np.zeros_like(x_even), np.zeros_like(x_even))
     for name, message in (("skewed.csv", "uniform"), ("no_u1.csv", "'u1'"),
                           ("word.csv", "'abc'"), ("decreasing.csv", "increasing"),
                           ("one_row.csv", "3 points"), ("two_rows.csv", "3 points"),
-                          ("nan.csv", "non-finite")):
+                          ("nan.csv", "non-finite"), ("even.csv", "odd number")):
         cfgp.write_text(json.dumps({"initial_data": {"csv": name}}))
         for stage in ("scatter", "evolve"):
             res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
@@ -140,9 +142,8 @@ def test_bad_window_exits_2(tmp_path, capsys):
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert f"{field} must be an object" in capsys.readouterr().err
-    # tolerances and named-form parameters must be finite numbers, and explicit solitons
-    # equal-length lists of [re, im] pairs
-    explicit = {"mode": "explicit", "zeros": [[1.5, 0.0]], "c": [[0.4, 0.0]]}
+    # tolerances and named-form parameters must be finite numbers, and the soliton mode
+    # none or detect: solitons.json is the only list of zeros and c that asym reads
     for field, value, name in (
             ("tolerances", {"mass_condition": float("nan")}, "mass_condition"),
             ("tolerances", {"nu_hat_floor": float("nan")}, "nu_hat_floor"),
@@ -152,18 +153,12 @@ def test_bad_window_exits_2(tmp_path, capsys):
             ("initial_data", {"form": "gaussian", "amplitude": 0.1, "width": True},
              "initial_data.width"),
             ("initial_data", {"form": "zero", "n": 512.5}, "initial_data.n"),
-            ("solitons", dict(explicit, zeros=[[1.5]]), "solitons.zeros"),
-            ("solitons", dict(explicit, zeros="abc"), "solitons.zeros"),
-            ("solitons", dict(explicit, c=[[0.4, "x"]]), "solitons.c"),
-            ("solitons", dict(explicit, zeros=[["nan", 0]]), "solitons.zeros"),
-            ("solitons", dict(explicit, zeros=[[True, 0]]), "solitons.zeros"),
-            ("solitons", dict(explicit, c=[]), "solitons.c")):
+            ("solitons", {"mode": "explicit", "zeros": [[1.5, 0.0]], "c": [[0.4, 0.0]]},
+             "solitons.mode")):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert name in capsys.readouterr().err
-    assert RunConfig.load(write_config(tmp_path / "c.json", solitons=explicit)).solitons == \
-        {"mode": "explicit", "zeros": [1.5 + 0j], "c": [0.4 + 0j]}
 
 
 def test_unknown_config_field_exits_2(tmp_path, capsys):
@@ -385,6 +380,9 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
         "no d list": '{"zeros": [], "c": []}',
         "a word in a c pair": '{"zeros": [[1.5, 0.0]], "c": [["x", 0.0]], "d": [null]}',
         "null where c needs a pair": '{"zeros": [[1.5, 0.0]], "c": [null], "d": [null]}',
+        "a string for the zeros": '{"zeros": "abc", "c": [], "d": []}',
+        "a NaN in a zero": '{"zeros": [[NaN, 0.0]], "c": [[0.4, 0.0]], "d": [null]}',
+        "true in a zero": '{"zeros": [[true, 0.0]], "c": [[0.4, 0.0]], "d": [null]}',
         "not JSON": '{"zeros": ',
     }
     for why, text in bad_solitons.items():
@@ -429,15 +427,13 @@ def test_pipeline_deterministic_and_left_soliton_invariant(small_run, tmp_path):
     res = run_cli("asym", "--config", str(cfgp), "--out", str(out))
     assert res.returncode == 0
     assert (out / "asymptotics.csv").read_bytes() == first
-    # a left-moving soliton entry must leave the sweep bitwise unchanged
-    cfg = json.loads(Path(cfgp).read_text())
-    cfg["solitons"] = {"mode": "explicit", "zeros": [[-0.6, 0.0]], "c": [[0.4, 0.0]]}
-    cfgp2 = Path(cfgp).parent / "c_left.json"
-    cfgp2.write_text(json.dumps(cfg))
-    res = run_cli("scatter", "--config", str(cfgp2), "--out", str(out))
+    # a left-moving soliton entry in solitons.json must leave the sweep bitwise unchanged
+    sol_path = out / "solitons.json"
+    sol_text = sol_path.read_text()
+    sol_path.write_text(json.dumps({"zeros": [[-0.6, 0.0]], "c": [[0.4, 0.0]], "d": [None]}))
+    res = run_cli("asym", "--config", str(cfgp), "--out", str(out))
+    sol_path.write_text(sol_text)
     assert res.returncode == 0, res.stderr
-    res = run_cli("asym", "--config", str(cfgp2), "--out", str(out))
-    assert res.returncode == 0
     assert (out / "asymptotics.csv").read_bytes() == first
 
 
