@@ -129,6 +129,14 @@ def _reject_unknown(names, known) -> None:
             raise ConfigError(f"unknown config field {name!r}")
 
 
+def _odd_grid(name: str, n: int) -> None:
+    """ConfigError naming ``name`` if the grid size n is even: every x grid
+    spans [-L, L] with an even number of intervals, as the march's RK4 steps
+    take the odd-index points as midpoints."""
+    if n % 2 == 0:
+        raise ConfigError(f"{name} must be odd: {n}")
+
+
 def _block(raw: dict, name: str, default: dict) -> dict:
     """The object ``raw[name]`` (or ``default``); ConfigError naming it otherwise."""
     val = raw.get(name, default)
@@ -181,6 +189,8 @@ class RunConfig:
                      _field({f"initial_data.{key}": val}, f"initial_data.{key}", None,
                             int if key == "n" else float)
                      for key, val in idata.items()}
+            if "n" in idata:
+                _odd_grid("initial_data.n", idata["n"])
         window = _field(raw, "zeta_window", cls.zeta_window, float, many=True)
         lo_edge = 1.0 / 3.0**0.5
         if len(window) != 2 or not (lo_edge < window[0] < window[1] < 1.0):
@@ -213,6 +223,7 @@ class RunConfig:
         for k, lo, hi in (("L", 0.0, math.inf), ("n", 2, math.inf), ("cutoff", 0.0, 1.0)):
             if not lo < pde[k] < hi:
                 raise ConfigError(f"pde.{k} must lie in ({lo}, {hi}): {pde[k]!r}")
+        _odd_grid("pde.n", pde["n"])
         try:
             for t in t_values:
                 whole_steps(t, pde["dt"])

@@ -89,10 +89,10 @@ class InitialData:
 
 
 def _grid(L: float, n: int) -> np.ndarray:
-    if n % 2 == 0:
-        n += 1
     if n < 3:
         raise ValueError(f"n = {n}: the x grid needs at least 3 points")
+    if n % 2 == 0:
+        raise ValueError(f"n = {n}: the x grid needs an odd number of points")
     return np.linspace(-L, L, n)
 
 
@@ -135,9 +135,11 @@ def band_limit_mask(xi) -> np.ndarray:
     """Spectral taper: indicator(|xi| <= edge) mollified by a Gaussian of width
     sigma, with edge = 0.60 and sigma = 0.054.
 
-    The Gaussian edges make both the stopband leakage (beyond edge + ~5 sigma)
-    and the spatial tails of the filtered data (envelope e^{-sigma^2 x^2 / 2})
-    drop below 1e-12 for desk-scale grids.
+    The Gaussian edges make the stopband leakage (beyond edge + ~5 sigma) and
+    the spatial tails of the filtered data (envelope e^{-sigma^2 x^2 / 2})
+    decay fast, but the tails fall below 1e-12 only at about L = 120: for
+    gaussian_bandlimited of amplitude 0.01 and width 2, tail_max() is 1.3e-6
+    at L = 60 and 7.2e-14 at L = 120.
     """
     from math import erf
 
@@ -237,26 +239,36 @@ _WHICH = {
 ON_CIRCLE = 1e-12  # a batch with every ||k| - 1| <= ON_CIRCLE takes the matmul step
 
 
-def march_volterra(data: InitialData, k, which: str = "X", cols=None):
-    """March the Volterra solution `which` from +L across the grid with batched RK4.
+def march_batch(data: InitialData, questions) -> list:
+    """March every question ``(k, which, cols)`` from +L across the grid with RK4:
+    the Volterra solution ``which`` at the points k, on the columns ``cols``.
 
-    Columns decouple, so ``cols`` restricts the march to a subset (avoids the
-    exponential growth of unwanted columns at spectral points far from the
-    unit circle).  Returns the terminal matrices X(-L), shape (nk, 3, len(cols)).
+    Columns decouple, so a question restricts its march to the columns it needs
+    (avoids the exponential growth of unwanted columns at spectral points far
+    from the unit circle).  Returns the terminal matrices X(-L) of each
+    question, shape (nk, 3, len(cols)), each bit for bit as if marched alone.
 
-    The step follows from k alone.  A batch on the unit circle, where the
-    reflection data are sampled, takes the matmul step and keeps its bits:
-    A2 loses about seven digits to cancellation, so a last-bit change there
-    moves it by about 1e-5.  Any other batch takes the rank-one step, which
-    is faster; both run the same RK4 stages on the same grid.
+    The step follows from k alone.  If every k lies on the unit circle, where
+    the reflection data are sampled, each question takes the matmul step in a
+    march of its own and keeps its bits: A2 loses about seven digits to
+    cancellation, so a last-bit change there moves it by about 1e-5.  Any other
+    batch is one march of the rank-one step over the lanes of all its
+    questions, which is faster; both run the same RK4 stages on the same grid.
     """
-    if which not in _WHICH:
-        raise ValueError(f"unknown Volterra system {which!r}")
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    cols = tuple(range(3)) if cols is None else tuple(cols)
-    on_circle = np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE)
-    step = _march_matmul if on_circle else _march_rank_one
-    return step(data, k, which, cols)
+    qs = []
+    for k, which, cols in questions:
+        if which not in _WHICH:
+            raise ValueError(f"unknown Volterra system {which!r}")
+        qs.append((np.atleast_1d(np.asarray(k, dtype=complex)), which, tuple(cols)))
+    if all(np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE) for k, _, _ in qs):
+        return [_march_matmul(data, *q) for q in qs]
+    return _march_lanes(data, qs)
+
+
+def march_volterra(data: InitialData, k, which: str = "X", cols=None):
+    """The one-question march_batch: X(-L) of ``which`` at k on the columns
+    ``cols`` (all three by default), shape (nk, 3, len(cols))."""
+    return march_batch(data, [(k, which, range(3) if cols is None else cols)])[0]
 
 
 PACK = 4  # systems per block-diagonal product in the matmul step
@@ -334,49 +346,92 @@ def _march_matmul(data, k, which, cols):
     return Xk
 
 
-def _march_rank_one(data, k, which, cols):
-    """RK4 on k-last arrays (3, ncol, nk) with the rank-one potential U = a (x) g;
-    returns like _march_matmul.
+BLOCK_BYTES = 2**18  # the lane step's potential weights, built a block of grid points ahead
+
+
+def _march_lanes(data, questions):
+    """RK4 with the rank-one potential U = a (x) g on lanes, one column of one
+    system at one k each, stored lane-last as (3, nlane); returns X(-L) of each
+    question like _march_matmul.
 
     M1 = a (x) 1 and M2 = a (x) l with a = P^-1[:, 2], so U = a (x) g where
-    g = w31 + w32 l.  Then F = D X + a (g . X) for X, and F = D X - g (a . X)
-    for the transposed, negated system XA, with D = sign (l_i - l_c).  The
-    stages carry h/2 F (h the step), so D and a are scaled once, not per stage.
+    g = w31 + w32 l.  Then F = D Y + p (q . Y) with D = sign (l_i - l_c), and
+    (p, q) = (a, g) for X and (-g, a) for the transposed, negated system XA.
+    Every operation acts on each lane alone, so a lane gets the bits of its
+    question marched alone; negating g is exact.  The stages carry h/2 F (h the
+    step), so D and a are scaled once, not per stage.  p and q are built for a
+    block of grid points at a time, into buffers made once (new arrays of that
+    size would each pay their page faults), as many points as BLOCK_BYTES
+    allows for the lane count; a batch without XA lanes builds g alone.  The
+    stages run on fixed buffers, in the order of the allocating form
+    X + (K1 + K4 + 2 (K2 + K3)) / 3, so no step allocates and every entry
+    keeps that form's bits.
     """
-    sign, transpose = _WHICH[which]
-    l, P = _vandermonde(k)
-    l3 = l[:, None, :]
+    klane = np.concatenate([k for k, _, cols in questions for _ in cols])
+    col = np.concatenate([np.full(len(k), c) for k, _, cols in questions for c in cols])
+    xa = np.concatenate([np.full(len(k) * len(cols), which == "XA")
+                         for k, which, cols in questions])
+    nlane = len(klane)
+    l, P = _vandermonde(klane)
     half = -data.h  # half of the step -2h
-    a = half * np.linalg.inv(P)[:, :, 2].T[:, None, :]  # (3, 1, nk)
-    D = half * sign * (l3 - l[list(cols)][None])  # (3, ncol, nk)
-    w31, w32 = potential_weights(data)
-    X = np.zeros((3, len(cols), k.shape[0]), dtype=complex)
-    X[list(cols), range(len(cols))] = 1.0
+    a = half * np.linalg.inv(P)[:, :, 2].T  # (3, nlane)
+    D = half * np.where(xa, -1.0, 1.0) * (l - l[col, range(nlane)])
+    w31, w32 = (w[::-1] for w in potential_weights(data))  # in marching order
+    X = np.zeros((3, nlane), dtype=complex)
+    X[col, range(nlane)] = 1.0
+    mixed = bool(xa.any())
+    nsteps = (len(data.x) - 1) // 2
+    # a step takes two grid points of (3, nlane) complex values per buffer
+    block = max(1, BLOCK_BYTES // (2 * 48 * nlane * (2 if mixed else 1)))
+    qbuf = np.empty((2 * min(block, nsteps) + 1, 3, nlane), dtype=complex)
+    pbuf = np.empty_like(qbuf) if mixed else np.broadcast_to(a, qbuf.shape)
 
-    if transpose:
-        def F(g, Y):
-            return D * Y - g * (a * Y).sum(0)
-    else:
-        def F(g, Y):
-            return D * Y + a * (g * Y).sum(0)
+    def weights(rows):  # p and q at the grid points rows, written into the buffers
+        m = rows.stop - rows.start
+        g = np.add(w31[rows, None, None],
+                   np.multiply(w32[rows, None, None], l, out=qbuf[:m]), out=qbuf[:m])
+        if mixed:
+            np.copyto(pbuf[:m], a, where=~xa)
+            np.negative(g, out=pbuf[:m], where=xa)
+            np.copyto(g, a, where=xa)
+        return pbuf[:m], g
 
-    n = len(data.x)
-    gend = w31[n - 1] + w32[n - 1] * l3
-    for i in range(n - 1, 0, -2):
-        g1, gmid, gend = gend, w31[i - 1] + w32[i - 1] * l3, w31[i - 2] + w32[i - 2] * l3
-        K1 = F(g1, X)
-        K2 = F(gmid, X + K1)
-        K3 = F(gmid, X + K2)
-        K4 = F(gend, X + 2 * K3)
-        X = X + (K1 + K4 + 2 * (K2 + K3)) / 3
-    return X.transpose(2, 0, 1)
+    K1, K2, K3, K4, Y, T = (np.empty_like(X) for _ in range(6))
+    T0, T1, T2 = T
+    qY = np.empty(nlane, dtype=complex)
+
+    def F(p, q, Yc, out):  # out = D Yc + p (q . Yc), the sum over rows in order
+        np.multiply(q, Yc, out=T)
+        np.add(np.add(T0, T1, out=qY), T2, out=qY)
+        return np.add(np.multiply(D, Yc, out=out), np.multiply(p, qY, out=T), out=out)
+
+    for s0 in range(0, nsteps, block):
+        p, q = weights(slice(2 * s0, 2 * min(s0 + block, nsteps) + 1))
+        for j in range(0, len(q) - 1, 2):
+            F(p[j], q[j], X, K1)
+            F(p[j + 1], q[j + 1], np.add(X, K1, out=Y), K2)
+            F(p[j + 1], q[j + 1], np.add(X, K2, out=Y), K3)
+            F(p[j + 2], q[j + 2], np.add(X, np.multiply(2, K3, out=Y), out=Y), K4)
+            np.multiply(2, np.add(K2, K3, out=K2), out=K2)
+            np.add(np.add(K1, K4, out=K1), K2, out=K1)  # (K1 + K4) + 2 (K2 + K3)
+            np.add(X, np.divide(K1, 3, out=K1), out=X)
+    out, start = [], 0
+    for k, _, cols in questions:
+        stop = start + len(k) * len(cols)
+        out.append(X[:, start:stop].reshape(3, len(cols), len(k)).transpose(2, 0, 1))
+        start = stop
+    return out
 
 
 def scattering_columns(data: InitialData, k, which: str, cols=(0, 1, 2)) -> np.ndarray:
     """Terminal-value formula on the columns ``cols``: s = e^{L ad(diag l)} X(-L)
     for ``which`` = "X", s^A = e^{-L ad(diag l)} X^A(-L) for "XA"; (nk, 3, len(cols))."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X = march_volterra(data, k, which, cols=cols)
+    return _terminal_values(data, k, which, cols, march_volterra(data, k, which, cols=cols))
+
+
+def _terminal_values(data, k, which, cols, X):
+    """scattering_columns from the march result X of the question (k, which, cols)."""
     l = phase_values(k).l.T  # (nk, 3)
     ediff = l[:, :, None] - l[:, None, list(cols)]
     return np.exp(_WHICH[which][0] * data.L * ediff) * X
@@ -395,7 +450,11 @@ def reflection_ratio(data: InitialData, k, which: str):
     (1,2) entry (s11 = X11 exactly), so the possibly exploding third column and
     the phases of the row-3 entries never enter."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X = march_volterra(data, k, which, cols=(0, 1))
+    return _ratio_values(data, k, which, march_volterra(data, k, which, cols=(0, 1)))
+
+
+def _ratio_values(data, k, which, X):
+    """reflection_ratio from the march result X of the question (k, which, (0, 1))."""
     l = phase_values(k).l.T  # (nk, 3)
     phase12 = np.exp(_WHICH[which][0] * data.L * (l[:, 0] - l[:, 1]))
     s11 = X[:, 0, 0]
@@ -652,9 +711,10 @@ def search_contours():
 def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
     """Zeros of s11 in the admissible region, real and nonreal, by contour moments
     inside each of search_contours().  s11 on both contours comes from one march,
-    then one per Newton step and check.  A zero within 1e-9 of the real axis is
-    real; one in the strip between a contour's lower ray and the real edge is not
-    admissible and is dropped."""
+    then one per Newton step.  A zero within 1e-9 of the real axis is real; one
+    in the strip between a contour's lower ray and the real edge is not
+    admissible and is dropped.  residue_constants checks |s11| at each zero
+    against tol.zero_residual, from the march it makes there anyway."""
     if data.is_zero:
         return []
     s11 = partial(s11_values, data)
@@ -666,9 +726,6 @@ def find_s11_zeros(data: InitialData, tol: Tolerances = Tolerances()) -> list:
             if abs(z.imag) < 1e-9:
                 z = complex(z.real, 0.0)
             if _in_admissible_region(z) and all(abs(z - y) > 1e-6 for y in cleaned):
-                resid = abs(s11(z)[0])
-                if resid > tol.zero_residual:
-                    raise RuntimeError(f"zero candidate {z} has residual {resid:.2e}")
                 cleaned.append(z)
     return cleaned
 
@@ -685,14 +742,19 @@ def soliton_d(k0: complex, c: complex):
 
 
 def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) -> SolitonData:
-    """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real)."""
+    """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real).
+
+    RuntimeError if |s11| at a zero exceeds tol.zero_residual."""
     data.validate(tol.mass_condition, tol.tail)
     cs, ds, kept = [], [], []
     for k0 in zeros:
         k0 = complex(k0)
-        # s11 at k0 +- dk for s11', and s12 (real k0) or s13 at k0, from one march
+        # s11 at k0 and at k0 +- dk for s11', and s12 (real k0) or s13 at k0, from one march
         pts, dk = _central_points(k0)
         s = scattering_columns(data, pts, "X", cols=(0, 1 if is_real(k0) else 2))
+        resid = abs(s[0, 0, 0])
+        if resid > tol.zero_residual:
+            raise RuntimeError(f"zero candidate {k0} has residual {resid:.2e}")
         dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
         if abs(dek) < 1e-10:
             raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
@@ -736,18 +798,24 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
         report["ok"] = True
         return report
 
+    # one march: r1 on the segment (0, i), then X and XA at the genericity probes
+    segment = 1j * np.linspace(0.06, 0.985, 40)
+    at = [(kstar, rad) for kstar in (1.0, -1.0) for rad in (1e-2, 5e-3)]
+    kprobes = np.array([kstar + rad * np.exp(1j * np.pi / 3) for kstar, rad in at])
+    cols = (0, 1, 2)
+    Xseg, Xprobe, XAprobe = march_batch(data, [(segment, "X", (0, 1)), (kprobes, "X", cols),
+                                               (kprobes, "XA", cols)])
+
     # (iii) r1 on the segment (0, i)
-    ys = np.linspace(0.06, 0.985, 40)
-    r1seg = reflection_ratio(data, 1j * ys, "X")[0]
+    r1seg = _ratio_values(data, segment, "X", Xseg)[0]
     sup = float(np.nanmax(np.abs(r1seg)))
     report["no_high_frequency"] = {"sup_r1_segment": sup,
                                    "ok": bool(sup <= tol.r1_segment),
                                    "tol": tol.r1_segment}
 
     # (ii) generic behavior near k = +-1: scaled entries have finite nonzero limits
-    at = [(kstar, rad) for kstar in (1.0, -1.0) for rad in (1e-2, 5e-3)]
-    kprobes = np.array([kstar + rad * np.exp(1j * np.pi / 3) for kstar, rad in at])
-    s_all, sA_all = (scattering_columns(data, kprobes, which) for which in ("X", "XA"))
+    s_all = _terminal_values(data, kprobes, "X", cols, Xprobe)
+    sA_all = _terminal_values(data, kprobes, "XA", cols, XAprobe)
     probes = {}
     for (kstar, rad), kprobe, s, sA in zip(at, kprobes, s_all, sA_all):
         dk = kprobe - kstar

@@ -79,6 +79,30 @@ def test_missing_csv_names_field(tmp_path):
     assert res.returncode == 2 and "initial_data.csv" in res.stderr
 
 
+def test_even_initial_data_n_exits_2(tmp_path, capsys):
+    """An even grid size is a config error naming the field, before any work:
+    the grid is not rounded up to n + 1."""
+    out = tmp_path / "out"
+    for form in ({"form": "zero", "L": 20.0, "n": 512},
+                 {"form": "gaussian", "amplitude": 0.1, "width": 2.0, "n": 4096.0}):
+        cfgp = write_config(tmp_path / "c.json", initial_data=form)
+        for stage in ("scatter", "evolve"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(out)]) == 2
+            assert "initial_data.n must be odd" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="odd number"):
+        sc.zero_data(L=20.0, n=512)
+
+
+def test_even_pde_n_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path / "c.json", pde={"n": 8192})
+    for stage in ("scatter", "evolve"):
+        assert cli.main([stage, "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "pde.n must be odd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
     before = dict(os.environ)
     loose = RunConfig.load(write_config(tmp_path / "loose.json",
@@ -174,7 +198,7 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
 
 
 def test_pde_grid_too_coarse_for_filter_exits_2(tmp_path):
-    cfgp = write_config(tmp_path / "c.json", pde={"L": 760, "n": 300})
+    cfgp = write_config(tmp_path / "c.json", pde={"L": 760, "n": 301})
     res = run_cli("evolve", "--config", str(cfgp), "--out", str(tmp_path / "out"))
     assert res.returncode == 2, res.stderr
     assert all(name in res.stderr for name in ("pde.n", "pde.L", "pde.cutoff"))

@@ -1,10 +1,13 @@
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from bqist import cli
 from bqist import scattering as sc
+from bqist.config import RunConfig, Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
 from bqist.util import ChebPanel
 
@@ -226,10 +229,29 @@ def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
         for which, cols, families in questions:
             k = np.concatenate(families)
             ref = sc._march_matmul(d, k, which, cols)
-            fast = sc._march_rank_one(d, k, which, cols)
+            fast = sc.march_volterra(d, k, which, cols)  # off the circle: the rank-one step
             scale = np.max(np.abs(ref), axis=(0, 1))
             err = np.max(np.abs(fast - ref), axis=(0, 1))
             assert np.all(err <= 1e-9 * scale), (which, cols, err / scale)
+
+
+def test_batched_march_keeps_each_question_bits(data_small, soliton_data):
+    """Each question of one mixed X/XA batch equals that question marched alone,
+    bit for bit: every column set, on the off-circle k that scatter marches."""
+    rims = np.concatenate([k[::16] for k, _ in sc.search_contours()])
+    segment = 1j * np.linspace(0.06, 0.985, 40)
+    probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
+                       for r in (1e-2, 5e-3)])
+    newton = sc._central_points(2.13)[0]
+    questions = [(rims, "X", (0,)), (segment, "X", (0, 1)), (probes, "X", (0, 1, 2)),
+                 (probes, "XA", (0, 1, 2)), (newton, "X", (0, 1)), (newton, "XA", (0,)),
+                 (probes, "XA", (0, 1))]
+    for d in (data_small, soliton_data):
+        batch = sc.march_batch(d, questions)
+        assert len(batch) == len(questions)
+        for (k, which, cols), X in zip(questions, batch):
+            assert X.shape == (len(k), 3, len(cols))
+            assert np.array_equal(X, sc.march_volterra(d, k, which, cols)), (which, cols)
 
 
 def test_grid_refinement_stable():
@@ -437,25 +459,32 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
 
 
 def counted_marches(monkeypatch):
-    """List that gains one entry per sc.march_volterra call from now on."""
+    """List that gains one entry per march from now on, of the matmul step or
+    of the lane step (march_volterra and march_batch reach both): the systems
+    of the questions it marches."""
     calls = []
-    march = sc.march_volterra
+    matmul, lanes = sc._march_matmul, sc._march_lanes
 
-    def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("which", "X"))
-        return march(*args, **kwargs)
+    def counting_matmul(data, k, which, cols):
+        calls.append((which,))
+        return matmul(data, k, which, cols)
 
-    monkeypatch.setattr(sc, "march_volterra", counting)
+    def counting_lanes(data, questions):
+        calls.append(tuple(which for _, which, _ in questions))
+        return lanes(data, questions)
+
+    monkeypatch.setattr(sc, "_march_matmul", counting_matmul)
+    monkeypatch.setattr(sc, "_march_lanes", counting_lanes)
     return calls
 
 
 def test_zero_search_marches(soliton_data, soliton_zeros, monkeypatch):
-    # one march for both sector contours, one per Newton step and one residual
-    # check per zero
+    # one march for both sector contours and one per Newton step; the residual
+    # at the zero is residue_constants' check
     calls = counted_marches(monkeypatch)
     zeros = sc.find_s11_zeros(soliton_data)
     assert zeros == soliton_zeros
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_zero_search_stays_in_admissible_region(data_small, monkeypatch):
@@ -466,17 +495,41 @@ def test_zero_search_stays_in_admissible_region(data_small, monkeypatch):
 
 
 def test_residue_constants_march_once_per_zero(soliton_data, soliton_zeros, monkeypatch):
-    # s11 at k0 +- dk and s12 at k0 from one march
+    # s11 at k0 and k0 +- dk and s12 at k0 from one march
     calls = counted_marches(monkeypatch)
     sc.residue_constants(soliton_data, soliton_zeros)
-    assert calls == ["X"] * len(soliton_zeros)
+    assert calls == [("X",)] * len(soliton_zeros)
+
+
+def test_residue_constants_checks_the_residual(soliton_data, soliton_zeros):
+    """|s11| at a zero above tol.zero_residual is a numerical failure."""
+    with pytest.raises(RuntimeError, match="has residual"):
+        sc.residue_constants(soliton_data, [soliton_zeros[0] + 1e-5])
+    loose = Tolerances(zero_residual=1.0)
+    assert len(sc.residue_constants(soliton_data, [soliton_zeros[0] + 1e-5], loose).c) == 1
 
 
 def test_validators_march_once_per_question(data_small, monkeypatch):
-    # the segment (0, i), then X and XA at the four genericity probes
+    # one march: the segment (0, i), then X and XA at the four genericity probes
     calls = counted_marches(monkeypatch)
     sc.assumption_validators(data_small)
-    assert calls == ["X", "X", "XA"]
+    assert calls == [("X", "X", "XA")]
+
+
+def test_scatter_marches(soliton_data, tmp_path, monkeypatch):
+    """The whole scatter stage on criterion-8 data, as CSV input with zero
+    detection: X and XA on the circle, the contours, two Newton steps, the
+    residues and the validators."""
+    np.savetxt(tmp_path / "soliton.csv",
+               np.column_stack([soliton_data.x, soliton_data.u0, soliton_data.u1]),
+               fmt="%.17g", delimiter=",", header="x,u0,u1", comments="")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"initial_data": {"csv": "soliton.csv"}, "solitons": {"mode": "detect"}}))
+    cfg = RunConfig.load(tmp_path / "run.json", out_dir=tmp_path / "out")
+    calls = counted_marches(monkeypatch)
+    assert cli.cmd_scatter(cfg) == 0
+    assert calls == [("X",), ("XA",)] + [("X",)] * 4 + [("X", "X", "XA")]
+    assert len(json.loads((tmp_path / "out" / "solitons.json").read_text())["zeros"]) == 1
 
 
 def test_validators_band_limited_passes(data_small):
