@@ -67,7 +67,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER,
                zip(*(c.tolist() for c in columns)))
 
-    zeros = sc.find_s11_zeros(data, tol=cfg.tol) if cfg.solitons["mode"] == "detect" else []
+    zeros = sc.find_s11_zeros(data) if cfg.solitons["mode"] == "detect" else []
     sol = sc.residue_constants(data, zeros, tol=cfg.tol) if zeros else sc.SolitonData([], [], [])
     sol_payload = {
         "zeros": [_c2pair(z) for z in sol.zeros],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,32 +35,50 @@ class Tolerances:
     zero_residual: float = 1e-8    # |s11| at an accepted zero
     nu_hat_floor: float = -1e-10   # admissible negativity of nu-hat
 
-    @classmethod
-    def resolve(cls, overrides: dict) -> "Tolerances":
-        """The defaults, with the config's ``overrides`` in their place."""
-        for name, val in overrides.items():
-            if name not in TOLERANCES:
-                raise ConfigError(f"unknown tolerance override {name!r}")
-            if not is_number(val) or (val <= 0 and name != "nu_hat_floor"):
-                need = "a number" if name == "nu_hat_floor" else "a positive number"
-                raise ConfigError(f"tolerance {name!r} must be {need} {_NUMBER_RULE}: {val!r}")
-        return cls(**{name: float(val) for name, val in overrides.items()})
-
 
 #: documented tolerance names and defaults; the config's "tolerances" override them
 TOLERANCES = asdict(Tolerances())
 
+#: every field of a config file but initial_data, with its default (the README
+#: example's).  Its kind is its default's: an int is a count (56.0 is taken), a
+#: float a number, a tuple a list of numbers, a str a name, a dict a block.
+DEFAULTS = {
+    "n_per_arc": 56,
+    "zeta_window": (0.62, 0.95),
+    "n_zeta": 60,
+    "t_values": (60.0, 120.0, 240.0),
+    "solitons": {"mode": "none"},
+    "pde": {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9},  # evolve's grid, step, filter
+    "tolerances": TOLERANCES,
+}
+
+_KINDS = {int: f"a whole number {_NUMBER_RULE}", float: f"a number {_NUMBER_RULE}",
+          tuple: f"a list of numbers {_NUMBER_RULE}", str: "a string"}
+
+# a grid's size: the march's RK4 steps take the odd-index points as midpoints
+_ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
+
+#: dotted field name -> (what its value must be, test of the value as its kind);
+#: pde.dt must divide every t, which RunConfig.load checks
+RULES = {
+    "zeta_window": ("two increasing values inside (1/sqrt(3), 1)",
+                    lambda w: len(w) == 2 and 1.0 / 3.0**0.5 < w[0] < w[1] < 1.0),
+    "t_values": ("a nonempty, strictly increasing list, all >= 2",
+                 lambda t: len(t) > 0 and t[0] >= 2 and all(a < b for a, b in zip(t, t[1:]))),
+    "n_per_arc": ("at least 8", lambda n: n >= 8),
+    "n_zeta": ("at least 1", lambda n: n >= 1),
+    "solitons.mode": ("none or detect", lambda mode: mode in ("none", "detect")),
+    "pde.L": ("positive", lambda L: L > 0),
+    "pde.n": _ODD_COUNT,
+    "pde.cutoff": ("in (0, 1)", lambda c: 0 < c < 1),
+    "initial_data.n": _ODD_COUNT,
+    **{f"tolerances.{name}": ("positive", lambda v: v > 0)
+       for name in TOLERANCES if name != "nu_hat_floor"},
+}
+
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
-
-
-#: the top-level fields of a config file
-CONFIG_FIELDS = ("initial_data", "n_per_arc", "zeta_window", "n_zeta", "t_values",
-                 "solitons", "pde", "tolerances")
-
-#: evolve-stage defaults: periodic half-width L, grid points n, step dt, filter cutoff
-PDE_DEFAULTS = {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9}
 
 
 def read_columns(path, names) -> dict:
@@ -91,21 +109,6 @@ def whole_steps(T: float, dt: float) -> int:
     return nsteps
 
 
-def _field(raw: dict, name: str, default, kind, many: bool = False):
-    """``raw[name]`` (or ``default``) as ``kind``, element-wise if ``many``; each
-    value must be a number (is_number), and an int field's equal to its int():
-    56 and 56.0, not 2.9."""
-    val = raw.get(name, default)
-    vals = val if many else [val]
-    if not (isinstance(vals, (list, tuple))
-            and all(is_number(v) and (kind is float or v == int(v)) for v in vals)):
-        what = "whole number" if kind is int else "number"
-        expected = f"a list of {what}s" if many else f"a {what}"
-        raise ConfigError(f"{name} must be {expected} {_NUMBER_RULE}: {val!r}")
-    out = tuple(kind(v) for v in vals)
-    return out if many else out[0]
-
-
 def number_pairs(items, name: str, nullable: bool = False) -> list:
     """``items``, a list of [re, im] pairs of numbers (is_number), as complex
     numbers (None kept where ``nullable``); ConfigError naming ``name`` otherwise."""
@@ -122,40 +125,52 @@ def number_pairs(items, name: str, nullable: bool = False) -> list:
     return out
 
 
-def _reject_unknown(names, known) -> None:
-    """ConfigError naming the first of ``names`` that is not in ``known``."""
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown config field {name!r}")
+def _value(name: str, val, kind):
+    """The config's ``val`` of the field ``name`` as ``kind`` (see DEFAULTS), checked
+    against RULES[name]; ConfigError naming the field otherwise.  Numbers follow
+    is_number, and a count is equal to its int(): 56 and 56.0, not 2.9."""
+    if kind is str:
+        ok = isinstance(val, str)
+    else:
+        vals = val if kind is tuple else [val]
+        ok = isinstance(vals, (list, tuple)) and all(
+            is_number(v) and (kind is not int or v == int(v)) for v in vals)
+    what = _KINDS[kind]
+    if ok:
+        out = tuple(map(float, val)) if kind is tuple else kind(val)
+        what, test = RULES.get(name, (what, None))
+        if test is None or test(out):
+            return out
+    raise ConfigError(f"{name} must be {what}, not {name.split('.')[-1]} = {val!r}")
 
 
-def _odd_grid(name: str, n: int) -> None:
-    """ConfigError naming ``name`` if the grid size n is even: every x grid
-    spans [-L, L] with an even number of intervals, as the march's RK4 steps
-    take the odd-index points as midpoints."""
-    if n % 2 == 0:
-        raise ConfigError(f"{name} must be odd: {n}")
-
-
-def _block(raw: dict, name: str, default: dict) -> dict:
-    """The object ``raw[name]`` (or ``default``); ConfigError naming it otherwise."""
-    val = raw.get(name, default)
-    if not isinstance(val, dict):
-        raise ConfigError(f"{name} must be an object: {val!r}")
-    return val
+def _resolve(raw, defaults: dict, prefix: str = "") -> dict:
+    """The block ``raw`` of a config, walked once against ``defaults``: it must be
+    an object, each field of ``defaults`` is taken from it (or its default) by
+    _value, a block by this walk, and a name that ``defaults`` lacks is an error."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix[:-1]} must be an object: {raw!r}")
+    out = {key: _resolve(raw.get(key, default), default, f"{prefix}{key}.")
+             if isinstance(default, dict) else
+             _value(prefix + key, raw.get(key, default), type(default))
+           for key, default in defaults.items()}
+    for key in raw:
+        if key not in defaults:
+            raise ConfigError(f"unknown config field {prefix + key!r}")
+    return out
 
 
 @dataclass
 class RunConfig:
     initial_data: dict
     out_dir: Path
-    n_per_arc: int = 56
-    zeta_window: tuple = (0.62, 0.95)
-    n_zeta: int = 60
-    t_values: tuple = (60.0, 120.0, 240.0)
-    solitons: dict = field(default_factory=lambda: {"mode": "none"})
-    pde: dict = field(default_factory=lambda: dict(PDE_DEFAULTS))
-    tol: Tolerances = field(default_factory=Tolerances)
+    n_per_arc: int
+    zeta_window: tuple
+    n_zeta: int
+    t_values: tuple
+    solitons: dict
+    pde: dict
+    tol: Tolerances
 
     @classmethod
     def load(cls, path, out_dir=None) -> "RunConfig":
@@ -170,69 +185,34 @@ class RunConfig:
             raise ConfigError(f"config must be a JSON object of fields: {raw!r}")
         if "initial_data" not in raw:
             raise ConfigError("config missing required field 'initial_data'")
-        _reject_unknown(raw, CONFIG_FIELDS)
-        idata = _block(raw, "initial_data", {})
+        idata = raw["initial_data"]
+        if not isinstance(idata, dict):
+            raise ConfigError(f"initial_data must be an object: {idata!r}")
         if "csv" in idata:
-            _reject_unknown([f"initial_data.{k}" for k in idata], ["initial_data.csv"])
-            if not isinstance(idata["csv"], str):
-                raise ConfigError(f"initial_data.csv must be a file path: {idata['csv']!r}")
-            csv_path = Path(idata["csv"])
+            csv_path = Path(_resolve(idata, {"csv": ""}, "initial_data.")["csv"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path
             if not csv_path.exists():
                 raise ConfigError(f"initial_data.csv file not found: {csv_path}")
-            idata = dict(idata, csv=str(csv_path))
+            idata = {"csv": str(csv_path)}
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
-        else:  # numbers, keyed by their dotted names for the errors; the grid size n a count
+        else:  # the form's parameters are numbers, its grid size n a count
             idata = {key: val if key in ("form", "u1_mode") else
-                     _field({f"initial_data.{key}": val}, f"initial_data.{key}", None,
-                            int if key == "n" else float)
+                     _value(f"initial_data.{key}", val, int if key == "n" else float)
                      for key, val in idata.items()}
-            if "n" in idata:
-                _odd_grid("initial_data.n", idata["n"])
-        window = _field(raw, "zeta_window", cls.zeta_window, float, many=True)
-        lo_edge = 1.0 / 3.0**0.5
-        if len(window) != 2 or not (lo_edge < window[0] < window[1] < 1.0):
-            raise ConfigError(f"zeta_window must be two increasing values inside "
-                              f"(1/sqrt(3), 1): {window}")
-        t_values = _field(raw, "t_values", cls.t_values, float, many=True)
-        if not (t_values and t_values[0] >= 2
-                and all(a < b for a, b in zip(t_values, t_values[1:]))):
-            raise ConfigError(f"t_values must be a nonempty, strictly increasing list, "
-                              f"all >= 2: {list(t_values)}")
-        sol = _block(raw, "solitons", {"mode": "none"})
-        if sol.get("mode") not in ("none", "detect"):
-            raise ConfigError(f"solitons.mode must be none|detect: {sol.get('mode')!r}")
-        _reject_unknown([f"solitons.{k}" for k in sol], ["solitons.mode"])
-        n_per_arc = _field(raw, "n_per_arc", cls.n_per_arc, int)
-        if n_per_arc < 8:
-            raise ConfigError("n_per_arc must be at least 8")
-        n_zeta = _field(raw, "n_zeta", cls.n_zeta, int)
-        if n_zeta < 1:
-            raise ConfigError("n_zeta must be at least 1")
-        # keyed by their dotted names so that a bad value is reported as pde.<key>
-        given = {f"pde.{k}": v for k, v in _block(raw, "pde", {}).items()}
-        _reject_unknown(given, [f"pde.{k}" for k in PDE_DEFAULTS])
-        for name in ("pde.L", "pde.n"):
-            if "csv" in idata and name in given:
-                raise ConfigError(f"{name} does not apply to a CSV run: "
+        fields = _resolve({k: v for k, v in raw.items() if k != "initial_data"}, DEFAULTS)
+        for key in ("L", "n"):
+            if "csv" in idata and key in raw.get("pde", {}):
+                raise ConfigError(f"pde.{key} does not apply to a CSV run: "
                                   "its PDE grid is the CSV grid")
-        pde = {k: _field(given, f"pde.{k}", v, type(v)) for k, v in PDE_DEFAULTS.items()}
-        # open intervals; dt is checked against t_values below
-        for k, lo, hi in (("L", 0.0, math.inf), ("n", 2, math.inf), ("cutoff", 0.0, 1.0)):
-            if not lo < pde[k] < hi:
-                raise ConfigError(f"pde.{k} must lie in ({lo}, {hi}): {pde[k]!r}")
-        _odd_grid("pde.n", pde["n"])
         try:
-            for t in t_values:
-                whole_steps(t, pde["dt"])
+            for t in fields["t_values"]:
+                whole_steps(t, fields["pde"]["dt"])
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
-        tol = Tolerances.resolve(_block(raw, "tolerances", {}))
-        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), n_per_arc=n_per_arc,
-                   zeta_window=window, n_zeta=n_zeta,
-                   t_values=t_values, solitons=sol, pde=pde, tol=tol)
+        tol = Tolerances(**fields.pop("tolerances"))
+        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), tol=tol, **fields)
 
     @property
     def zetas(self) -> np.ndarray:

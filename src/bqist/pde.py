@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PDE_DEFAULTS, ConfigError, whole_steps
+from .config import DEFAULTS, ConfigError, whole_steps
 from .scattering import InitialData, _grid
 
-DEFAULT_CUTOFF = PDE_DEFAULTS["cutoff"]
+DEFAULT_CUTOFF = DEFAULTS["pde"]["cutoff"]
 
 
 def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -> InitialData:

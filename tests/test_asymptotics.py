@@ -5,7 +5,7 @@ from model_problem import model_beta
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import scattering as sc
-from bqist.config import RunConfig
+from bqist.config import DEFAULTS
 from bqist.spectral import OMEGA, phi, saddle_points
 from bqist.util import graded_panels, panel_quad, refine_near
 
@@ -252,9 +252,9 @@ def test_asym_on_reflectionless_soliton_data(soliton_data, soliton_zeros):
     still gives finite ingredients and a finite leading term."""
     data = sc.from_arrays(soliton_data.x, soliton_data.u0, soliton_data.u1)
     cf = cy.CircleFunctions(sc.reflection_coefficients(data, n_per_arc=56))
-    for zeta in np.linspace(*RunConfig.zeta_window, RunConfig.n_zeta):
+    for zeta in np.linspace(*DEFAULTS["zeta_window"], DEFAULTS["n_zeta"]):
         ing = asy.build_ingredients(float(zeta), cf, solitons=soliton_zeros)
-        for t in RunConfig.t_values:
+        for t in DEFAULTS["t_values"]:
             ev = asy.u_asym(ing, t)
             assert np.all(np.isfinite([ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u]))
 

@@ -481,3 +481,15 @@ def test_pipeline_evolve_compare(small_run):
     res = run_cli("compare", "--config", str(cfgp2), "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "t = [120.0]" in res.stderr
+
+
+def test_scatter_mass_condition_exits_1_before_the_march(tmp_path, capsys):
+    """u1 with a nonzero integral fails the mass condition: scatter exits 1
+    naming it and writes no reflection.csv."""
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "massive.csv", x, np.zeros_like(x), 0.1 * np.exp(-x**2))
+    cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "massive.csv"})
+    out = tmp_path / "out"
+    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 1
+    assert "mass condition violated" in capsys.readouterr().err
+    assert not (out / "reflection.csv").exists()
