@@ -7,10 +7,10 @@ matrix A(xi) = [[0, i xi], [i xi (1 - xi^2), 0]] with eigenvalues
 +- i xi sqrt(1 - xi^2): oscillatory below |xi| = 1, exponentially unstable
 above.  A hard spectral filter at ``cutoff`` < 1 keeps the evolution inside
 the stable band; the grid Nyquist must be at least twice the cutoff so the
-quadratic term is alias-free before masking.  ``evolve`` therefore steps on
-the smallest grid that meets that rule (Orszag, J. Atmos. Sci. 28, 1971;
-Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11) and zero-pads
-back to the stored grid at each snapshot.
+quadratic term is alias-free before it is cut back to the band.  ``evolve``
+therefore steps on the smallest grid that meets that rule (Orszag, J. Atmos.
+Sci. 28, 1971; Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11)
+and zero-pads back to the stored grid at each snapshot.
 """
 
 from __future__ import annotations
@@ -114,12 +114,14 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     """Integrate to time T (possibly negative) with integrating-factor RK4.
 
     Returns snapshots at ``snapshot_times`` (default: [T]).  The initial data
-    is masked to the filtered band, the quadratic term is alias-free by the
-    Nyquist >= 2 * cutoff requirement, and the mask is re-applied every step.
-    The nonlinearity (u^2)_x enters the w equation only, so each RK stage
-    needs the u field of its stage value and nothing else.  The steps run on
-    the m-point grid of ``alias_free_size`` (its first m//2 + 1 modes), and
-    each snapshot is zero-padded back to the n-point grid of ``data``.
+    is cut to the filtered band |xi| <= cutoff, the quadratic term is
+    alias-free by the Nyquist >= 2 * cutoff requirement, and only the band's
+    modes are stepped: each stage's (u^2)_x is cut back to them.  The
+    nonlinearity enters the w equation only, so each RK stage needs the u
+    field of its stage value and nothing else.  The stage fields live on the
+    m-point grid of ``alias_free_size`` (irfft zero-pads the band to its
+    m//2 + 1 modes), and each snapshot is zero-padded back to the n-point
+    grid of ``data``.
     """
     x = data.x[:-1]
     n = len(x)
@@ -138,12 +140,11 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
 
     m = alias_free_size(n, nyq, cutoff)
     xi_n = 2 * np.pi * np.fft.rfftfreq(n, d=h)
-    xi = xi_n[:m // 2 + 1]
+    xi = xi_n[:np.count_nonzero(xi_n <= cutoff)]  # the band; irfft zero-pads the rest
     ixi = 1j * xi
-    mask = (np.abs(xi) <= cutoff).astype(float)
     # an m-point transform of the band is m/n times the n-point one
-    uh = np.fft.rfft(data.u0[:-1])[:m // 2 + 1] * mask * (m / n)
-    wh = np.fft.rfft(data.v0[:-1])[:m // 2 + 1] * mask * (m / n)
+    uh = np.fft.rfft(data.u0[:-1])[:len(xi)] * (m / n)
+    wh = np.fft.rfft(data.v0[:-1])[:len(xi)] * (m / n)
 
     def padded(a):
         out = np.zeros(len(xi_n), dtype=complex)
@@ -155,7 +156,7 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     ch, ah, _ = _propagator(xi, step / 2)  # the w stage values are never needed
 
     def nonlin(u):
-        return ixi * (np.fft.rfft(u * u) * mask)
+        return ixi * np.fft.rfft(u * u)[:len(xi)]
 
     def rk_step(uh_, wh_, u_):
         k1 = nonlin(u_)
@@ -168,7 +169,7 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         k23 = k2 + k3
         new_u = fu + (step / 6.0) * (af * k1 + 2 * (ah * k23))
         new_w = fw + (step / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
-        return new_u * mask, new_w * mask
+        return new_u, new_w
 
     out = []
     t = 0.0
@@ -182,7 +183,7 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         sup = np.max(np.abs(u_now))
         if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
             spec = np.abs(uh) * (n / m)
-            bands = [(float(b), float(np.max(spec[(np.abs(xi) >= b) & (np.abs(xi) < b + 0.1)])))
+            bands = [(float(b), float(np.max(spec[(xi >= b) & (xi < b + 0.1)], initial=0.0)))
                      for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
             raise BlowupError(t, bands)
         sup_prev = max(sup, 1e-30)

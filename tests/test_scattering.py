@@ -1,4 +1,5 @@
 import json
+import os
 from functools import partial
 
 import numpy as np
@@ -254,6 +255,60 @@ def test_batched_march_keeps_each_question_bits(data_small, soliton_data):
             assert np.array_equal(X, sc.march_volterra(d, k, which, cols)), (which, cols)
 
 
+def circle_questions():
+    """The two questions of reflection_coefficients, at a few of its nodes."""
+    k = np.exp(1j * np.array([0.3, 1.4, 2.5, 4.0]))
+    return [(k, "X", (0, 1)), (k, "XA", (0, 1))]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra):
+    """With two CPUs the X march runs in a forked child and XA here; both equal
+    the in-process march, and the child is reaped.  A third question joins the
+    child's run."""
+    k = circle_questions()[0][0]
+    questions = circle_questions() + [(k[:3], "X", (1,))] * extra
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
+    alone = sc.march_batch(data_small, questions)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sc.os, "fork", counting_fork)
+    batch = sc.march_batch(data_small, questions)
+    assert len(forks) == 1
+    assert len(batch) == len(questions)
+    for (k, _, cols), X, ref in zip(questions, batch, alone):
+        assert X.shape == (len(k), 3, len(cols)) and X.flags.writeable
+        assert np.array_equal(X, ref)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["X", "XA"])  # X fails in the child, XA here
+def test_circle_batch_raises_the_failing_march(data_small, monkeypatch, failing):
+    matmul = sc._march_matmul
+
+    def failing_matmul(data, k, which, cols):
+        if which == failing:
+            raise ArithmeticError(f"{which} march failed")
+        return matmul(data, k, which, cols)
+
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sc, "_march_matmul", failing_matmul)
+    with pytest.raises(ArithmeticError, match=f"^{failing} march failed$"):
+        sc.march_batch(data_small, circle_questions())
+    assert_no_child_left()
+
+
 def test_grid_refinement_stable():
     vals = []
     for n in (2049, 4097):
@@ -461,8 +516,10 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
 def counted_marches(monkeypatch):
     """List that gains one entry per march from now on, of the matmul step or
     of the lane step (march_volterra and march_batch reach both): the systems
-    of the questions it marches."""
+    of the questions it marches.  One CPU is pinned, so every march runs in
+    this process and is counted here."""
     calls = []
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
     matmul, lanes = sc._march_matmul, sc._march_lanes
 
     def counting_matmul(data, k, which, cols):
