@@ -255,10 +255,10 @@ def march_batch(data: InitialData, questions) -> list:
     The step follows from k alone.  If every k lies on the unit circle, where
     the reflection data are sampled, each question takes the matmul step in a
     march of its own and keeps its bits: A2 loses about seven digits to
-    cancellation, so a last-bit change there moves it by about 1e-5.  Those
-    marches run in parallel processes (_march_circle).  Any other batch is one
-    march of the rank-one step over the lanes of all its questions, which is
-    faster; both run the same RK4 stages on the same grid.
+    cancellation, so a last-bit change there moves it by about 1e-5.  Any other
+    batch is one march of the rank-one step over the lanes of all its
+    questions, which is faster; both run the same RK4 stages on the same grid.
+    Every march runs in this process.
     """
     qs = []
     for k, which, cols in questions:
@@ -266,7 +266,7 @@ def march_batch(data: InitialData, questions) -> list:
             raise ValueError(f"unknown Volterra system {which!r}")
         qs.append((np.atleast_1d(np.asarray(k, dtype=complex)), which, tuple(cols)))
     if all(np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE) for k, _, _ in qs):
-        return _march_circle(data, qs)
+        return [_march_matmul(data, *q) for q in qs]
     return _march_lanes(data, qs)
 
 
@@ -275,54 +275,16 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _march_circle(data, qs):
-    """One _march_matmul march per question.  A batch of several marches each
-    question as march_volterra, the one-question batch, so a wrapper of
-    march_volterra (perfbench's tracer) sees one call per question, in the
-    process that marches it.  The questions are dealt into one run per
-    process: each run but the last in a child made with os.fork, the last in
-    this process, at most _cpu_count() processes at once.
-
-    The same function runs on the same inputs, so every result keeps its bits.
-    One CPU, a non-Linux OS or a Python thread besides this one (fork is unsafe
-    then) marches the batch here.  Threads were slower: each march is a long
-    chain of microsecond BLAS calls, which contend in OpenBLAS.  A child's
-    exception is raised here again, and children still running when this
-    process fails are killed and reaped.
-    """
-    if len(qs) == 1:
-        return [_march_matmul(data, *qs[0])]
-    nproc = min(len(qs), _cpu_count()) if threading.active_count() == 1 else 1
-    if nproc < 2:
-        return [march_volterra(data, k, which, cols=cols) for k, which, cols in qs]
-    runs = [qs[j::nproc] for j in range(nproc)]
-    children, done = [], []
-    try:
-        for run in runs[:-1]:
-            children.append(_fork_march(data, run))
-        own = [march_volterra(data, k, which, cols=cols) for k, which, cols in runs[-1]]
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            pipe.close()
-            done.append(_child_results(payload, status, pid, runs[len(done)]))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    out = [None] * len(qs)
-    for j, results in enumerate(done + [own]):
-        out[j::nproc] = results
-    return out
-
-
-def _fork_march(data, run):
-    """Fork a child that marches the questions ``run`` and writes its results'
-    raw bytes, or its pickled exception, to a pipe; (pid, the pipe's read end).
-    The child always leaves by os._exit, 0 when it marched."""
+def _in_two_processes(first, second):
+    """(first(), second()): ``first`` in a forked child, which pickles its
+    result or exception into a pipe and always leaves by os._exit, and
+    ``second`` here.  A child's exception is raised here again; if
+    ``second`` raises, the child is killed and reaped.  With one CPU or a
+    second Python thread (fork is unsafe then) both run here, ``first`` first.
+    Threads were slower: each on-circle march is a long chain of microsecond
+    BLAS calls, which contend in OpenBLAS."""
+    if _cpu_count() < 2 or threading.active_count() > 1:
+        return first(), second()
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -330,9 +292,7 @@ def _fork_march(data, run):
         try:
             os.close(r)
             try:
-                payload = b"".join(march_volterra(data, k, which, cols=cols).tobytes()
-                                   for k, which, cols in run)
-                code = 0
+                payload, code = pickle.dumps(first()), 0
             except BaseException as exc:
                 payload = pickle.dumps(exc)
             with os.fdopen(w, "wb") as fh:
@@ -340,23 +300,20 @@ def _fork_march(data, run):
         finally:
             os._exit(code)
     os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
-def _child_results(payload, status, pid, run):
-    """The march results of the questions ``run`` from a _fork_march child's
-    payload and exit status, or the child's exception raised again."""
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            own = second()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         if payload:
             raise pickle.loads(payload)
-        raise RuntimeError(f"march process {pid} ended with status {status}")
-    buf = np.frombuffer(bytearray(payload), dtype=complex)
-    out, start = [], 0
-    for k, _, cols in run:
-        stop = start + 3 * len(k) * len(cols)
-        out.append(buf[start:stop].reshape(len(k), 3, len(cols)))
-        start = stop
-    return out
+        raise RuntimeError(f"child process {pid} ended with status {status}")
+    return pickle.loads(payload), own
 
 
 def march_volterra(data: InitialData, k, which: str = "X", cols=None):
@@ -672,12 +629,14 @@ class ReflectionData:
 
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
-    """Sample the reflection data at Chebyshev nodes of the six arcs."""
+    """Sample the reflection data at Chebyshev nodes of the six arcs.  The X
+    and XA marches run in two processes (_in_two_processes)."""
     theta = np.concatenate([ChebPanel.nodes(ARC_EDGES[a] + EXCLUSION,
                                             ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
                             for a in range(6)])
     k = np.exp(1j * theta)
-    X, XA = march_batch(data, [(k, "X", (0, 1)), (k, "XA", (0, 1))])
+    X, XA = _in_two_processes(partial(march_volterra, data, k, "X", cols=(0, 1)),
+                              partial(march_volterra, data, k, "XA", cols=(0, 1)))
     r1, s11 = _ratio_values(data, k, "X", X)
     r2, sA11 = _ratio_values(data, k, "XA", XA)
     return ReflectionData(theta=theta, r1=r1, r2=r2, s11=s11, sA11=sA11)

@@ -1,5 +1,7 @@
 import json
 import os
+import signal
+import threading
 from functools import partial
 
 import numpy as np
@@ -238,7 +240,8 @@ def test_rank_one_step_matches_matmul_off_circle(data_small, soliton_data):
 
 def test_batched_march_keeps_each_question_bits(data_small, soliton_data):
     """Each question of one mixed X/XA batch equals that question marched alone,
-    bit for bit: every column set, on the off-circle k that scatter marches."""
+    bit for bit: every column set, on the off-circle k that scatter marches,
+    and the on-circle pair of reflection_coefficients."""
     rims = np.concatenate([k[::16] for k, _ in sc.search_contours()])
     segment = 1j * np.linspace(0.06, 0.985, 40)
     probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
@@ -247,10 +250,11 @@ def test_batched_march_keeps_each_question_bits(data_small, soliton_data):
     questions = [(rims, "X", (0,)), (segment, "X", (0, 1)), (probes, "X", (0, 1, 2)),
                  (probes, "XA", (0, 1, 2)), (newton, "X", (0, 1)), (newton, "XA", (0,)),
                  (probes, "XA", (0, 1))]
-    for d in (data_small, soliton_data):
-        batch = sc.march_batch(d, questions)
-        assert len(batch) == len(questions)
-        for (k, which, cols), X in zip(questions, batch):
+    for d, qs in ((data_small, questions), (soliton_data, questions),
+                  (data_small, circle_questions())):
+        batch = sc.march_batch(d, qs)
+        assert len(batch) == len(qs)
+        for (k, which, cols), X in zip(qs, batch):
             assert X.shape == (len(k), 3, len(cols))
             assert np.array_equal(X, sc.march_volterra(d, k, which, cols)), (which, cols)
 
@@ -261,6 +265,11 @@ def circle_questions():
     return [(k, "X", (0, 1)), (k, "XA", (0, 1))]
 
 
+def reflection_arrays(data):
+    rd = sc.reflection_coefficients(data, n_per_arc=8)
+    return [rd.theta, rd.r1, rd.r2, rd.s11, rd.sA11]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -268,13 +277,12 @@ def assert_no_child_left():
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra):
-    """With two CPUs the X march runs in a forked child and XA here; both equal
-    the in-process march, and the child is reaped.  A third question joins the
-    child's run."""
-    k = circle_questions()[0][0]
-    questions = circle_questions() + [(k[:3], "X", (1,))] * extra
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    alone = sc.march_batch(data_small, questions)
+    """With two CPUs the helper marches the X batch in a forked child and the
+    XA batch here; each comes back writeable and equal to the one-process
+    march, and the child is reaped.  A third question joins the child's run."""
+    x, xa = circle_questions()
+    child_qs = [x] + [(x[0][:3], "X", (1,))] * extra
+    alone = sc.march_batch(data_small, child_qs), sc.march_batch(data_small, [xa])
     forks = []
     fork = os.fork
 
@@ -284,17 +292,52 @@ def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra
 
     monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc.os, "fork", counting_fork)
-    batch = sc.march_batch(data_small, questions)
+    both = sc._in_two_processes(partial(sc.march_batch, data_small, child_qs),
+                                partial(sc.march_batch, data_small, [xa]))
     assert len(forks) == 1
-    assert len(batch) == len(questions)
-    for (k, _, cols), X, ref in zip(questions, batch, alone):
-        assert X.shape == (len(k), 3, len(cols)) and X.flags.writeable
-        assert np.array_equal(X, ref)
+    for qs, batch, ref in zip((child_qs, [xa]), both, alone):
+        assert len(batch) == len(qs)
+        for (k, _, cols), X, R in zip(qs, batch, ref):
+            assert X.shape == (len(k), 3, len(cols)) and X.flags.writeable
+            assert np.array_equal(X, R)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("thread", [False, True], ids=["one_thread", "two_threads"])
+def test_reflection_marches_in_two_processes_keep_bits(data_small, monkeypatch, thread):
+    """With two CPUs the X march runs in a forked child and XA here, and every
+    array equals the one-CPU run's.  A second live Python thread keeps both
+    marches here: nothing forks."""
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
+    alone = reflection_arrays(data_small)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sc.os, "fork", counting_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if thread:
+        waiter.start()
+    try:
+        arrays = reflection_arrays(data_small)
+    finally:
+        release.set()
+        if thread:
+            waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert len(forks) == (0 if thread else 1)
+    for a, ref in zip(arrays, alone):
+        assert np.array_equal(a, ref)
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["X", "XA"])  # X fails in the child, XA here
-def test_circle_batch_raises_the_failing_march(data_small, monkeypatch, failing):
+def test_reflection_raises_the_failing_march(data_small, monkeypatch, failing):
     matmul = sc._march_matmul
 
     def failing_matmul(data, k, which, cols):
@@ -305,7 +348,24 @@ def test_circle_batch_raises_the_failing_march(data_small, monkeypatch, failing)
     monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc, "_march_matmul", failing_matmul)
     with pytest.raises(ArithmeticError, match=f"^{failing} march failed$"):
-        sc.march_batch(data_small, circle_questions())
+        sc.reflection_coefficients(data_small, n_per_arc=8)
+    assert_no_child_left()
+
+
+def test_reflection_reports_a_child_that_dies(data_small, monkeypatch):
+    """A child killed before it writes its result is a RuntimeError naming the
+    exit status, and the child is reaped.  Only a forked child kills itself."""
+    matmul, parent = sc._march_matmul, os.getpid()
+
+    def dying_matmul(data, k, which, cols):
+        if which == "X" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return matmul(data, k, which, cols)
+
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sc, "_march_matmul", dying_matmul)
+    with pytest.raises(RuntimeError, match=f"ended with status {-signal.SIGKILL}$"):
+        sc.reflection_coefficients(data_small, n_per_arc=8)
     assert_no_child_left()
 
 
