@@ -60,23 +60,19 @@ def cmd_scatter(cfg: RunConfig) -> int:
     if mass > cfg.tol.mass_condition:
         print(f"error: mass condition violated (|int u1| = {mass:.3e})", file=sys.stderr)
         return 1
-    refl = sc.reflection_coefficients(data, n_per_arc=cfg.n_per_arc)
+    refl, sol, report = sc.scattering_data(data, cfg.n_per_arc,
+                                           cfg.solitons["mode"] == "detect", cfg.tol)
     columns = [np.repeat(np.arange(6), refl.n_per_arc), refl.theta]
     for z in (refl.r1, refl.r2, refl.s11, refl.sA11):
         columns += [z.real, z.imag]
     _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER,
                zip(*(c.tolist() for c in columns)))
-
-    zeros = sc.find_s11_zeros(data) if cfg.solitons["mode"] == "detect" else []
-    sol = sc.residue_constants(data, zeros, tol=cfg.tol) if zeros else sc.SolitonData([], [], [])
     sol_payload = {
         "zeros": [_c2pair(z) for z in sol.zeros],
         "c": [_c2pair(c) for c in sol.c],
         "d": [None if d is None else _c2pair(d) for d in sol.d],
     }
     _atomic_write(cfg.out_dir / "solitons.json", json.dumps(sol_payload, indent=1))
-
-    report = sc.assumption_validators(data, solitons=sol, tol=cfg.tol)
     _atomic_write(cfg.out_dir / "validators.json",
                   json.dumps(report, indent=1, default=_json_default))
     if not report["ok"]:

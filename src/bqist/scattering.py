@@ -282,7 +282,12 @@ def _in_two_processes(first, second):
     ``second`` raises, the child is killed and reaped.  With one CPU or a
     second Python thread (fork is unsafe then) both run here, ``first`` first.
     Threads were slower: each on-circle march is a long chain of microsecond
-    BLAS calls, which contend in OpenBLAS."""
+    BLAS calls, which contend in OpenBLAS.
+
+    Two call sites: scattering_data runs the off-circle branch in a child and
+    reflection_coefficients here, and reflection_coefficients runs its X march
+    in a child and XA here.  So scatter has three processes on two CPUs; no
+    child forks, since neither ``first`` calls this."""
     if _cpu_count() < 2 or threading.active_count() > 1:
         return first(), second()
     r, w = os.pipe()
@@ -925,3 +930,27 @@ def _in_admissible_region(k0: complex) -> bool:
     ang = np.angle(k0)
     return any(lo < ang < hi and np.sign(abs(k0) - 1) == side
                for lo, hi, side, _, _ in ADMISSIBLE_SECTORS)
+
+
+# ---------------------------------------------------------------------------
+# the scatter stage
+# ---------------------------------------------------------------------------
+
+
+def _off_circle(data: InitialData, detect: bool, tol: Tolerances):
+    """The off-circle branch of scattering_data: the zeros of s11 and their
+    residue constants (none unless ``detect``), then the validator report."""
+    zeros = find_s11_zeros(data) if detect else []
+    sol = residue_constants(data, zeros, tol=tol) if zeros else SolitonData([], [], [])
+    return sol, assumption_validators(data, solitons=sol, tol=tol)
+
+
+def scattering_data(data: InitialData, n_per_arc: int, detect: bool,
+                    tol: Tolerances) -> tuple[ReflectionData, SolitonData, dict]:
+    """(ReflectionData, SolitonData, validator report) of ``data``.  The
+    off-circle branch needs no reflection table, so it runs in a forked child
+    while reflection_coefficients runs here (_in_two_processes); with one CPU
+    it runs first.  An exception from either is raised here."""
+    (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect, tol),
+                                            partial(reflection_coefficients, data, n_per_arc))
+    return refl, sol, report

@@ -275,14 +275,8 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra):
-    """With two CPUs the helper marches the X batch in a forked child and the
-    XA batch here; each comes back writeable and equal to the one-process
-    march, and the child is reaped.  A third question joins the child's run."""
-    x, xa = circle_questions()
-    child_qs = [x] + [(x[0][:3], "X", (1,))] * extra
-    alone = sc.march_batch(data_small, child_qs), sc.march_batch(data_small, [xa])
+def counted_forks(monkeypatch):
+    """List that gains this process's pid per os.fork from now on, with two CPUs."""
     forks = []
     fork = os.fork
 
@@ -292,6 +286,18 @@ def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra
 
     monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc.os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra):
+    """With two CPUs the helper marches the X batch in a forked child and the
+    XA batch here; each comes back writeable and equal to the one-process
+    march, and the child is reaped.  A third question joins the child's run."""
+    x, xa = circle_questions()
+    child_qs = [x] + [(x[0][:3], "X", (1,))] * extra
+    alone = sc.march_batch(data_small, child_qs), sc.march_batch(data_small, [xa])
+    forks = counted_forks(monkeypatch)
     both = sc._in_two_processes(partial(sc.march_batch, data_small, child_qs),
                                 partial(sc.march_batch, data_small, [xa]))
     assert len(forks) == 1
@@ -310,15 +316,7 @@ def test_reflection_marches_in_two_processes_keep_bits(data_small, monkeypatch, 
     marches here: nothing forks."""
     monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
     alone = reflection_arrays(data_small)
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(sc.os, "fork", counting_fork)
+    forks = counted_forks(monkeypatch)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     if thread:
@@ -633,20 +631,91 @@ def test_validators_march_once_per_question(data_small, monkeypatch):
     assert calls == [("X", "X", "XA")]
 
 
-def test_scatter_marches(soliton_data, tmp_path, monkeypatch):
-    """The whole scatter stage on criterion-8 data, as CSV input with zero
-    detection: X and XA on the circle, the contours, two Newton steps, the
-    residues and the validators."""
+def soliton_config(soliton_data, tmp_path, **fields):
+    """A run config with criterion-8 data as CSV input, zero detection and
+    ``fields``, its outputs in tmp_path / "out"."""
     np.savetxt(tmp_path / "soliton.csv",
                np.column_stack([soliton_data.x, soliton_data.u0, soliton_data.u1]),
                fmt="%.17g", delimiter=",", header="x,u0,u1", comments="")
     (tmp_path / "run.json").write_text(json.dumps(
-        {"initial_data": {"csv": "soliton.csv"}, "solitons": {"mode": "detect"}}))
-    cfg = RunConfig.load(tmp_path / "run.json", out_dir=tmp_path / "out")
+        {"initial_data": {"csv": "soliton.csv"}, "solitons": {"mode": "detect"}, **fields}))
+    return RunConfig.load(tmp_path / "run.json", out_dir=tmp_path / "out")
+
+
+def test_scatter_marches(soliton_data, tmp_path, monkeypatch):
+    """The whole scatter stage on criterion-8 data, as CSV input with zero
+    detection: with one CPU the off-circle branch first (the contours, two
+    Newton steps, the residues and the validators), then X and XA on the circle."""
+    cfg = soliton_config(soliton_data, tmp_path)
     calls = counted_marches(monkeypatch)
     assert cli.cmd_scatter(cfg) == 0
-    assert calls == [("X",), ("XA",)] + [("X",)] * 4 + [("X", "X", "XA")]
+    assert calls == [("X",)] * 4 + [("X", "X", "XA")] + [("X",), ("XA",)]
     assert len(json.loads((tmp_path / "out" / "solitons.json").read_text())["zeros"]) == 1
+
+
+def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypatch):
+    """With two CPUs the off-circle branch and the X march each run in a
+    forked child, two forks in all, and every output equals the one-CPU run's."""
+    tol = Tolerances()
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
+    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True, tol)
+    forks = counted_forks(monkeypatch)
+    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True, tol)
+    assert forks == [os.getpid()] * 2
+    for name in ("theta", "r1", "r2", "s11", "sA11"):
+        assert np.array_equal(getattr(refl2, name), getattr(refl1, name)), name
+    assert len(sol1.zeros) == 1
+    assert (sol2.zeros, sol2.c, sol2.d) == (sol1.zeros, sol1.c, sol1.d)
+    assert report2 == report1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scatter_off_circle_failure_writes_nothing(soliton_data, tmp_path, monkeypatch,
+                                                   capsys, cpus):
+    """A residue that fails its check in the off-circle branch is raised with
+    its type and message, at one CPU and from the child at two; scatter then
+    exits 1 and writes no file."""
+    tight = Tolerances(zero_residual=1e-30)
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
+    with pytest.raises(RuntimeError, match="has residual") as alone:
+        sc.scattering_data(soliton_data, 8, True, tight)
+    monkeypatch.setattr(sc, "_cpu_count", lambda: cpus)
+    with pytest.raises(RuntimeError) as raised:
+        sc.scattering_data(soliton_data, 8, True, tight)
+    assert type(raised.value) is RuntimeError and str(raised.value) == str(alone.value)
+    cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8,
+                         tolerances={"zero_residual": 1e-30})
+    assert cli.main(["scatter", "--config", str(tmp_path / "run.json"),
+                     "--out", str(cfg.out_dir)]) == 1
+    assert "has residual" in capsys.readouterr().err
+    assert not cfg.out_dir.exists() or not any(cfg.out_dir.iterdir())
+    assert_no_child_left()
+
+
+def test_scattering_data_kills_the_off_circle_child(soliton_data, monkeypatch):
+    """An XA march that raises here kills and reaps both children: the X
+    march and the off-circle branch."""
+    matmul, parent = sc._march_matmul, os.getpid()
+
+    def failing_matmul(data, k, which, cols):
+        if which == "XA" and os.getpid() == parent:
+            raise ArithmeticError("XA march failed")
+        return matmul(data, k, which, cols)
+
+    kills, kill = [], os.kill
+
+    def recording_kill(pid, sig):
+        kills.append(sig)
+        kill(pid, sig)
+
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(sc, "_march_matmul", failing_matmul)
+    monkeypatch.setattr(sc.os, "kill", recording_kill)
+    with pytest.raises(ArithmeticError, match="^XA march failed$"):
+        sc.scattering_data(soliton_data, 8, True, Tolerances())
+    assert len(forks) == 2 and kills == [signal.SIGKILL] * 2
+    assert_no_child_left()
 
 
 def test_validators_band_limited_passes(data_small):
