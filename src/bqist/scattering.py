@@ -193,40 +193,24 @@ def load_csv(path) -> InitialData:
 # ---------------------------------------------------------------------------
 
 
-def _check_degenerate(k):
-    k = np.asarray(k, dtype=complex)
-    d = np.min(np.abs(k[..., None] - KAPPA), axis=-1)
-    if np.any(d < DEGENERATE_TOL):
-        bad = np.asarray(k)[d < DEGENERATE_TOL]
+def _frame(k):
+    """The phases l(k) as a (3, nk) array and a = P^-1[:, 2] as (nk, 3), where
+    P(k) = [1; l; l^2].
+
+    In this frame the potential is rank one: U(x, k) = w31(x) M1 + w32(x) M2
+    with M_j = P^-1 E_{3j} P, so M1 = a (x) 1 and M2 = a (x) l, and
+    w31 = -u0'/4 - i v0/(4 sqrt 3), w32 = -u0/2 (potential_weights).
+    """
+    bad = k[np.min(np.abs(k[:, None] - KAPPA), axis=-1) < DEGENERATE_TOL]
+    if bad.size:
         raise DegenerateSpectralPointError(
             f"k within {DEGENERATE_TOL:.0e} of a sixth root of unity: {bad[:4]}")
-
-
-def _vandermonde(k):
-    """The phases l(k) as a (3, nk) array and P(k) = [1; l; l^2], shape (nk, 3, 3)."""
-    _check_degenerate(k)
     l = phase_values(k).l
     P = np.empty((k.shape[0], 3, 3), dtype=complex)
     P[:, 0, :] = 1.0
     P[:, 1, :] = l.T
     P[:, 2, :] = (l**2).T
-    return l, P
-
-
-def potential_frame(k):
-    """k-dependent matrices (M1, M2) with U(x,k) = w31(x) M1 + w32(x) M2.
-
-    w31 = -u0'/4 - i v0/(4 sqrt 3), w32 = -u0/2; M_j = P^-1 E_{3j} P.
-    """
-    _, P = _vandermonde(np.atleast_1d(np.asarray(k, dtype=complex)))
-    Pinv = np.linalg.inv(P)
-    E31 = np.zeros((3, 3), dtype=complex)
-    E31[2, 0] = 1.0
-    E32 = np.zeros((3, 3), dtype=complex)
-    E32[2, 1] = 1.0
-    M1 = Pinv @ E31 @ P
-    M2 = Pinv @ E32 @ P
-    return M1, M2
+    return l, np.linalg.inv(P)[:, :, 2]
 
 
 def potential_weights(data: InitialData):
@@ -330,16 +314,9 @@ def march_volterra(data: InitialData, k, which: str = "X", cols=None):
 PACK = 4  # systems per block-diagonal product in the matmul step
 
 
-def _diagonal_index(nb, pack):
-    """Flat indices of the diagonal 3x3 blocks of an (nb, 3 pack, 3 pack)
-    array, in the entry order of an (nb pack, 3, 3) stack."""
-    b, j, r, c = np.ix_(range(nb), range(pack), range(3), range(3))
-    return ((b * 3 * pack + 3 * j + r) * 3 * pack + 3 * j + c).ravel()
-
-
 def _march_matmul(data, k, which, cols):
-    """RK4 with F = sign [diag l, X] + U X and U built as a 3x3 matrix per k;
-    X(-L) as (nk, 3, ncol).
+    """RK4 with F = sign [diag l, X] + U X and U built as a 3x3 matrix per k
+    from the rank-one frame of _frame; X(-L) as (nk, 3, ncol).
 
     PACK systems share one block-diagonal product, (nb, 12, 12) @ (nb, 12,
     ncol), a quarter of the BLAS calls of a (3, 3) @ (3, ncol) stack.  Each
@@ -348,35 +325,41 @@ def _march_matmul(data, k, which, cols):
     block is rows 3j..3j+2); zero systems pad nk to a multiple of PACK.  A
     one-column march is not packed: NumPy sends it to gemv, whose kernel sums
     a 12-term dot in another order than a 3-term one.  No step allocates:
-    w31 M1 + w32 M2 is computed on the (3, 3) stack and written into the
-    diagonal blocks of one of three zeroed buffers, and the stages run on
-    fixed buffers in the order X + (step/2) k1 and ((k1 + 2 k2) + 2 k3) + k4.
+    w31 M1 + w32 M2 is computed on the (3, 3) stack, then copied into the
+    diagonal blocks of one of three zeroed buffers through a view of them
+    (computing it straight into the strided view is about 3x slower), and the
+    stages run on fixed buffers in the order X + (step/2) k1 and
+    ((k1 + 2 k2) + 2 k3) + k4.  M1 and M2 are spelled out as 3x3 matrices only
+    to keep the bits of the product with X.
     """
     sign, transpose = _WHICH[which]
-    M1, M2 = potential_frame(k)
+    nk, ncol = k.shape[0], len(cols)
+    pack = PACK if ncol > 1 else 1
+    pad = ((0, -nk % pack), (0, 0))
+    l, a = _frame(k)
+    l, a = np.pad(l.T, pad), np.pad(a, pad)  # (nb pack, 3); zero systems pad
+    M1 = np.repeat(a[:, :, None], 3, axis=2)
+    M2 = a[:, :, None] * l[:, None, :]
     w31, w32 = potential_weights(data)
     if transpose:
         M1, M2 = np.swapaxes(M1, 1, 2).copy(), np.swapaxes(M2, 1, 2).copy()
         w31, w32 = -w31, -w32
-    nk, ncol = k.shape[0], len(cols)
-    pack = PACK if ncol > 1 else 1
-    pad = ((0, -nk % pack), (0, 0))
-    M1, M2 = (np.pad(M, pad + ((0, 0),)) for M in (M1, M2))
     nb = M1.shape[0] // pack
-    l = np.pad(phase_values(k).l.T, pad)  # (nb pack, 3)
     X = np.zeros((nb, 3 * pack, ncol), dtype=complex)
     Xk = X.reshape(-1, 3, ncol)[:nk]  # the systems unpacked, a view of X
     Xk[:] = np.eye(3, dtype=complex)[:, cols]
     lcol = np.repeat(l.reshape(nb, 3 * pack, 1), ncol, axis=2)
     lrow = np.repeat(l[:, list(cols)], 3, axis=0).reshape(X.shape)
-    diag = _diagonal_index(nb, pack)
     U1, Umid, Uend = (np.zeros((nb, 3 * pack, 3 * pack), dtype=complex) for _ in range(3))
+    # each buffer's diagonal blocks as a 4-D view; reshaping the view would copy
+    blocks = {id(B): np.einsum("bjrjc->bjrc", B.reshape(nb, pack, 3, pack, 3))
+              for B in (U1, Umid, Uend)}
     W1, W2 = np.empty_like(M1), np.empty_like(M2)
     acc, kj, Y, T = (np.empty_like(X) for _ in range(4))
 
     def U(i, out):  # the diagonal blocks of out = w31[i] M1 + w32[i] M2
         np.add(np.multiply(w31[i], M1, out=W1), np.multiply(w32[i], M2, out=W2), out=W1)
-        out.reshape(-1)[diag] = W1.reshape(-1)
+        blocks[id(out)][...] = W1.reshape(nb, pack, 3, 3)
         return out
 
     def F(Ui, Xc, out):  # sign (lcol Xc - Xc lrow) + Ui Xc
@@ -410,9 +393,9 @@ def _march_lanes(data, questions):
     system at one k each, stored lane-last as (3, nlane); returns X(-L) of each
     question like _march_matmul.
 
-    M1 = a (x) 1 and M2 = a (x) l with a = P^-1[:, 2], so U = a (x) g where
-    g = w31 + w32 l.  Then F = D Y + p (q . Y) with D = sign (l_i - l_c), and
-    (p, q) = (a, g) for X and (-g, a) for the transposed, negated system XA.
+    With l and a from _frame, U = a (x) g where g = w31 + w32 l.  Then
+    F = D Y + p (q . Y) with D = sign (l_i - l_c), and (p, q) = (a, g) for X
+    and (-g, a) for the transposed, negated system XA.
     Every operation acts on each lane alone, so a lane gets the bits of its
     question marched alone; negating g is exact.  The stages carry h/2 F (h the
     step), so D and a are scaled once, not per stage.  p and q are built for a
@@ -428,9 +411,9 @@ def _march_lanes(data, questions):
     xa = np.concatenate([np.full(len(k) * len(cols), which == "XA")
                          for k, which, cols in questions])
     nlane = len(klane)
-    l, P = _vandermonde(klane)
+    l, a = _frame(klane)
     half = -data.h  # half of the step -2h
-    a = half * np.linalg.inv(P)[:, :, 2].T  # (3, nlane)
+    a = half * a.T  # (3, nlane)
     D = half * np.where(xa, -1.0, 1.0) * (l - l[col, range(nlane)])
     w31, w32 = (w[::-1] for w in potential_weights(data))  # in marching order
     X = np.zeros((3, nlane), dtype=complex)

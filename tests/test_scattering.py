@@ -47,10 +47,22 @@ def test_band_limited_construction(data_small):
     assert spec[xi > 1.0].max() < 1e-14 * spec.max()
 
 
+def frame_by_definition(k):
+    """(M1, M2) with U(x, k) = w31(x) M1 + w32(x) M2: M_j = P^-1 E_{3j} P with
+    P = [1; l; l^2], from the phases alone (the oracles share no frame code
+    with the marches)."""
+    l = phase_values(k).l.T
+    P = np.stack([np.ones_like(l), l, l**2], axis=1)
+    E31, E32 = np.zeros((2, 3, 3), dtype=complex)
+    E31[2, 0] = E32[2, 1] = 1.0
+    Pinv = np.linalg.inv(P)
+    return Pinv @ E31 @ P, Pinv @ E32 @ P
+
+
 def test_potential_middle_factor_entries():
     d = sc.gaussian(0.3, 1.5, L=20.0, n=513)
     k = np.array([0.8 + 0.4j])
-    M1, M2 = sc.potential_frame(k)
+    M1, M2 = frame_by_definition(k)
     w31, w32 = sc.potential_weights(d)
     i = len(d.x) // 3
     U = w31[i] * M1[0] + w32[i] * M2[0]
@@ -66,7 +78,29 @@ def test_potential_middle_factor_entries():
 def test_degenerate_point_flagged():
     d = sc.gaussian(0.1, 2.0, L=20.0, n=513)
     with pytest.raises(sc.DegenerateSpectralPointError):
-        sc.potential_frame(np.array([1.0 + 1e-10j]))
+        sc.march_volterra(d, [1.0 + 1e-10j], "X")
+
+
+def test_rank_one_frame_is_the_definition():
+    """The marches build M1 = a (x) 1 and M2 = a (x) l from sc._frame; they and
+    their XA transposes equal P^-1 E_{3j} P bit for bit at every kind of k the
+    program marches: the reflection nodes, the zero-search contours, the
+    genericity probes, a Newton triple and points EXCLUSION from each root."""
+    nodes = np.exp(1j * np.concatenate([ChebPanel.nodes(sc.ARC_EDGES[a] + sc.EXCLUSION,
+                                                        sc.ARC_EDGES[a + 1] - sc.EXCLUSION, 56)
+                                        for a in range(6)]))
+    contours = np.concatenate([k for k, _ in sc.search_contours()])
+    probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
+                       for r in (1e-2, 5e-3)])
+    near_roots = np.exp(1j * np.pi * np.arange(6) / 3) * (1 + sc.EXCLUSION)
+    assert (len(nodes), len(contours)) == (336, 768)
+    k = np.concatenate([nodes, contours, probes, sc._central_points(2.13)[0], near_roots])
+    l, a = sc._frame(k)
+    M1, M2 = np.repeat(a[:, :, None], 3, axis=2), a[:, :, None] * l.T[:, None, :]
+    R1, R2 = frame_by_definition(k)
+    for got, want in ((M1, R1), (M2, R2)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.swapaxes(got, 1, 2), np.swapaxes(want, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +115,7 @@ def reference_march(data, k, which, cols, keep_trajectory=False):
     from x = -L up to x = L if ``keep_trajectory``: the residual oracles
     check that trajectory, and that its first entry is the production X(-L)."""
     sign, transpose = {"X": (+1, False), "XA": (-1, True)}[which]
-    M1, M2 = sc.potential_frame(k)
+    M1, M2 = frame_by_definition(k)
     w31, w32 = sc.potential_weights(data)
     if transpose:
         M1, M2 = np.swapaxes(M1, 1, 2).copy(), np.swapaxes(M2, 1, 2).copy()
@@ -127,7 +161,7 @@ def test_volterra_residual_oracle(data_small):
     traj = reference_march(d, k, "X", (0, 1, 2), keep_trajectory=True)
     assert np.array_equal(sc.march_volterra(d, k, "X"), traj[0])
     xe = d.x[::2]
-    M1, M2 = sc.potential_frame(k)
+    M1, M2 = frame_by_definition(k)
     w31, w32 = sc.potential_weights(d)
     w31e, w32e = w31[::2], w32[::2]
     l = phase_values(k).l.T
@@ -150,7 +184,7 @@ def test_volterra_adjoint_residual(data_small):
     traj = reference_march(d, k, "XA", (0, 1, 2), keep_trajectory=True)
     assert np.array_equal(sc.march_volterra(d, k, "XA"), traj[0])
     xe = d.x[::2]
-    M1, M2 = sc.potential_frame(k)
+    M1, M2 = frame_by_definition(k)
     M1t, M2t = np.swapaxes(M1, 1, 2), np.swapaxes(M2, 1, 2)
     w31, w32 = sc.potential_weights(d)
     w31e, w32e = w31[::2], w32[::2]
@@ -188,10 +222,10 @@ def test_circle_march_bit_identical():
 
 
 def test_block_diagonal_product_keeps_bits():
-    """The packing trick on its own: potentials written through
-    sc._diagonal_index into zeroed (nb, 3 PACK, 3 PACK) blocks, times X packed
-    by a reshape, equal the stack of (3, 3) @ (3, ncol) products bit for bit,
-    for random complex entries of mixed scale."""
+    """The packing trick on its own: potentials written through the diagonal
+    block view of _march_matmul into zeroed (nb, 3 PACK, 3 PACK) blocks, times
+    X packed by a reshape, equal the stack of (3, 3) @ (3, ncol) products bit
+    for bit, for random complex entries of mixed scale."""
     rng = np.random.default_rng(3)
 
     def draw(*shape):
@@ -203,7 +237,8 @@ def test_block_diagonal_product_keeps_bits():
         for ncol in (2, 3):
             M, X = draw(nk, 3, 3), draw(nk, 3, ncol)
             B = np.zeros((nb, 3 * sc.PACK, 3 * sc.PACK), dtype=complex)
-            B.reshape(-1)[sc._diagonal_index(nb, sc.PACK)] = M.reshape(-1)
+            view = np.einsum("bjrjc->bjrc", B.reshape(nb, sc.PACK, 3, sc.PACK, 3))
+            view[...] = M.reshape(nb, sc.PACK, 3, 3)
             for s in range(nk):  # system s sits on diagonal block s % PACK of block s // PACK
                 j = 3 * (s % sc.PACK)
                 assert np.array_equal(B[s // sc.PACK, j:j + 3, j:j + 3], M[s])
