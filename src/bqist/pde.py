@@ -111,10 +111,12 @@ def alias_free_size(n: int, nyq: float, cutoff: float) -> int:
 
 def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOFF,
            snapshot_times=None) -> list[FieldSnapshot]:
-    """Integrate to time T (possibly negative) with integrating-factor RK4.
+    """Integrate forward to time T > 0 with integrating-factor RK4.
 
-    Returns snapshots at ``snapshot_times`` (default: [T]).  The initial data
-    is cut to the filtered band |xi| <= cutoff, the quadratic term is
+    Returns snapshots at ``snapshot_times`` (default: [T]), each a whole number
+    of steps in (0, T] (config.whole_steps), else ValueError.  To run backward,
+    evolve the time-reversed data (u1 and v0 negated).  The initial data is
+    cut to the filtered band |xi| <= cutoff, the quadratic term is
     alias-free by the Nyquist >= 2 * cutoff requirement, and only the band's
     modes are stepped: each stage's (u^2)_x is cut back to them.  The
     nonlinearity enters the w equation only, so each RK stage needs the u
@@ -130,13 +132,13 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     if not nyq >= 2 * cutoff:  # also refuses a NaN cutoff
         raise ConfigError(f"grid Nyquist {nyq:.2f} below 2 x cutoff {2 * cutoff:.2f}: "
                           "raise pde.n, or lower pde.L or pde.cutoff")
+    if not T > 0:
+        raise ValueError(f"evolve steps forward only: T = {T!r} must be positive")
     nsteps = whole_steps(T, dt)
-    if snapshot_times is None:
-        snapshot_times = [T]
-    snapshot_times = sorted(set(float(t) for t in snapshot_times), key=abs)
-    if any((t > T + 1e-12 if T >= 0 else t < T - 1e-12) or t * T < 0
-           for t in snapshot_times):
-        raise ValueError("snapshot times must lie between 0 and T")
+    times = sorted(set(float(t) for t in ([T] if snapshot_times is None else snapshot_times)))
+    at_step = [whole_steps(t, dt) if t > 0 else 0 for t in times]
+    if not all(1 <= k <= nsteps for k in at_step):
+        raise ValueError(f"snapshot times {times} must lie in (0, T = {T!r}]")
 
     m = alias_free_size(n, nyq, cutoff)
     xi_n = 2 * np.pi * np.fft.rfftfreq(n, d=h)
@@ -151,9 +153,8 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         out[:len(a)] = a * (n / m)
         return out
 
-    step = dt if T >= 0 else -dt
-    cf, af, bf = _propagator(xi, step)
-    ch, ah, _ = _propagator(xi, step / 2)  # the w stage values are never needed
+    cf, af, bf = _propagator(xi, dt)
+    ch, ah, _ = _propagator(xi, dt / 2)  # the w stage values are never needed
 
     def nonlin(u):
         return ixi * np.fft.rfft(u * u)[:len(xi)]
@@ -161,36 +162,31 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     def rk_step(uh_, wh_, u_):
         k1 = nonlin(u_)
         eu = ch * uh_ + ah * wh_
-        k2 = nonlin(np.fft.irfft(eu + 0.5 * step * (ah * k1), n=m))
+        k2 = nonlin(np.fft.irfft(eu + 0.5 * dt * (ah * k1), n=m))
         k3 = nonlin(np.fft.irfft(eu, n=m))
         fu = cf * uh_ + af * wh_
         fw = bf * uh_ + cf * wh_
-        k4 = nonlin(np.fft.irfft(fu + step * (ah * k3), n=m))
+        k4 = nonlin(np.fft.irfft(fu + dt * (ah * k3), n=m))
         k23 = k2 + k3
-        new_u = fu + (step / 6.0) * (af * k1 + 2 * (ah * k23))
-        new_w = fw + (step / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
+        new_u = fu + (dt / 6.0) * (af * k1 + 2 * (ah * k23))
+        new_w = fw + (dt / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
         return new_u, new_w
 
     out = []
-    t = 0.0
     sup_prev = max(np.max(np.abs(data.u0)), 1e-30)
-    remaining = list(snapshot_times)
     u_now = np.fft.irfft(uh, n=m)
-    for _ in range(nsteps):
+    for step in range(1, nsteps + 1):
         uh, wh = rk_step(uh, wh, u_now)
-        t += step
         u_now = np.fft.irfft(uh, n=m)
         sup = np.max(np.abs(u_now))
         if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
             spec = np.abs(uh) * (n / m)
             bands = [(float(b), float(np.max(spec[(xi >= b) & (xi < b + 0.1)], initial=0.0)))
                      for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
-            raise BlowupError(t, bands)
+            raise BlowupError(step * dt, bands)
         sup_prev = max(sup, 1e-30)
-        while remaining and abs(t - remaining[0]) < dt / 2:
-            out.append(_snapshot(x, xi_n, padded(uh), padded(wh), remaining.pop(0), data))
-    if remaining:
-        raise RuntimeError(f"snapshot times not hit: {remaining}")
+        out += [_snapshot(x, xi_n, padded(uh), padded(wh), t, data)
+                for t, k in zip(times, at_step) if k == step]
     return out
 
 

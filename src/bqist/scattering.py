@@ -234,15 +234,17 @@ def march_batch(data: InitialData, questions) -> list:
     Columns decouple, so a question restricts its march to the columns it needs
     (avoids the exponential growth of unwanted columns at spectral points far
     from the unit circle).  Returns the terminal matrices X(-L) of each
-    question, shape (nk, 3, len(cols)), each bit for bit as if marched alone.
+    question, shape (nk, 3, len(cols)).
 
-    The step follows from k alone.  If every k lies on the unit circle, where
-    the reflection data are sampled, each question takes the matmul step in a
-    march of its own and keeps its bits: A2 loses about seven digits to
+    The step follows from the batch's k.  If every k lies on the unit circle,
+    where the reflection data are sampled, each question takes the matmul step
+    in a march of its own and keeps its bits: A2 loses about seven digits to
     cancellation, so a last-bit change there moves it by about 1e-5.  Any other
     batch is one march of the rank-one step over the lanes of all its
     questions, which is faster; both run the same RK4 stages on the same grid.
-    Every march runs in this process.
+    Each question keeps the bits of its march alone, except an on-circle one in
+    a batch that mixes in off-circle k: it takes the lane step, not the matmul
+    step.  No caller makes such a batch.  Every march runs in this process.
     """
     qs = []
     for k, which, cols in questions:
@@ -269,9 +271,9 @@ def _in_two_processes(first, second):
     BLAS calls, which contend in OpenBLAS.
 
     Two call sites: scattering_data runs the off-circle branch in a child and
-    reflection_coefficients here, and reflection_coefficients runs its X march
-    in a child and XA here.  So scatter has three processes on two CPUs; no
-    child forks, since neither ``first`` calls this."""
+    reflection_coefficients here, and reflection_coefficients runs its X
+    reflection_ratio in a child and XA here.  So scatter has three processes
+    on two CPUs; no child forks, since neither ``first`` calls this."""
     if _cpu_count() < 2 or threading.active_count() > 1:
         return first(), second()
     r, w = os.pipe()
@@ -617,16 +619,14 @@ class ReflectionData:
 
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
-    """Sample the reflection data at Chebyshev nodes of the six arcs.  The X
-    and XA marches run in two processes (_in_two_processes)."""
+    """Sample the reflection data at Chebyshev nodes of the six arcs: the X and
+    XA reflection_ratio calls run in two processes (_in_two_processes)."""
     theta = np.concatenate([ChebPanel.nodes(ARC_EDGES[a] + EXCLUSION,
                                             ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
                             for a in range(6)])
     k = np.exp(1j * theta)
-    X, XA = _in_two_processes(partial(march_volterra, data, k, "X", cols=(0, 1)),
-                              partial(march_volterra, data, k, "XA", cols=(0, 1)))
-    r1, s11 = _ratio_values(data, k, "X", X)
-    r2, sA11 = _ratio_values(data, k, "XA", XA)
+    (r1, s11), (r2, sA11) = _in_two_processes(partial(reflection_ratio, data, k, "X"),
+                                              partial(reflection_ratio, data, k, "XA"))
     return ReflectionData(theta=theta, r1=r1, r2=r2, s11=s11, sA11=sA11)
 
 
@@ -847,7 +847,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
     segment = 1j * np.linspace(0.06, 0.985, 40)
     at = [(kstar, rad) for kstar in (1.0, -1.0) for rad in (1e-2, 5e-3)]
     kprobes = np.array([kstar + rad * np.exp(1j * np.pi / 3) for kstar, rad in at])
-    cols = (0, 1, 2)
+    cols = (0, 2)  # the probes read s11, s13, s31, s33 and their XA twins
     Xseg, Xprobe, XAprobe = march_batch(data, [(segment, "X", (0, 1)), (kprobes, "X", cols),
                                                (kprobes, "XA", cols)])
 
@@ -864,15 +864,15 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
     probes = {}
     for (kstar, rad), kprobe, s, sA in zip(at, kprobes, s_all, sA_all):
         dk = kprobe - kstar
-        vals = {
+        vals = {  # column j of s is column cols[j] of the scattering matrix
             "(k-k*)s11": dk * s[0, 0],
-            "(k-k*)s13": dk * s[0, 2],
+            "(k-k*)s13": dk * s[0, 1],
             "s31": s[2, 0],
-            "s33": s[2, 2],
+            "s33": s[2, 1],
             "(k-k*)sA11": dk * sA[0, 0],
             "(k-k*)sA31": dk * sA[2, 0],
-            "sA13": sA[0, 2],
-            "sA33": sA[2, 2],
+            "sA13": sA[0, 1],
+            "sA33": sA[2, 1],
         }
         probes[f"k={kstar}, rad={rad}"] = {kk: abs(v) for kk, v in vals.items()}
     ok2 = True

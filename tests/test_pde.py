@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,11 +90,17 @@ def snapshot_data(snap):
                           v0=np.append(v0, v0[0]), du0=np.append(du0, du0[0]))
 
 
+def time_reversed(data):
+    """``data`` with t -> -t: u1 and v0 negated.  Evolving it forward by T
+    evolves ``data`` back by T, with u unchanged and u_t negated."""
+    return dataclasses.replace(data, u1=-data.u1, v0=-data.v0)
+
+
 def test_mass_conservation_and_reversal():
     d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097)
     snap = pde.evolve(d, 10.0, dt=0.05)[-1]
     assert abs(snapshot_mass(snap) - np.trapezoid(d.u0, d.x)) < 1e-8
-    back = pde.evolve(snapshot_data(snap), -10.0, dt=0.05)[-1]
+    back = pde.evolve(time_reversed(snapshot_data(snap)), 10.0, dt=0.05)[-1]
     n = len(d.x) - 1
     xi = 2 * np.pi * np.fft.rfftfreq(n, d=d.h)
     u0_masked = np.fft.irfft(np.fft.rfft(d.u0[:-1]) * (np.abs(xi) <= 0.9), n=n)
@@ -121,22 +129,21 @@ def reference_evolve(data, T, dt, cutoff=0.9):
         u = np.fft.irfft(uh_, n=n)
         return np.zeros_like(uh_), 1j * xi * (np.fft.rfft(u * u) * mask)
 
-    step = dt if T >= 0 else -dt
-    cf, sf = propagator(step)
-    ch, sh = propagator(step / 2)
-    for _ in range(int(round(abs(T) / dt))):
+    cf, sf = propagator(dt)
+    ch, sh = propagator(dt / 2)
+    for _ in range(int(round(T / dt))):
         k1u, k1w = nonlin(uh, wh)
         eu, ew = apply_prop(ch, sh, uh, wh)
         d1u, d1w = apply_prop(ch, sh, k1u, k1w)
-        k2u, k2w = nonlin(eu + 0.5 * step * d1u, ew + 0.5 * step * d1w)
-        k3u, k3w = nonlin(eu + 0.5 * step * k2u, ew + 0.5 * step * k2w)
+        k2u, k2w = nonlin(eu + 0.5 * dt * d1u, ew + 0.5 * dt * d1w)
+        k3u, k3w = nonlin(eu + 0.5 * dt * k2u, ew + 0.5 * dt * k2w)
         fu, fw = apply_prop(cf, sf, uh, wh)
         e3u, e3w = apply_prop(ch, sh, k3u, k3w)
-        k4u, k4w = nonlin(fu + step * e3u, fw + step * e3w)
+        k4u, k4w = nonlin(fu + dt * e3u, fw + dt * e3w)
         f1u, f1w = apply_prop(cf, sf, k1u, k1w)
         h2u, h2w = apply_prop(ch, sh, k2u + k3u, k2w + k3w)
-        uh = (fu + (step / 6.0) * (f1u + 2 * h2u + k4u)) * mask
-        wh = (fw + (step / 6.0) * (f1w + 2 * h2w + k4w)) * mask
+        uh = (fu + (dt / 6.0) * (f1u + 2 * h2u + k4u)) * mask
+        wh = (fw + (dt / 6.0) * (f1w + 2 * h2w + k4w)) * mask
     return np.fft.irfft(uh, n=n), np.fft.irfft(1j * xi * wh, n=n)
 
 
@@ -157,8 +164,8 @@ def test_evolve_matches_generic_stepper():
     assert_close(pde.evolve(d, 6.0, dt=0.1)[-1], *reference_evolve(d, 6.0, 0.1))
     # the time-reversed run from an evolved state, as in the reversal test
     fwd = pde.evolve(sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097), 10.0, dt=0.05)[-1]
-    back = pde.evolve(snapshot_data(fwd), -10.0, dt=0.05)[-1]
-    assert_close(back, *reference_evolve(snapshot_data(fwd), -10.0, 0.05))
+    rev = time_reversed(snapshot_data(fwd))
+    assert_close(pde.evolve(rev, 10.0, dt=0.05)[-1], *reference_evolve(rev, 10.0, 0.05))
 
 
 def test_alias_free_size_bound():
@@ -222,6 +229,20 @@ def test_filter_idempotent():
     assert np.array_equal((h1 * mask) * mask, h1 * mask)  # bit-exact
     # the evolved state carries no content above the cutoff beyond roundoff
     assert np.max(np.abs(h1[~mask])) < 1e-14 * np.max(np.abs(h1))
+
+
+def test_evolve_refuses_before_building_propagators(monkeypatch):
+    # evolve steps forward only, to snapshots a whole number of dt steps in
+    d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
+
+    def no_propagator(*args):
+        raise AssertionError("evolve built its propagators")
+
+    monkeypatch.setattr(pde, "_propagator", no_propagator)
+    for T, times in [(0.0, None), (-2.0, None), (2.0, [-1.0]), (2.0, [0.0]),
+                     (2.0, [1.05]), (2.0, [1.0, 2.5])]:
+        with pytest.raises(ValueError):
+            pde.evolve(d, T, dt=0.1, snapshot_times=times)
 
 
 def test_nyquist_guard():

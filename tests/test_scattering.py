@@ -660,10 +660,20 @@ def test_residue_constants_checks_the_residual(soliton_data, soliton_zeros):
 
 
 def test_validators_march_once_per_question(data_small, monkeypatch):
-    # one march: the segment (0, i), then X and XA at the four genericity probes
+    # one march: the segment (0, i) on columns (0, 1), then X and XA at the four
+    # genericity probes on columns (0, 2), the only ones the probes read
     calls = counted_marches(monkeypatch)
+    asked = []
+    batch = sc.march_batch
+
+    def recording_batch(data, questions):
+        asked.append([(which, tuple(cols)) for _, which, cols in questions])
+        return batch(data, questions)
+
+    monkeypatch.setattr(sc, "march_batch", recording_batch)
     sc.assumption_validators(data_small)
     assert calls == [("X", "X", "XA")]
+    assert asked == [[("X", (0, 1)), ("X", (0, 2)), ("XA", (0, 2))]]
 
 
 def soliton_config(soliton_data, tmp_path, **fields):
