@@ -578,7 +578,8 @@ class ReflectionData:
             order = np.argsort(dth[sel])
             ths = dth[sel][order]
             w = np.exp(1j * (kap + ths)) - np.exp(1j * kap)
-            deg = max(8, int(0.55 * np.count_nonzero(sel)))
+            cnt = np.count_nonzero(sel)
+            deg = min(max(8, int(0.55 * cnt)), cnt - 1)  # no more coefficients than nodes
             bridges.append({key: np.polynomial.chebyshev.chebfit(
                                 ths / self.BRIDGE_HALF, v[sel][order] * w, deg)
                             for key, v in vals.items()})

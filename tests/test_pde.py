@@ -46,24 +46,31 @@ def test_evolve_zero_data():
     assert np.max(np.abs(snap.u)) == 0.0
 
 
+def cos_sinc(xi, tau):
+    """cos(mu tau) and sin(mu tau) / mu for mu = xi sqrt(1 - xi^2): e^{A tau} =
+    [[c, i xi s], [i xi (1 - xi^2) s, c]] on the filtered band (1 - xi^2 > 0)."""
+    mu = xi * np.sqrt(np.maximum(1.0 - xi**2, 0.0))
+    s = np.where(mu != 0.0, np.divide(np.sin(mu * tau), np.where(mu != 0, mu, 1.0)), tau)
+    return np.cos(mu * tau), s
+
+
 def linear_evolution(data, T, cutoff=pde.DEFAULT_CUTOFF):
-    """Closed-form evolution of the linearized equation on the filtered band."""
-    x = data.x[:-1]
-    n = len(x)
+    """u at time T of the linearized equation, in closed form on the filtered
+    band: the stored grid's spectrum, zero above the cutoff, propagated by e^{A T}."""
+    n = len(data.x) - 1
     xi = 2 * np.pi * np.fft.rfftfreq(n, d=data.h)
     mask = (np.abs(xi) <= cutoff).astype(float)
+    c, s = cos_sinc(xi, T)
     uh = np.fft.rfft(data.u0[:-1]) * mask
     wh = np.fft.rfft(data.v0[:-1]) * mask
-    c, a, b = pde._propagator(xi, T)
-    uh, wh = c * uh + a * wh, b * uh + c * wh
-    return pde._snapshot(x, xi, uh, wh, T, data)
+    u = np.fft.irfft(c * uh + 1j * xi * s * wh, n=n)
+    return np.append(u, u[0])
 
 
 def test_evolve_linear_oracle():
     d = sc.gaussian_bandlimited(1e-6, 2.0, L=120.0, n=4097)
     snap = pde.evolve(d, 8.0, dt=0.05)[-1]
-    lin = linear_evolution(d, 8.0)
-    assert np.max(np.abs(snap.u - lin.u)) < 1e-8
+    assert np.max(np.abs(snap.u - linear_evolution(d, 8.0))) < 1e-8
 
 
 def test_evolve_translates_soliton():
@@ -117,11 +124,6 @@ def reference_evolve(data, T, dt, cutoff=0.9):
     uh = np.fft.rfft(data.u0[:-1]) * mask
     wh = np.fft.rfft(data.v0[:-1]) * mask
 
-    def propagator(tau):
-        mu = xi * np.sqrt(np.maximum(1.0 - xi**2, 0.0))
-        s = np.where(mu != 0.0, np.divide(np.sin(mu * tau), np.where(mu != 0, mu, 1.0)), tau)
-        return np.cos(mu * tau), s
-
     def apply_prop(c, s, uh_, wh_):
         return c * uh_ + 1j * xi * s * wh_, 1j * xi * (1 - xi**2) * s * uh_ + c * wh_
 
@@ -129,8 +131,8 @@ def reference_evolve(data, T, dt, cutoff=0.9):
         u = np.fft.irfft(uh_, n=n)
         return np.zeros_like(uh_), 1j * xi * (np.fft.rfft(u * u) * mask)
 
-    cf, sf = propagator(dt)
-    ch, sh = propagator(dt / 2)
+    cf, sf = cos_sinc(xi, dt)
+    ch, sh = cos_sinc(xi, dt / 2)
     for _ in range(int(round(T / dt))):
         k1u, k1w = nonlin(uh, wh)
         eu, ew = apply_prop(ch, sh, uh, wh)
@@ -182,32 +184,35 @@ def test_alias_free_size_bound():
 
 
 def test_evolve_steps_on_alias_free_grid(monkeypatch):
-    # on a compact-shaped PDE grid every transform in the step loop has length
-    # m <= n/8; only the two initial transforms and the snapshot's two use n
+    # on a compact-shaped PDE grid a step makes 3 rfft and 3 irfft calls, all of
+    # length m <= n/8 (stages 2 and 3 in one batched pair); only the two initial
+    # transforms and the snapshot's two use n
     d = sc.gaussian_bandlimited(0.01, 2.0, L=380.0, n=4097)
     n, m = 4096, 450  # the smallest 5-smooth m with pi m / 760 >= 2 * 0.9
     assert m <= n // 8
-    lengths = []
+    lengths = {"rfft": [], "irfft": []}
     rfft, irfft = np.fft.rfft, np.fft.irfft
 
     def counting_rfft(a, *args, **kwargs):
-        lengths.append(len(a))
+        lengths["rfft"].append(np.shape(a)[-1])
         return rfft(a, *args, **kwargs)
 
     def counting_irfft(*args, **kwargs):
         out = irfft(*args, **kwargs)
-        lengths.append(len(out))
+        lengths["irfft"].append(out.shape[-1])
         return out
 
     monkeypatch.setattr(pde.np.fft, "rfft", counting_rfft)
     monkeypatch.setattr(pde.np.fft, "irfft", counting_irfft)
     pde.evolve(d, 2.0, dt=0.1)
-    assert sorted(lengths) == [m] * (8 * 20 + 1) + [n] * 4
+    assert sorted(lengths["rfft"]) == [m] * (3 * 20) + [n] * 2
+    assert sorted(lengths["irfft"]) == [m] * (3 * 20 + 1) + [n] * 2
 
 
 def test_evolve_inverse_transforms_per_step(monkeypatch):
-    # three RK stages need an inverse FFT each; the first stage reuses the
-    # field that the blow-up check transforms after every step
+    # stages 2 and 3 share one batched inverse FFT and stage 4 takes one; the
+    # first stage reuses the field that the blow-up check transforms after every
+    # step.  Plus the initial field and the snapshot's u and u_t
     calls = []
     irfft = np.fft.irfft
 
@@ -218,7 +223,7 @@ def test_evolve_inverse_transforms_per_step(monkeypatch):
     monkeypatch.setattr(pde.np.fft, "irfft", counting)
     d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
     pde.evolve(d, 2.0, dt=0.1)
-    assert len(calls) <= 4 * 20 + 3
+    assert len(calls) == 3 * 20 + 1 + 2
 
 
 def test_filter_idempotent():

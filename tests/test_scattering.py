@@ -301,8 +301,12 @@ def circle_questions():
 
 
 def reflection_arrays(data):
+    """The n_per_arc = 8 samples, and r1, r2 within BRIDGE_USE of each kappa,
+    read through bridge fits that have 6 nodes each."""
     rd = sc.reflection_coefficients(data, n_per_arc=8)
-    return [rd.theta, rd.r1, rd.r2, rd.s11, rd.sA11]
+    near = np.mod(sc.ARC_EDGES[:6, None] + 0.5 * rd.BRIDGE_USE * np.array([-1, 1]),
+                  2 * np.pi).ravel()
+    return [rd.theta, rd.r1, rd.r2, rd.s11, rd.sA11, rd.r1_at(near), rd.r2_at(near)]
 
 
 def assert_no_child_left():
