@@ -133,14 +133,14 @@ def hessian_coefficient(which: int, saddles) -> complex:
 
 
 def z_star(which: int, arcs: SectorArcs) -> ZStar:
-    """sqrt(2) e^{i pi/4} sqrt(hessian), sign fixed by -i (saddle image) z > 0."""
+    """sqrt(2) e^{i pi/4} sqrt(hessian) with -i (saddle image) z > 0.
+
+    The principal square root gives that sign: arg z lies in (-pi/4, 3 pi/4]
+    with it, and the wanted arg z = pi/2 - arg(saddle image) in (-pi/6, 0)."""
     coeff = hessian_coefficient(which, arcs.saddles)
     z = np.sqrt(2) * np.exp(1j * np.pi / 4) * np.sqrt(coeff)
     image = OMEGA * arcs.saddles.k4 if which == 1 else OMEGA**2 * arcs.saddles.k2
     norm = -1j * image * z
-    if norm.real < 0:
-        z = -z
-        norm = -norm
     if abs(norm.imag) > 1e-10 * abs(norm):
         raise ValueError(f"z_star normalization not real: {norm}")
     a = arcs.a4 if which == 1 else arcs.a2

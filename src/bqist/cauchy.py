@@ -65,7 +65,8 @@ class PositivityError(ValueError):
 
 
 class _LayerCofactor:
-    """Smooth cofactor c(u) = f/(2 sin(u/2))^2 at distance u from a zero of f.
+    """ln f at distance u from a double zero of f, through the smooth cofactor
+    c(u) = f/(2 sin(u/2))^2.
 
     f vanishes to second order but with a boundary layer (width set by the
     nearby zero of s11, i.e. by the data amplitude), so ln c is fitted as a
@@ -104,7 +105,8 @@ class _LayerCofactor:
             fvals = np.exp(vals) * (2 * np.sin(0.5 * us)) ** 2
             self.poly = np.polynomial.polynomial.Polynomial.fit(us, fvals, 3)
 
-    def ln_c(self, u):
+    def ln_f(self, u):
+        """ln c(u) + 2 ln(2 sin(u/2)) for u > 0."""
         u = np.asarray(u, dtype=float)
         out = np.empty(u.shape)
         small = u < self.U_MIN
@@ -116,7 +118,7 @@ class _LayerCofactor:
             else:
                 out[small] = (np.log(np.real(self.poly(u[small])))
                               - 2 * np.log(2 * np.sin(0.5 * u[small])))
-        return out
+        return out + 2 * np.log(2 * np.sin(0.5 * u))
 
 
 class CircleFunctions:
@@ -166,22 +168,11 @@ class CircleFunctions:
 
     # -- density evaluations -------------------------------------------------
 
-    def _ln_from_layer(self, layer, theta):
-        u = TWO_THIRDS_PI - np.asarray(theta, dtype=float)
-        return layer.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
-
     def ln_f(self, theta):
-        return self._ln_from_layer(self.layer_omega, theta)
+        return self.layer_omega.ln_f(TWO_THIRDS_PI - np.asarray(theta, dtype=float))
 
     def ln_f2(self, theta):
-        return self._ln_from_layer(self.layer_one, theta)
-
-    def ln_f_near_one(self, theta):
-        """ln f at small negative position angles, through the layer at 1."""
-        u = -np.asarray(theta, dtype=float)
-        if np.any(u <= 0):
-            raise ValueError("ln_f_near_one expects negative position angles")
-        return self.layer_one.ln_c(u) + 2 * np.log(2 * np.sin(0.5 * u))
+        return self.layer_one.ln_f(TWO_THIRDS_PI - np.asarray(theta, dtype=float))
 
     def density(self, name: str):
         return {"g1": self.g1, "lnF": self.ln_f, "lnF2": self.ln_f2}[name]
@@ -384,8 +375,9 @@ def nu_bundle(arcs: SectorArcs, cf: CircleFunctions) -> NuBundle:
     g1_a2 = float(np.real(cf.g1(arcs.a2)))
     lnf_a4 = float(cf.ln_f(arcs.a4))
     lnf_a2 = float(cf.ln_f(arcs.a2))
+    # ln f at omega k2, whose position angle lies in (-pi/12, 0) (saddle_points)
     th_wk2 = float(np.angle(OMEGA * arcs.saddles.k2))
-    lnf_wk2 = float(cf.ln_f_near_one(th_wk2))
+    lnf_wk2 = float(cf.layer_one.ln_f(-th_wk2))
     return NuBundle(
         zeta=arcs.zeta,
         nu1=-inv2pi * g1_a4,

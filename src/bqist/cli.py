@@ -105,9 +105,10 @@ def load_reflection(out_dir: Path):
     if not np.array_equal(col["arc"], np.repeat(np.arange(6), n)):
         raise ConfigError(f"{path} must hold the arcs 0..5 in turn, with the same number "
                           "of rows each; rerun scatter")
-    entries = {name: np.array([complex(a, b) for a, b in zip(col["re_" + name],
-                                                             col["im_" + name])])
-               for name in ("r1", "r2", "s11", "sA11")}
+    entries = {}
+    for name in ("r1", "r2", "s11", "sA11"):
+        z = entries[name] = np.empty(len(col["theta"]), dtype=complex)
+        z.real, z.imag = col["re_" + name], col["im_" + name]
     return sc.ReflectionData(theta=col["theta"], **entries)
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .spectral import ZETA_MAX, ZETA_MIN
+
 
 #: what a config number is not, in the errors of the fields that take one
 _NUMBER_RULE = "(not a string, a bool or non-finite)"
@@ -62,7 +64,7 @@ _ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
 #: pde.dt must divide every t, which RunConfig.load checks
 RULES = {
     "zeta_window": ("two increasing values inside (1/sqrt(3), 1)",
-                    lambda w: len(w) == 2 and 1.0 / 3.0**0.5 < w[0] < w[1] < 1.0),
+                    lambda w: len(w) == 2 and ZETA_MIN < w[0] < w[1] < ZETA_MAX),
     "t_values": ("a nonempty, strictly increasing list, all >= 2",
                  lambda t: len(t) > 0 and t[0] >= 2 and all(a < b for a, b in zip(t, t[1:]))),
     "n_per_arc": ("at least 8", lambda n: n >= 8),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, ConfigError, whole_steps
-from .scattering import InitialData, _grid
+from .scattering import InitialData
 
 DEFAULT_CUTOFF = DEFAULTS["pde"]["cutoff"]
 
@@ -35,7 +35,7 @@ def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -
         raise ValueError("soliton speed must exceed 1")
     a = 1.5 * (v * v - 1.0)
     b = 0.5 * np.sqrt(v * v - 1.0)
-    x = _grid(L, n)
+    x = np.linspace(-L, L, n)
     s = 1.0 / np.cosh(b * (x - x0))
     u0 = a * s**2
     du0 = -2.0 * a * b * s**2 * np.tanh(b * (x - x0))

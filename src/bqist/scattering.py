@@ -38,7 +38,8 @@ class InitialData:
     """Samples of (u0, u1) on a uniform increasing grid from x[0] = -L (the
     named forms use [-L, L]), with v0 = int_-inf^x u1.
 
-    The grid has an even number of intervals so the RK4 marcher can use the
+    The grid rule lives here, for every constructor: an odd number of points,
+    at least 3, so that the RK4 march can step over pairs of intervals with the
     odd-index points as midpoints.
     """
 
@@ -61,8 +62,9 @@ class InitialData:
 
     def __post_init__(self):
         n = len(self.x)
-        if n % 2 == 0:
-            raise ValueError("InitialData grid must have an odd number of points")
+        if n < 3 or n % 2 == 0:
+            raise ValueError(f"the x grid has {n} points; it needs an odd number of points, "
+                             "at least 3 points")
         for name in ("u0", "u1", "v0", "du0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"InitialData {name} has non-finite values")
@@ -92,19 +94,11 @@ class InitialData:
             raise ValueError(f"initial data not numerically compactly supported: tail {t:.3e}")
 
 
-def _grid(L: float, n: int) -> np.ndarray:
-    if n < 3:
-        raise ValueError(f"n = {n}: the x grid needs at least 3 points")
-    if n % 2 == 0:
-        raise ValueError(f"n = {n}: the x grid needs an odd number of points")
-    return np.linspace(-L, L, n)
-
-
 def from_arrays(x, u0, u1) -> InitialData:
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if len(x) < 3:
+    if len(x) < 3:  # np.gradient needs them before InitialData can check the grid
         raise ValueError(f"the x grid needs at least 3 points, got {len(x)}")
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])
     du0 = np.gradient(u0, x, edge_order=2)
@@ -112,7 +106,7 @@ def from_arrays(x, u0, u1) -> InitialData:
 
 
 def zero_data(L: float = 20.0, n: int = 513) -> InitialData:
-    x = _grid(L, n)
+    x = np.linspace(-L, L, n)
     z = np.zeros_like(x)
     return InitialData(x, z.copy(), z.copy(), z.copy(), z.copy())
 
@@ -130,7 +124,7 @@ def _with_u1_mode(x, u0, du0, u1_mode: str) -> InitialData:
 def gaussian(amplitude: float, width: float, L: float = 30.0, n: int = 4097,
              u1_mode: str = "minus_du0") -> InitialData:
     """u0 = a exp(-(x/w)^2); u1 = -d/dx u0 (mass-free) or zero."""
-    x = _grid(L, n)
+    x = np.linspace(-L, L, n)
     u0 = amplitude * np.exp(-((x / width) ** 2))
     return _with_u1_mode(x, u0, u0 * (-2.0 * x / width**2), u1_mode)
 
@@ -161,7 +155,7 @@ def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: in
     Deterministic given the grid: the taper acts on the FFT of the sampled
     Gaussian and the result is transformed back.
     """
-    x = _grid(L, n)
+    x = np.linspace(-L, L, n)
     h = x[1] - x[0]
     # periodic FFT on [-L, L); the last sample duplicates the first up to 1e-200 tails
     xs = x[:-1]
@@ -760,9 +754,8 @@ def find_s11_zeros(data: InitialData) -> list:
     then one per Newton step.  A zero within 1e-9 of the real axis is real; one
     in the strip between a contour's lower ray and the real edge is not
     admissible and is dropped.  residue_constants checks |s11| at each zero
-    against tol.zero_residual, from the march it makes there anyway."""
-    if data.is_zero:
-        return []
+    against tol.zero_residual, from the march it makes there anyway.  Zero data
+    have s11 = 1 on both contours, which wind zero times: no zeros."""
     s11 = partial(s11_values, data)
     contours = search_contours()
     vals = np.split(s11(np.concatenate([k for k, _ in contours])), len(contours))

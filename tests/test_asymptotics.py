@@ -6,7 +6,7 @@ from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import scattering as sc
 from bqist.config import DEFAULTS
-from bqist.spectral import OMEGA, phi, saddle_points
+from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phi, saddle_points
 from bqist.util import graded_panels, panel_quad, refine_near
 
 ZETA = 0.75
@@ -60,7 +60,8 @@ def test_blaschke_pole_error():
 
 
 def test_z_star_normalization():
-    for zeta in (0.65, 0.8, 0.93):
+    """The principal square root gives the normalized sign across the window."""
+    for zeta in np.linspace(ZETA_MIN, ZETA_MAX, 202)[1:-1]:
         arcs = cy.SectorArcs.from_zeta(zeta)
         z1 = asy.z_star(1, arcs)
         z2 = asy.z_star(2, arcs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
@@ -261,6 +262,64 @@ def test_chi_by_parts_matches_eps_ladder(cf_small):
         scale = max(abs(r) for r in refs)
         worst = max(worst, *(abs(n - r) / scale for n, r in zip(news, refs)))
     assert worst < 1e-7
+
+
+def quad_arc(integrand, lo, hi):
+    """int integrand over [lo, hi] by scipy's adaptive quadrature (QAGS, whose
+    extrapolation handles the ln u singularity of ln f at omega)."""
+    return quad(integrand, lo, hi, complex_func=True, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+
+
+def quad_chi(j, arcs, cf, k, tilde):
+    """chi_j at an end k of its arc, by parts as chi's docstring writes it, with
+    the arc integral by quad_arc instead of the production panels."""
+    name, dens_name, sign = cy._ARC_SPEC[j]
+    lo, hi = cy._arc_interval(arcs, name)
+    dens = cf.density(dens_name)
+    at_lo = abs(np.exp(1j * lo) - k) < 1e-7
+    assert at_lo or abs(np.exp(1j * hi) - k) < 1e-7
+    c = float(dens(lo if at_lo else hi))
+    if at_lo:  # at omega the end term keeps only -c
+        jump = -c if name == "hi" else float(dens(hi)) - c
+        ends = jump * cy.ln_branch(k, np.exp(1j * hi), tilde=tilde)
+    else:
+        ends = -(float(dens(lo)) - c) * cy.ln_branch(k, np.exp(1j * lo), tilde=tilde)
+    integral = quad_arc(lambda th: complex((dens(th) - c) * 1j * np.exp(1j * th)
+                                           / (np.exp(1j * th) - k)), lo, hi)
+    return sign * (ends - integral) / (2j * np.pi)
+
+
+def test_chi_quadrature_matches_adaptive_quad(cf_small):
+    """The seven chi values of build_ingredients at three zetas against the same
+    by-parts integrals done by quad; 7.1e-13 worst, at chi_5."""
+    worst = 0.0
+    for zeta in (0.66, 0.78, 0.9):
+        arcs = cy.SectorArcs.from_zeta(zeta)
+        images = saddle_images(arcs)
+        for j, image, tilde in CHI_EVALS:
+            ref = quad_chi(j, arcs, cf_small, images[image], tilde)
+            worst = max(worst, abs(cy.chi(j, arcs, cf_small, images[image], tilde=tilde) - ref))
+    assert worst < 1e-11
+
+
+def test_script_D_deltas_match_adaptive_quad(cf_small):
+    """The ten delta quadratures of script_D at zeta = 0.78 (53 points) against
+    exp(sign/(2 pi i) int g i s/(s - k) dtheta) by quad, relative; 1.7e-13 worst."""
+    arcs = cy.SectorArcs.from_zeta(0.78)
+    worst = 0.0
+    for k, table in ((OMEGA * arcs.saddles.k4, asy._D1_EXP),
+                     (OMEGA**2 * arcs.saddles.k2, asy._D2_EXP)):
+        for j, factors in table.items():
+            name, dens_name, sign = cy._ARC_SPEC[j]
+            lo, hi = cy._arc_interval(arcs, name)
+            dens = cf_small.density(dens_name)
+            points = [asy._TRANSFORMS[t](k) for t in factors]
+            for p, val in zip(points, cy.delta(j, arcs, cf_small, points)):
+                integral = quad_arc(lambda th: complex(dens(th) * 1j * np.exp(1j * th)
+                                                       / (np.exp(1j * th) - p)), lo, hi)
+                ref = np.exp(sign * integral / (2j * np.pi))
+                worst = max(worst, abs(val - ref) / abs(ref))
+    assert worst < 1e-11
 
 
 def test_chi_regularized_vs_integration_by_parts(arcs, cf_small):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from bqist import cli
+from bqist import cli, pde
 from bqist import scattering as sc
 from bqist.config import RunConfig, Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
@@ -34,6 +34,30 @@ def test_zero_data_trivial():
     assert sc.find_s11_zeros(d) == []
     rep = sc.assumption_validators(d)
     assert rep["ok"]
+
+
+GRID_BUILDERS = {
+    "zero_data": lambda n: sc.zero_data(L=20.0, n=n),
+    "gaussian": lambda n: sc.gaussian(0.1, 2.0, n=n),
+    "gaussian_bandlimited": lambda n: sc.gaussian_bandlimited(0.01, 2.0, L=60.0, n=n),
+    "soliton_profile": lambda n: pde.soliton_profile(1.3, n=n),
+    "from_arrays": lambda n: sc.from_arrays(np.linspace(-20.0, 20.0, n), np.zeros(n),
+                                            np.zeros(n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_BUILDERS))
+def test_constructors_share_the_grid_rule(name):
+    """Every constructor takes its grid rule from InitialData: an odd number of
+    points, at least 3.  gaussian_bandlimited never reaches InitialData with one
+    point: it reads its grid step x[1] - x[0] first."""
+    build = GRID_BUILDERS[name]
+    assert len(build(33).x) == 33
+    with pytest.raises(ValueError, match="odd number"):
+        build(32)
+    if name != "gaussian_bandlimited":
+        with pytest.raises(ValueError, match="3 points"):
+            build(1)
 
 
 def test_band_limited_construction(data_small):
