@@ -139,12 +139,11 @@ def z_star(which: int, arcs: SectorArcs) -> ZStar:
     with it, and the wanted arg z = pi/2 - arg(saddle image) in (-pi/6, 0)."""
     coeff = hessian_coefficient(which, arcs.saddles)
     z = np.sqrt(2) * np.exp(1j * np.pi / 4) * np.sqrt(coeff)
-    image = OMEGA * arcs.saddles.k4 if which == 1 else OMEGA**2 * arcs.saddles.k2
+    image = arcs.wk4 if which == 1 else arcs.w2k2
     norm = -1j * image * z
     if abs(norm.imag) > 1e-10 * abs(norm):
         raise ValueError(f"z_star normalization not real: {norm}")
-    a = arcs.a4 if which == 1 else arcs.a2
-    expected = np.pi / 2 - a
+    expected = np.pi / 2 - (arcs.a4 if which == 1 else arcs.a2)
     if abs((np.angle(z) - expected + np.pi) % (2 * np.pi) - np.pi) > 1e-9:
         raise ValueError("z_star argument disagrees with pi/2 - arg(saddle image)")
     return ZStar(value=z, log=np.log(abs(z)) + 1j * expected)
@@ -169,8 +168,8 @@ def q_values(arcs: SectorArcs, refl) -> QValues:
     """The six model inputs from reflection values at the saddle rotations."""
     sad = arcs.saddles
     pts = {
-        "q1": OMEGA * sad.k4,
-        "q2": OMEGA**2 * sad.k2,
+        "q1": arcs.wk4,
+        "q2": arcs.w2k2,
         "q3": 1 / sad.k4,
         "q4": 1 / (OMEGA * sad.k2),
         "q5": OMEGA * sad.k2,
@@ -220,6 +219,11 @@ class SectorIngredients:
     im_phi32: float    # Im Phi_32(zeta, w2 k2)
 
 
+#: the SectorIngredients fields that ``asym`` writes to deltas_debug.csv, per zeta
+DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4", "chit3_wk4",
+                    "chi2_w2k2", "chi3_w2k2", "chit4_w2k2", "chit5_w2k2")
+
+
 def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = None,
                       tol: Tolerances = Tolerances()) -> SectorIngredients:
     """The per-zeta bundle; ``solitons`` are the zeros of s11 (None for none)."""
@@ -228,9 +232,7 @@ def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = 
     if nu.nu_hat1 < tol.nu_hat_floor or nu.nu_hat2 < tol.nu_hat_floor:
         raise PositivityError(
             f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
-    sad = arcs.saddles
-    wk4 = OMEGA * sad.k4
-    w2k2 = OMEGA**2 * sad.k2
+    sad, wk4, w2k2 = arcs.saddles, arcs.wk4, arcs.w2k2
     q = q_values(arcs, cf.refl)
 
     phi31 = complex(phi(3, 1, zeta, wk4))
@@ -266,7 +268,7 @@ def d_coefficients(ing: SectorIngredients, t: float) -> tuple[complex, complex]:
     if t <= 0:
         raise ValueError("t must be positive")
     nu = ing.nu
-    gap = abs(OMEGA * ing.arcs.saddles.k4 - OMEGA**2 * ing.arcs.saddles.k2)
+    gap = abs(ing.arcs.wk4 - ing.arcs.w2k2)
     # tilde-ln_{w2k2}(w k4 - w2 k2) and ln_{w k4}(w2 k2 - w k4)
     lt = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 - np.pi)
     ln2 = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 + np.pi)
@@ -311,10 +313,8 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
     hat1 = max(nu.nu_hat1, 0.0)
     hat2 = max(nu.nu_hat2, 0.0)
 
-    wk4 = OMEGA * sad.k4
-    w2k2 = OMEGA**2 * sad.k2
-    den1 = -1j * wk4 * ing.z1.value
-    den2 = -1j * w2k2 * ing.z2.value
+    den1 = -1j * ing.arcs.wk4 * ing.z1.value
+    den2 = -1j * ing.arcs.w2k2 * ing.z2.value
     rt1 = abs(complex(rtilde(1 / sad.k4)))
     rt2 = abs(complex(rtilde(1 / sad.k2)))
 

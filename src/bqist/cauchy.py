@@ -59,6 +59,17 @@ class PositivityError(ValueError):
     """A log argument that the theory requires to be positive is not."""
 
 
+def check_positive(vals, label: str, var: str, at) -> None:
+    """PositivityError unless ``vals``, the log argument ``label`` at ``var`` = ``at``,
+    are positive: Re > 0 at each and max |Im| at most 1e-6 max(1, max Re)."""
+    re = np.real(vals)
+    if np.any(re <= 0):
+        raise PositivityError(f"{label} is nonpositive near {var} = {at[np.argmin(re)]:.6g}")
+    im = np.max(np.abs(np.imag(vals)))
+    if im > 1e-6 * max(1.0, np.max(re)):
+        raise PositivityError(f"{label} has imaginary residual {im:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # circle functions built from reflection data
 # ---------------------------------------------------------------------------
@@ -79,17 +90,11 @@ class _LayerCofactor:
     U_MAX = 0.56
     N_FIT = 80  # Chebyshev nodes in tau
 
-    def __init__(self, f_at_distance):
-        tau = ChebPanel.nodes(np.log(self.U_MIN), np.log(self.U_MAX), self.N_FIT)
-        u = np.exp(tau)
+    def __init__(self, f_at_distance, label: str):
+        u = np.exp(ChebPanel.nodes(np.log(self.U_MIN), np.log(self.U_MAX), self.N_FIT))
         f = f_at_distance(u)
-        re = np.real(f)
-        if np.any(re <= 0):
-            raise PositivityError("f nonpositive near one of its double zeros")
-        im = np.max(np.abs(np.imag(f)))
-        if im > 1e-6:
-            raise PositivityError(f"f has imaginary residual {im:.2e} near a zero")
-        lnc = np.log(re / (2 * np.sin(0.5 * u)) ** 2)
+        check_positive(f, label, "u", u)
+        lnc = np.log(np.real(f) / (2 * np.sin(0.5 * u)) ** 2)
         self.fit = ChebPanel.fit(np.log(self.U_MIN), np.log(self.U_MAX), lnc)
         # continuation below U_MIN: c is analytic at u = 0 when f really has
         # its double zero (cubic in u), but degenerates to f(omega)/u^2 when
@@ -150,21 +155,11 @@ class CircleFunctions:
         lo, hi = ARC_LO - 0.03, TWO_THIRDS_PI
         th = ChebPanel.nodes(lo, hi, self.N_FIT)
         one_p = 1.0 + self.r1r2(th)
-        self._check_positive(one_p, th, "1 + r1 r2")
+        check_positive(one_p, "1 + r1 r2", "theta", th)
         self.g1 = ChebPanel.fit(lo, hi, np.log(one_p.real))
         # distance-from-zero profiles of f at omega (from below) and 1 (from below)
-        self.layer_omega = _LayerCofactor(lambda u: self.f_raw(TWO_THIRDS_PI - u))
-        self.layer_one = _LayerCofactor(lambda u: self.f_raw(-u))
-
-    @staticmethod
-    def _check_positive(vals, th, label):
-        re = np.real(vals)
-        im = np.max(np.abs(np.imag(vals))) if np.size(vals) else 0.0
-        if np.any(re <= 0):
-            bad = th[np.argmin(re)]
-            raise PositivityError(f"{label} is nonpositive near theta = {bad:.6f}")
-        if im > 1e-6 * max(1.0, np.max(np.abs(re))):
-            raise PositivityError(f"{label} has imaginary residual {im:.2e}")
+        self.layer_omega = _LayerCofactor(lambda u: self.f_raw(TWO_THIRDS_PI - u), "f(2pi/3 - u)")
+        self.layer_one = _LayerCofactor(lambda u: self.f_raw(-u), "f(-u)")
 
     # -- density evaluations -------------------------------------------------
 
@@ -221,20 +216,22 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
 
 @dataclass(frozen=True)
 class SectorArcs:
-    """Angular endpoints of the three integration arcs at a given zeta."""
+    """Saddle images at a given zeta and their arguments, the integration arcs' ends."""
 
     zeta: float
     saddles: SaddleSet
+    wk4: complex   # omega k4
+    w2k2: complex  # omega^2 k2
     a4: float  # arg(omega k4) in (pi/2, 2 pi/3)
     a2: float  # arg(omega^2 k2) in (a4, 2 pi/3)
 
     @classmethod
     def from_zeta(cls, zeta: float) -> "SectorArcs":
         sad = saddle_points(zeta)
-        a4 = float(np.angle(OMEGA * sad.k4))
-        a2 = float(np.angle(OMEGA**2 * sad.k2))
+        wk4, w2k2 = OMEGA * sad.k4, OMEGA**2 * sad.k2
+        a4, a2 = float(np.angle(wk4)), float(np.angle(w2k2))
         assert ARC_LO < a4 < a2 < TWO_THIRDS_PI, (a4, a2)
-        return cls(zeta=zeta, saddles=sad, a4=a4, a2=a2)
+        return cls(zeta=zeta, saddles=sad, wk4=wk4, w2k2=w2k2, a4=a4, a2=a2)
 
 
 _ARC_SPEC = {

@@ -105,11 +105,13 @@ def load_reflection(out_dir: Path):
     if not np.array_equal(col["arc"], np.repeat(np.arange(6), n)):
         raise ConfigError(f"{path} must hold the arcs 0..5 in turn, with the same number "
                           "of rows each; rerun scatter")
+    if not np.array_equal(col["theta"], sc.ReflectionData.nodes(n)):
+        raise ConfigError(f"{path} theta is not the sample angles of {n} per arc; rerun scatter")
     entries = {}
     for name in ("r1", "r2", "s11", "sA11"):
         z = entries[name] = np.empty(len(col["theta"]), dtype=complex)
         z.real, z.imag = col["re_" + name], col["im_" + name]
-    return sc.ReflectionData(theta=col["theta"], **entries)
+    return sc.ReflectionData(**entries)
 
 
 def load_solitons(out_dir: Path):
@@ -133,11 +135,6 @@ def load_solitons(out_dir: Path):
     return sc.SolitonData(zeros=zeros, c=c, d=d)
 
 
-#: SectorIngredients fields that ``asym`` writes to deltas_debug.csv, per zeta
-_DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4", "chit3_wk4",
-                     "chi2_w2k2", "chi3_w2k2", "chit4_w2k2", "chit5_w2k2")
-
-
 def cmd_asym(cfg: RunConfig) -> int:
     from . import asymptotics as asy
     from . import cauchy as cy
@@ -155,7 +152,7 @@ def cmd_asym(cfg: RunConfig) -> int:
         for t in cfg.t_values:
             ev = asy.u_asym(ing, t)
             rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
-        for name in _DEBUG_QUANTITIES:
+        for name in asy.DEBUG_QUANTITIES:
             v = complex(getattr(ing, name))
             dbg_rows.append((z, name, v.real, v.imag))
     _write_csv(cfg.out_dir / "asymptotics.csv",
@@ -190,11 +187,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     from . import pde
 
-    asym = read_columns(cfg.out_dir / "asymptotics.csv", ("t", "zeta", "u_asym"))
+    path = cfg.out_dir / "asymptotics.csv"
+    asym = read_columns(path, ("t", "zeta", "u_asym"))
     missing = [t for t in cfg.t_values if t not in asym["t"]]
     if missing:
-        raise ConfigError(f"asymptotics.csv has no rows for t = {missing}; "
-                          "rerun asym with this config")
+        raise ConfigError(f"{path} has no rows for t = {missing}; rerun asym with this config")
     zetas = cfg.zetas
     snaps, u_asym = [], []
     for t in cfg.t_values:
@@ -202,7 +199,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         order = np.argsort(asym["zeta"][at_t], kind="stable")
         zs = asym["zeta"][at_t][order]
         if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
-            raise ConfigError("asymptotics.csv zeta grid does not match the config")
+            raise ConfigError(f"{path} has another zeta grid; rerun asym with this config")
         u_asym.append(asym["u_asym"][at_t][order])
         snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", ("x", "u", "u_t"))
         snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t))

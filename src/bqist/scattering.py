@@ -60,11 +60,14 @@ class InitialData:
         """The grid step x[1] - x[0]."""
         return float(self.x[1] - self.x[0])
 
-    def __post_init__(self):
-        n = len(self.x)
+    @staticmethod
+    def check_size(n: int) -> None:
+        """The grid rule: ValueError unless n is odd and at least 3."""
         if n < 3 or n % 2 == 0:
-            raise ValueError(f"the x grid has {n} points; it needs an odd number of points, "
-                             "at least 3 points")
+            raise ValueError(f"the x grid needs an odd number, at least 3 points; it has {n}")
+
+    def __post_init__(self):
+        self.check_size(len(self.x))
         for name in ("u0", "u1", "v0", "du0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"InitialData {name} has non-finite values")
@@ -98,8 +101,7 @@ def from_arrays(x, u0, u1) -> InitialData:
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if len(x) < 3:  # np.gradient needs them before InitialData can check the grid
-        raise ValueError(f"the x grid needs at least 3 points, got {len(x)}")
+    InitialData.check_size(len(x))  # np.gradient needs 3 points
     v0 = np.concatenate([[0.0], np.cumsum(0.5 * (u1[1:] + u1[:-1]) * np.diff(x))])
     du0 = np.gradient(u0, x, edge_order=2)
     return InitialData(x=x, u0=u0, u1=u1, v0=v0, du0=du0)
@@ -155,6 +157,7 @@ def gaussian_bandlimited(amplitude: float, width: float, L: float = 120.0, n: in
     Deterministic given the grid: the taper acts on the FFT of the sampled
     Gaussian and the result is transformed back.
     """
+    InitialData.check_size(n)  # before the grid step x[1] - x[0] is read
     x = np.linspace(-L, L, n)
     h = x[1] - x[0]
     # periodic FFT on [-L, L); the last sample duplicates the first up to 1e-200 tails
@@ -520,8 +523,8 @@ def _arc_weight(theta, a_idx):
 
 @dataclass
 class ReflectionData:
-    """Samples of (r1, r2, s11, sA11) at the Chebyshev nodes ``theta`` of the six
-    kappa-delimited arcs: flat arrays of 6 n_per_arc entries, arc 0 first.
+    """Samples of (r1, r2, s11, sA11) at the angles ``theta`` = nodes(n_per_arc) on
+    the six kappa-delimited arcs: flat arrays of 6 n_per_arc entries, arc 0 first.
 
     Interpolation runs through the weighted entries w*s12 = w*r1*s11 and
     w*s11 (likewise for r2), which are analytic across each closed arc; the
@@ -530,7 +533,6 @@ class ReflectionData:
     The fits are built on first evaluation.
     """
 
-    theta: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
     s11: np.ndarray
@@ -538,18 +540,28 @@ class ReflectionData:
 
     BRIDGE_HALF = 0.30   # half-width of the kappa-centered refit windows
     BRIDGE_USE = 0.10    # dispatch to a bridge fit within this distance of kappa
+    #: the arcs' sampled intervals, EXCLUSION in from the roots at either end
+    ARCS = tuple((ARC_EDGES[a] + EXCLUSION, ARC_EDGES[a + 1] - EXCLUSION) for a in range(6))
+
+    @classmethod
+    def nodes(cls, n_per_arc: int) -> np.ndarray:
+        """The sample angles: n_per_arc Chebyshev nodes on each of cls.ARCS in turn."""
+        return np.concatenate([ChebPanel.nodes(lo, hi, n_per_arc) for lo, hi in cls.ARCS])
 
     @property
     def n_per_arc(self) -> int:
-        return len(self.theta) // 6
+        return len(self.r1) // 6
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return self.nodes(self.n_per_arc)
 
     @cached_property
     def _fits(self):
         fits = {"n1": [], "d1": [], "n2": [], "d2": []}
         n = self.n_per_arc
-        for a in range(6):
+        for a, (lo, hi) in enumerate(self.ARCS):
             arc = slice(a * n, (a + 1) * n)
-            lo, hi = ARC_EDGES[a] + EXCLUSION, ARC_EDGES[a + 1] - EXCLUSION
             w = _arc_weight(self.theta[arc], a)
             fits["n1"].append(ChebPanel.fit(lo, hi, w * self.r1[arc] * self.s11[arc]))
             fits["d1"].append(ChebPanel.fit(lo, hi, w * self.s11[arc]))
@@ -614,15 +626,12 @@ class ReflectionData:
 
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
-    """Sample the reflection data at Chebyshev nodes of the six arcs: the X and
+    """Sample the reflection data at ReflectionData.nodes(n_per_arc): the X and
     XA reflection_ratio calls run in two processes (_in_two_processes)."""
-    theta = np.concatenate([ChebPanel.nodes(ARC_EDGES[a] + EXCLUSION,
-                                            ARC_EDGES[a + 1] - EXCLUSION, n_per_arc)
-                            for a in range(6)])
-    k = np.exp(1j * theta)
+    k = np.exp(1j * ReflectionData.nodes(n_per_arc))
     (r1, s11), (r2, sA11) = _in_two_processes(partial(reflection_ratio, data, k, "X"),
                                               partial(reflection_ratio, data, k, "XA"))
-    return ReflectionData(theta=theta, r1=r1, r2=r2, s11=s11, sA11=sA11)
+    return ReflectionData(r1=r1, r2=r2, s11=s11, sA11=sA11)
 
 
 # ---------------------------------------------------------------------------

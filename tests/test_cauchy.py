@@ -43,6 +43,18 @@ def test_f_real_on_circle(cf_small):
     assert val.real > 0
 
 
+def test_one_positivity_check_for_every_log_argument():
+    """check_positive, which guards both 1 + r1 r2 and f at its double zeros:
+    Re > 0 at every sample, and max |Im| at most 1e-6 max(1, max Re)."""
+    at = np.array([0.1, 0.2, 0.3])
+    cy.check_positive(np.array([1.0 + 1e-6j, 0.5, 1e-300]), "g", "u", at)
+    cy.check_positive(np.array([4.0 + 3.9e-6j, 0.5, 1.0]), "g", "u", at)
+    with pytest.raises(cy.PositivityError, match="g has imaginary residual 1.10e-06"):
+        cy.check_positive(np.array([1.0, 0.5 + 1.1e-6j, 0.2]), "g", "u", at)
+    with pytest.raises(cy.PositivityError, match="g is nonpositive near u = 0.2"):
+        cy.check_positive(np.array([1.0, -1e-3, 0.0]), "g", "u", at)
+
+
 def test_f_vanishes_quadratically_at_one(cf_small):
     # at least double zero at k = 1: f/chord^2 stabilizes as the distance shrinks
     cs = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bqist import asymptotics as asy
 from bqist import cli
 from bqist import scattering as sc
 from bqist.config import TOLERANCES, ConfigError, RunConfig, Tolerances
@@ -41,11 +42,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     res = run_cli("scatter", "--config", str(tmp_path / "nope.json"))
     assert res.returncode == 2
     assert "nope.json" in res.stderr
-    # a config that is JSON but not an object of fields
-    for text in ("3", "null"):
+    # a config that is not JSON, not an object of fields, or has no usable initial_data
+    for text, message in (("3", "config must be a JSON object"),
+                          ("null", "config must be a JSON object"),
+                          ('{"initial_data": ', "not valid JSON"),
+                          ('{"n_per_arc": 24}', "missing required field 'initial_data'"),
+                          ('{"initial_data": {"L": 20.0}}', "either 'form' or 'csv'")):
         (tmp_path / "c.json").write_text(text)
-        assert cli.main(["scatter", "--config", str(tmp_path / "c.json")]) == 2
-        assert "config must be a JSON object" in capsys.readouterr().err
+        assert cli.main(["scatter", "--config", str(tmp_path / "c.json")]) == 2, text
+        assert message in capsys.readouterr().err, text
 
 
 def test_missing_csv_names_field(tmp_path):
@@ -324,7 +329,7 @@ def test_debug_dump(small_run):
     dbg = (out / "deltas_debug.csv").read_text().splitlines()
     assert dbg[0] == "zeta,quantity,re,im"
     assert len(dbg) == 1 + 3 * 9
-    assert [row.split(",")[1] for row in dbg[1:10]] == list(cli._DEBUG_QUANTITIES)
+    assert [row.split(",")[1] for row in dbg[1:10]] == list(asy.DEBUG_QUANTITIES)
     zetas = np.linspace(0.66, 0.9, 3)
     assert [float(row.split(",")[0]) for row in dbg[1:]] == list(np.repeat(zetas, 9))
     res = run_cli("asym", "--config", str(cfgp), "--out", str(out), "--debug-deltas")
@@ -378,6 +383,8 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 24
     word = lines[5].split(",")
     word[1] = "abc"
+    moved = [",".join([f[0], cli.FMT % (float(f[1]) + 1e-9), *f[2:]])
+             for f in (line.split(",") for line in lines[1:])]
     bad_tables = {
         "one row missing": lines[:79] + lines[80:],
         "three rows missing from each of two arcs": lines[:20] + lines[23:100] + lines[103:],
@@ -389,6 +396,11 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
         path.write_text("".join(table))
         assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2, why
         assert str(path) in capsys.readouterr().err, why
+    # so is one whose angles are not ReflectionData.nodes bit for bit: every one moved 1e-9 rad
+    path.write_text("".join(lines[:1] + moved))
+    assert cli.main(["asym", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "sample angles" in err and "rerun scatter" in err
     # a table scattered with another n_per_arc is refused by an asym with this config
     path.write_text("".join(lines))
     other = write_config(tmp_path / "other.json", n_per_arc=40)
@@ -481,6 +493,30 @@ def test_pipeline_evolve_compare(small_run):
     res = run_cli("compare", "--config", str(cfgp2), "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "t = [120.0]" in res.stderr
+    # so is an asymptotics.csv from another zeta window
+    cfg["t_values"], cfg["zeta_window"] = [60.0], [0.7, 0.9]
+    cfgp2.write_text(json.dumps(cfg))
+    res = run_cli("compare", "--config", str(cfgp2), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert str(out / "asymptotics.csv") in res.stderr and "rerun asym" in res.stderr
+
+
+def test_scatter_validator_failure_exits_1_with_its_report(tmp_path, capsys):
+    """Data that fails a validator (here no_high_frequency: sup |r1| on its
+    segment is 0.034 against 5e-3) still gets all three files, the report
+    saying "ok": false, and scatter exits 1."""
+    cfgp = write_config(tmp_path / "c.json", n_per_arc=16,
+                        initial_data={"form": "gaussian", "amplitude": 0.1, "width": 0.8,
+                                      "L": 20.0, "n": 1025})
+    out = tmp_path / "out"
+    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 1
+    assert "validator failure" in capsys.readouterr().err
+    assert len(cli.load_reflection(out).r1) == 6 * 16
+    assert json.loads((out / "solitons.json").read_text())["zeros"] == []
+    report = json.loads((out / "validators.json").read_text())
+    assert report["ok"] is False and report["mass_condition"]["ok"]
+    check = report["no_high_frequency"]
+    assert not check["ok"] and check["sup_r1_segment"] > 6 * check["tol"]
 
 
 def test_scatter_mass_condition_exits_1_before_the_march(tmp_path, capsys):

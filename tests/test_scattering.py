@@ -12,7 +12,6 @@ from bqist import cli, pde
 from bqist import scattering as sc
 from bqist.config import RunConfig, Tolerances
 from bqist.spectral import OMEGA, SQRT3, phase_values
-from bqist.util import ChebPanel
 
 
 def rtilde(k):
@@ -49,15 +48,14 @@ GRID_BUILDERS = {
 @pytest.mark.parametrize("name", sorted(GRID_BUILDERS))
 def test_constructors_share_the_grid_rule(name):
     """Every constructor takes its grid rule from InitialData: an odd number of
-    points, at least 3.  gaussian_bandlimited never reaches InitialData with one
-    point: it reads its grid step x[1] - x[0] first."""
+    points, at least 3."""
     build = GRID_BUILDERS[name]
     assert len(build(33).x) == 33
     with pytest.raises(ValueError, match="odd number"):
         build(32)
-    if name != "gaussian_bandlimited":
+    for n in (0, 1):
         with pytest.raises(ValueError, match="3 points"):
-            build(1)
+            build(n)
 
 
 def test_band_limited_construction(data_small):
@@ -110,9 +108,7 @@ def test_rank_one_frame_is_the_definition():
     their XA transposes equal P^-1 E_{3j} P bit for bit at every kind of k the
     program marches: the reflection nodes, the zero-search contours, the
     genericity probes, a Newton triple and points EXCLUSION from each root."""
-    nodes = np.exp(1j * np.concatenate([ChebPanel.nodes(sc.ARC_EDGES[a] + sc.EXCLUSION,
-                                                        sc.ARC_EDGES[a + 1] - sc.EXCLUSION, 56)
-                                        for a in range(6)]))
+    nodes = np.exp(1j * sc.ReflectionData.nodes(56))
     contours = np.concatenate([k for k, _ in sc.search_contours()])
     probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
                        for r in (1e-2, 5e-3)])
@@ -236,9 +232,7 @@ def test_circle_march_bit_identical():
                 assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
                                       reference_march(d, k, which, cols)), (nk, which, cols)
     short = sc.gaussian(0.2, 2.0, L=20.0, n=129)
-    k = np.exp(1j * np.concatenate([ChebPanel.nodes(sc.ARC_EDGES[a] + sc.EXCLUSION,
-                                                    sc.ARC_EDGES[a + 1] - sc.EXCLUSION, 56)
-                                    for a in range(6)]))
+    k = np.exp(1j * sc.ReflectionData.nodes(56))
     assert len(k) == 336
     for which in ("X", "XA"):
         assert np.array_equal(sc.march_volterra(short, k, which, cols=(0, 1)),
