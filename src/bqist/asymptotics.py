@@ -2,7 +2,9 @@
 
 Assembles the per-zeta ingredient bundle (saddles, nu exponents, chi values,
 delta products, soliton Blaschke factors) and evaluates the two-oscillation
-leading term u = (A1 cos alpha1 + A2 cos alpha2)/sqrt(t).
+leading term u = (A1 cos alpha1 + A2 cos alpha2)/sqrt(t).  The formula's seven
+chi terms are one table, CHI_TERMS, read by build_ingredients, d_coefficients
+and DEBUG_QUANTITIES.
 
 All complex powers carry explicit logarithms (t^{-i nu}, z_star^{-2 i nu});
 the two chord-angle branch values
@@ -15,6 +17,7 @@ are hard-coded per the branch conventions documented in cauchy.py.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +128,8 @@ def hessian_coefficient(which: int, saddles) -> complex:
     which=1: coefficient for Phi_31 at omega k4; which=2: for Phi_32 at
     omega^2 k2.
     """
-    if which == 1:
-        k4 = saddles.k4
-        return OMEGA * (4 - 3 * k4 * saddles.zeta - k4**3 * saddles.zeta) / (4 * k4**4)
-    k2 = saddles.k2
-    return -(OMEGA**2) * (4 - 3 * k2 * saddles.zeta - k2**3 * saddles.zeta) / (4 * k2**4)
+    k, c = (saddles.k4, OMEGA) if which == 1 else (saddles.k2, -(OMEGA**2))
+    return c * (4 - 3 * k * saddles.zeta - k**3 * saddles.zeta) / (4 * k**4)
 
 
 def z_star(which: int, arcs: SectorArcs) -> ZStar:
@@ -139,11 +139,11 @@ def z_star(which: int, arcs: SectorArcs) -> ZStar:
     with it, and the wanted arg z = pi/2 - arg(saddle image) in (-pi/6, 0)."""
     coeff = hessian_coefficient(which, arcs.saddles)
     z = np.sqrt(2) * np.exp(1j * np.pi / 4) * np.sqrt(coeff)
-    image = arcs.wk4 if which == 1 else arcs.w2k2
+    image, angle = arcs.image(which)
     norm = -1j * image * z
     if abs(norm.imag) > 1e-10 * abs(norm):
         raise ValueError(f"z_star normalization not real: {norm}")
-    expected = np.pi / 2 - (arcs.a4 if which == 1 else arcs.a2)
+    expected = np.pi / 2 - angle
     if abs((np.angle(z) - expected + np.pi) % (2 * np.pi) - np.pi) > 1e-9:
         raise ValueError("z_star argument disagrees with pi/2 - arg(saddle image)")
     return ZStar(value=z, log=np.log(abs(z)) + 1j * expected)
@@ -157,11 +157,6 @@ class QValues:
     q4: complex
     q5: complex
     q6: complex
-
-    @property
-    def constraint_residual(self) -> float:
-        """|q4 - conj(q5) - q2 conj(q6)| (vanishes identically in theory)."""
-        return float(abs(self.q4 - np.conj(self.q5) - self.q2 * np.conj(self.q6)))
 
 
 def q_values(arcs: SectorArcs, refl) -> QValues:
@@ -196,21 +191,30 @@ def q_values(arcs: SectorArcs, refl) -> QValues:
 # ---------------------------------------------------------------------------
 
 
+#: a chi term of the formula: chi_j (tilde-chi_j if ``tilde``) at the saddle image of
+#: oscillation ``term`` (SectorArcs.image), entering ln d_{term}0 with ``weight``
+ChiTerm = namedtuple("ChiTerm", "name j term tilde weight")
+
+#: the formula's seven chi terms, in the order build_ingredients evaluates them
+CHI_TERMS = (
+    ChiTerm("chi1_wk4", 1, 1, False, -1),
+    ChiTerm("chit2_wk4", 2, 1, True, -1),
+    ChiTerm("chit3_wk4", 3, 1, True, 2),
+    ChiTerm("chi2_w2k2", 2, 2, False, -2),
+    ChiTerm("chi3_w2k2", 3, 2, False, 1),
+    ChiTerm("chit4_w2k2", 4, 2, True, -1),
+    ChiTerm("chit5_w2k2", 5, 2, True, 2),
+)
+
+
 @dataclass
 class SectorIngredients:
-    zeta: float
     arcs: SectorArcs
     nu: NuBundle
     q: QValues
     z1: ZStar
     z2: ZStar
-    chi1_wk4: complex
-    chit2_wk4: complex
-    chit3_wk4: complex
-    chi2_w2k2: complex
-    chi3_w2k2: complex
-    chit4_w2k2: complex
-    chit5_w2k2: complex
+    chi: dict  # ChiTerm name -> value, in CHI_TERMS order
     D1_wk4: complex
     D2_w2k2: complex
     P_ratio1: complex  # P(w k4) / P(w2 k4)
@@ -218,10 +222,12 @@ class SectorIngredients:
     im_phi31: float    # Im Phi_31(zeta, w k4)
     im_phi32: float    # Im Phi_32(zeta, w2 k2)
 
+    def debug_values(self) -> list:  # in DEBUG_QUANTITIES' order
+        return [self.D1_wk4, self.D2_w2k2, *self.chi.values()]
 
-#: the SectorIngredients fields that ``asym`` writes to deltas_debug.csv, per zeta
-DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", "chi1_wk4", "chit2_wk4", "chit3_wk4",
-                    "chi2_w2k2", "chi3_w2k2", "chit4_w2k2", "chit5_w2k2")
+
+#: what ``asym`` writes to deltas_debug.csv, per zeta: the two delta products, the chi terms
+DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", *(c.name for c in CHI_TERMS))
 
 
 def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = None,
@@ -241,19 +247,13 @@ def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = 
         raise ValueError("saddle-image phases are not purely imaginary")
 
     return SectorIngredients(
-        zeta=zeta,
         arcs=arcs,
         nu=nu,
         q=q,
         z1=z_star(1, arcs),
         z2=z_star(2, arcs),
-        chi1_wk4=cy.chi(1, arcs, cf, wk4),
-        chit2_wk4=cy.chi(2, arcs, cf, wk4, tilde=True),
-        chit3_wk4=cy.chi(3, arcs, cf, wk4, tilde=True),
-        chi2_w2k2=cy.chi(2, arcs, cf, w2k2),
-        chi3_w2k2=cy.chi(3, arcs, cf, w2k2),
-        chit4_w2k2=cy.chi(4, arcs, cf, w2k2, tilde=True),
-        chit5_w2k2=cy.chi(5, arcs, cf, w2k2, tilde=True),
+        chi={c.name: cy.chi(c.j, arcs, cf, arcs.image(c.term)[0], tilde=c.tilde)
+             for c in CHI_TERMS},
         D1_wk4=script_D(1, arcs, cf, wk4),
         D2_w2k2=script_D(2, arcs, cf, w2k2),
         P_ratio1=blaschke_P(wk4, solitons) / blaschke_P(OMEGA**2 * sad.k4, solitons),
@@ -272,13 +272,16 @@ def d_coefficients(ing: SectorIngredients, t: float) -> tuple[complex, complex]:
     # tilde-ln_{w2k2}(w k4 - w2 k2) and ln_{w k4}(w2 k2 - w k4)
     lt = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 - np.pi)
     ln2 = np.log(gap) + 0.5j * (ing.arcs.a4 + ing.arcs.a2 + np.pi)
+    # the chi part of ln d10 and ln d20
+    chi_d10, chi_d20 = (sum(c.weight * ing.chi[c.name] for c in CHI_TERMS if c.term == term)
+                        for term in (1, 2))
 
-    d10 = (np.exp(-ing.chi1_wk4 - ing.chit2_wk4 + 2 * ing.chit3_wk4)
+    d10 = (np.exp(chi_d10)
            * np.exp(1j * (nu.nu2 - 2 * nu.nu4) * lt)
            * np.exp(-1j * nu.nu_hat1 * np.log(t))
            * ing.z1.power(-2j * nu.nu_hat1)
            * ing.D1_wk4)
-    d20 = (np.exp(-2 * ing.chi2_w2k2 + ing.chi3_w2k2 - ing.chit4_w2k2 + 2 * ing.chit5_w2k2)
+    d20 = (np.exp(chi_d20)
            * np.exp(1j * (nu.nu3 - 2 * nu.nu1) * ln2)
            * np.exp(-1j * nu.nu_hat2 * np.log(t))
            * ing.z2.power(-2j * nu.nu_hat2)
@@ -339,7 +342,7 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
 
     u = (a1c * np.cos(alpha1) + a2c * np.cos(alpha2)) / np.sqrt(t)
     return AsymptoticEvaluation(
-        x=ing.zeta * t, t=t, zeta=ing.zeta,
+        x=ing.arcs.zeta * t, t=t, zeta=ing.arcs.zeta,
         A1=float(a1c), A2=float(a2c),
         alpha1=float(alpha1), alpha2=float(alpha2),
         u=float(u), err_scale=float(np.log(t) / t),

@@ -28,10 +28,12 @@ density, the same bounded integral as delta's, plus branch logs at the arc
 ends; no density is ever differentiated.
 
 Every arc integral goes through one panel rule (_arc_panels) and one
-quadrature (_cauchy_integral).  delta takes an array of points: their panels
-are shared, the density is evaluated once, and the kernel is a (points x
-nodes) product.  delta is not evaluated within BOUNDARY_TOL of its arc; its
-boundary values there are limits from either side.
+quadrature (_cauchy_integral), on arc j as SectorArcs.arc(j) gives it for
+delta_j and chi_j; SectorArcs.image gives the saddle images at its ends.
+delta takes an array of points: their panels are shared, the density is
+evaluated once, and the kernel is a (points x nodes) product.  delta is not
+evaluated within BOUNDARY_TOL of its arc; its boundary values there are
+limits from either side.
 """
 
 from __future__ import annotations
@@ -214,6 +216,16 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
 # ---------------------------------------------------------------------------
 
 
+_ARC_SPEC = {
+    # j: (arc, density, sign of the (1/2 pi i) integral), shared by delta_j and chi_j
+    1: ("lo", "g1", -1.0),
+    2: ("mid", "g1", +1.0),
+    3: ("mid", "lnF", +1.0),
+    4: ("hi", "lnF", +1.0),
+    5: ("hi", "lnF2", +1.0),
+}
+
+
 @dataclass(frozen=True)
 class SectorArcs:
     """Saddle images at a given zeta and their arguments, the integration arcs' ends."""
@@ -233,23 +245,15 @@ class SectorArcs:
         assert ARC_LO < a4 < a2 < TWO_THIRDS_PI, (a4, a2)
         return cls(zeta=zeta, saddles=sad, wk4=wk4, w2k2=w2k2, a4=a4, a2=a2)
 
+    def arc(self, j: int) -> tuple[float, float, str, float]:
+        """(lo, hi, density name, sign) of arc j, the arc of delta_j and chi_j."""
+        name, density, sign = _ARC_SPEC[j]
+        ends = {"lo": (ARC_LO, self.a4), "mid": (self.a4, self.a2), "hi": (self.a2, TWO_THIRDS_PI)}
+        return (*ends[name], density, sign)
 
-_ARC_SPEC = {
-    # j: (arc name, density, sign of (1/2 pi i) integral), shared by delta_j and chi_j
-    1: ("lo", "g1", -1.0),
-    2: ("mid", "g1", +1.0),
-    3: ("mid", "lnF", +1.0),
-    4: ("hi", "lnF", +1.0),
-    5: ("hi", "lnF2", +1.0),
-}
-
-
-def _arc_interval(arcs: SectorArcs, name: str):
-    if name == "lo":
-        return ARC_LO, arcs.a4
-    if name == "mid":
-        return arcs.a4, arcs.a2
-    return arcs.a2, TWO_THIRDS_PI
+    def image(self, term: int) -> tuple[complex, float]:
+        """(saddle image, its argument) of oscillation term 1 (omega k4) or 2 (omega^2 k2)."""
+        return {1: (self.wk4, self.a4), 2: (self.w2k2, self.a2)}[term]
 
 
 def _arc_distance(k: complex, lo: float, hi: float) -> float:
@@ -263,11 +267,11 @@ def _arc_distance(k: complex, lo: float, hi: float) -> float:
     return min(d1, d2)
 
 
-def _arc_panels(lo, hi, name, ks):
+def _arc_panels(lo, hi, ks):
     """Panels on [lo, hi] for Cauchy integrals at the points ks: graded toward
-    omega on the hi arc, where ln f diverges, and refined near the projection of
-    every k within 0.3 rad of the arc."""
-    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-11)
+    omega when hi is omega's angle, where ln f diverges, and refined near the
+    projection of every k within 0.3 rad of the arc."""
+    panels = graded_panels(lo, hi, (False, hi == TWO_THIRDS_PI), min_panel=1e-11)
     for k in ks:
         phi0 = float(np.angle(k))
         for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
@@ -295,13 +299,12 @@ def _cauchy_integral(dens, k, panels, c=0.0):
 def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k):
     """delta_j(zeta, k) at one point or an array of points, by one quadrature of
     its defining arc integral on panels shared by all the points."""
-    name, dens_name, sign = _ARC_SPEC[j]
-    lo, hi = _arc_interval(arcs, name)
+    lo, hi, dens_name, sign = arcs.arc(j)
     k = np.asarray(k, dtype=complex)
     for kk in k.ravel():
         if _arc_distance(kk, lo, hi) < BOUNDARY_TOL:
             raise BoundaryPolicyError(f"delta_{j}: k={kk} within {BOUNDARY_TOL:.0e} of the arc")
-    val = _cauchy_integral(cf.density(dens_name), k, _arc_panels(lo, hi, name, k.ravel()))
+    val = _cauchy_integral(cf.density(dens_name), k, _arc_panels(lo, hi, k.ravel()))
     return np.exp(sign * val / (2j * np.pi))
 
 
@@ -323,8 +326,7 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -
     the eps -> 0 limit of the integral cut at 2 pi/3 - eps with its divergent
     term g(2 pi/3 - eps) ln_omega(k - omega) subtracted.
     """
-    name, dens_name, sign = _ARC_SPEC[j]
-    lo, hi = _arc_interval(arcs, name)
+    lo, hi, dens_name, sign = arcs.arc(j)
     dens = cf.density(dens_name)
     k = complex(k)
     theta_k = next((t for t in (lo, hi) if abs(np.exp(1j * t) - k) < 1e-7), None)
@@ -333,11 +335,11 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -
     for theta, orient in ((lo, -1.0), (hi, 1.0)):
         if theta == theta_k:
             continue
-        jump = -c if name == "hi" and theta == hi else float(dens(theta)) - c
+        jump = -c if theta == TWO_THIRDS_PI else float(dens(theta)) - c
         if jump:
             ends += orient * jump * ln_branch(k, np.exp(1j * theta), tilde=tilde)
 
-    panels = _arc_panels(lo, hi, name, [k] if theta_k is None else [])
+    panels = _arc_panels(lo, hi, [k] if theta_k is None else [])
     return sign * (ends - _cauchy_integral(dens, k, panels, c)) / (2j * np.pi)
 
 
@@ -350,7 +352,6 @@ def chi(j: int, arcs: SectorArcs, cf: CircleFunctions, k, tilde: bool = False) -
 class NuBundle:
     """Log exponents at the saddle images, plus the two hat combinations."""
 
-    zeta: float
     nu1: float
     nu2: float
     nu3: float
@@ -367,19 +368,10 @@ class NuBundle:
 
 
 def nu_bundle(arcs: SectorArcs, cf: CircleFunctions) -> NuBundle:
+    """nu1..nu5 = -1/(2 pi) times g1 at a4 and a2, ln f at a4 and a2, and ln f at
+    omega k2, whose position angle lies in (-pi/12, 0) (saddle_points)."""
     inv2pi = 1.0 / (2 * np.pi)
-    g1_a4 = float(np.real(cf.g1(arcs.a4)))
-    g1_a2 = float(np.real(cf.g1(arcs.a2)))
-    lnf_a4 = float(cf.ln_f(arcs.a4))
-    lnf_a2 = float(cf.ln_f(arcs.a2))
-    # ln f at omega k2, whose position angle lies in (-pi/12, 0) (saddle_points)
     th_wk2 = float(np.angle(OMEGA * arcs.saddles.k2))
-    lnf_wk2 = float(cf.layer_one.ln_f(-th_wk2))
-    return NuBundle(
-        zeta=arcs.zeta,
-        nu1=-inv2pi * g1_a4,
-        nu2=-inv2pi * g1_a2,
-        nu3=-inv2pi * lnf_a4,
-        nu4=-inv2pi * lnf_a2,
-        nu5=-inv2pi * lnf_wk2,
-    )
+    logs = (np.real(cf.g1(arcs.a4)), np.real(cf.g1(arcs.a2)), cf.ln_f(arcs.a4),
+            cf.ln_f(arcs.a2), cf.layer_one.ln_f(-th_wk2))
+    return NuBundle(*(-inv2pi * float(v) for v in logs))

@@ -152,8 +152,7 @@ def cmd_asym(cfg: RunConfig) -> int:
         for t in cfg.t_values:
             ev = asy.u_asym(ing, t)
             rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
-        for name in asy.DEBUG_QUANTITIES:
-            v = complex(getattr(ing, name))
+        for name, v in zip(asy.DEBUG_QUANTITIES, map(complex, ing.debug_values()), strict=True):
             dbg_rows.append((z, name, v.real, v.imag))
     _write_csv(cfg.out_dir / "asymptotics.csv",
                ["x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u_asym"], rows)

@@ -262,8 +262,9 @@ def _in_two_processes(first, second):
     """(first(), second()): ``first`` in a forked child, which pickles its
     result or exception into a pipe and always leaves by os._exit, and
     ``second`` here.  A child's exception is raised here again; if
-    ``second`` raises, the child is killed and reaped.  With one CPU or a
-    second Python thread (fork is unsafe then) both run here, ``first`` first.
+    ``second`` raises, the child is killed and reaped.  With one CPU, a
+    second Python thread (fork is unsafe then) or an OSError from os.pipe or
+    os.fork (EMFILE, EAGAIN) both run here, ``first`` first.
     Threads were slower: each on-circle march is a long chain of microsecond
     BLAS calls, which contend in OpenBLAS.
 
@@ -273,8 +274,14 @@ def _in_two_processes(first, second):
     on two CPUs; no child forks, since neither ``first`` calls this."""
     if _cpu_count() < 2 or threading.active_count() > 1:
         return first(), second()
-    r, w = os.pipe()
-    pid = os.fork()
+    fds = ()
+    try:
+        fds = r, w = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return first(), second()
     if pid == 0:
         code = 1
         try:
@@ -478,8 +485,7 @@ def _terminal_values(data, k, which, cols, X):
 def s11_values(data: InitialData, k) -> np.ndarray:
     """s11 alone, from a column-1 march (stable at all admissible k)."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    X1 = march_volterra(data, k, "X", cols=(0,))
-    return X1[:, 0, 0]
+    return march_volterra(data, k, "X", cols=(0,))[:, 0, 0]
 
 
 def reflection_ratio(data: InitialData, k, which: str):

@@ -73,6 +73,19 @@ def test_z_star_normalization():
         assert abs(np.angle(z1.value) - (np.pi / 2 - arcs.a4)) < 1e-9
 
 
+def test_chi_terms_sit_at_an_end_of_their_arc():
+    """Each chi term's saddle image is an end of its arc j: there chi finds
+    theta_k and takes the by-parts end path, as build_ingredients needs."""
+    assert len({c.name for c in asy.CHI_TERMS}) == len(asy.CHI_TERMS) == 7
+    for zeta in (0.6, 0.75, 0.94):
+        arcs = cy.SectorArcs.from_zeta(zeta)
+        for c in asy.CHI_TERMS:
+            lo, hi, _, _ = arcs.arc(c.j)
+            image, angle = arcs.image(c.term)
+            assert angle in (lo, hi), (zeta, c.name)
+            assert abs(np.exp(1j * angle) - image) < 1e-7, (zeta, c.name)
+
+
 def test_hessian_against_finite_differences():
     arcs = cy.SectorArcs.from_zeta(0.7)
     wk4 = OMEGA * arcs.saddles.k4
@@ -89,7 +102,7 @@ def test_hessian_against_finite_differences():
 def test_q_values_and_constraint(cf_small):
     arcs = cy.SectorArcs.from_zeta(ZETA)
     q = asy.q_values(arcs, cf_small.refl)
-    assert q.constraint_residual < 1e-6
+    assert abs(q.q4 - np.conj(q.q5) - q.q2 * np.conj(q.q6)) < 1e-6  # 0 in theory
     assert abs(asy.rtilde(np.exp(2j * np.pi / 3))) < 1e-14
     assert abs(asy.rtilde(1.0) + 1) < 1e-14
 
@@ -116,9 +129,8 @@ def test_script_D_zero_data(zero_refl):
 def refined_delta(j, arcs, cf, k):
     """delta_j(k) on panels graded to 1e-13 at omega, refined to 1e-9 near k,
     with a 32-point rule: a reference for the production quadrature."""
-    name, dens_name, sign = cy._ARC_SPEC[j]
-    lo, hi = cy._arc_interval(arcs, name)
-    panels = graded_panels(lo, hi, (False, name == "hi"), min_panel=1e-13)
+    lo, hi, dens_name, sign = arcs.arc(j)
+    panels = graded_panels(lo, hi, (False, hi == cy.TWO_THIRDS_PI), min_panel=1e-13)
     phi0 = float(np.angle(k))
     for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
         if lo - 0.5 <= cand <= hi + 0.5:

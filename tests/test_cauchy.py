@@ -185,15 +185,6 @@ def test_representations_match_direct(arcs, cf_small, nu):
             assert abs(direct - rep_value(j, arcs, cf_small, nu, k, True)) < 1e-14
 
 
-# (j, saddle image, tilde) of the seven chi values that build_ingredients reads
-CHI_EVALS = ((1, "wk4", False), (2, "wk4", True), (3, "wk4", True), (2, "w2k2", False),
-             (3, "w2k2", False), (4, "w2k2", True), (5, "w2k2", True))
-
-
-def saddle_images(arcs):
-    return {"wk4": OMEGA * arcs.saddles.k4, "w2k2": OMEGA**2 * arcs.saddles.k2}
-
-
 def ln_branch_sweep(k, thetas, tilde):
     """ln_s(k - s) along s = e^{i theta}, continuous in theta, anchored mid-sweep."""
     rel = k - np.exp(1j * thetas)
@@ -223,8 +214,7 @@ def ladder_chi(j, arcs, cf, k, tilde):
     """chi_j as sign/(2 pi i) int ln_s(k - s) g'(theta) dtheta; the arcs ending at
     omega are cut at 2 pi/3 - eps, the divergent end term is subtracted and the
     limit is Neville-extrapolated over a five-rung eps ladder."""
-    name, dens_name, sign = cy._ARC_SPEC[j]
-    lo, hi = cy._arc_interval(arcs, name)
+    lo, hi, dens_name, sign = arcs.arc(j)
     dens = cf.density(dens_name)
     ddens = {"g1": cf.g1.derivative(),
              "lnF": lambda th: d_ln_layer(cf.layer_omega, th),
@@ -233,7 +223,8 @@ def ladder_chi(j, arcs, cf, k, tilde):
     def weighted(lo_, hi_):
         sing_lo = abs(np.exp(1j * lo_) - k) < 1e-7
         sing_hi = abs(np.exp(1j * hi_) - k) < 1e-7
-        panels = graded_panels(lo_, hi_, (sing_lo, sing_hi or name == "hi"), min_panel=1e-8)
+        panels = graded_panels(lo_, hi_, (sing_lo, sing_hi or hi == cy.TWO_THIRDS_PI),
+                               min_panel=1e-8)
         phi0 = float(np.angle(k))
         for cand in (phi0, phi0 + 2 * np.pi, phi0 - 2 * np.pi):
             if lo_ - 0.3 <= cand <= hi_ + 0.3 and not (sing_lo or sing_hi):
@@ -241,7 +232,7 @@ def ladder_chi(j, arcs, cf, k, tilde):
                 panels = refine_near(panels, cand, min_size=max(min(1e-5, gap / 4), 1e-8))
         return panel_quad(lambda th: ln_branch_sweep(k, th, tilde) * ddens(th), panels)
 
-    if name != "hi":
+    if hi != cy.TWO_THIRDS_PI:
         return sign * weighted(lo, hi) / (2j * np.pi)
     omega_log = cy.ln_branch(k, complex(OMEGA), tilde=tilde)
     eps = (1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
@@ -261,10 +252,10 @@ def test_chi_by_parts_matches_eps_ladder(cf_small):
     worst = 0.0
     for zeta in (0.64, 0.78, 0.93):
         arcs = cy.SectorArcs.from_zeta(zeta)
-        images = saddle_images(arcs)
-        for j, image, tilde in CHI_EVALS:
-            ref = ladder_chi(j, arcs, cf_small, images[image], tilde)
-            new = cy.chi(j, arcs, cf_small, images[image], tilde=tilde)
+        for c in asy.CHI_TERMS:
+            image = arcs.image(c.term)[0]
+            ref = ladder_chi(c.j, arcs, cf_small, image, c.tilde)
+            new = cy.chi(c.j, arcs, cf_small, image, tilde=c.tilde)
             worst = max(worst, abs(new - ref) / abs(ref))
     arcs = cy.SectorArcs.from_zeta(ZETA)
     k = 0.5 - 0.3j
@@ -285,14 +276,13 @@ def quad_arc(integrand, lo, hi):
 def quad_chi(j, arcs, cf, k, tilde):
     """chi_j at an end k of its arc, by parts as chi's docstring writes it, with
     the arc integral by quad_arc instead of the production panels."""
-    name, dens_name, sign = cy._ARC_SPEC[j]
-    lo, hi = cy._arc_interval(arcs, name)
+    lo, hi, dens_name, sign = arcs.arc(j)
     dens = cf.density(dens_name)
     at_lo = abs(np.exp(1j * lo) - k) < 1e-7
     assert at_lo or abs(np.exp(1j * hi) - k) < 1e-7
     c = float(dens(lo if at_lo else hi))
     if at_lo:  # at omega the end term keeps only -c
-        jump = -c if name == "hi" else float(dens(hi)) - c
+        jump = -c if hi == cy.TWO_THIRDS_PI else float(dens(hi)) - c
         ends = jump * cy.ln_branch(k, np.exp(1j * hi), tilde=tilde)
     else:
         ends = -(float(dens(lo)) - c) * cy.ln_branch(k, np.exp(1j * lo), tilde=tilde)
@@ -307,10 +297,10 @@ def test_chi_quadrature_matches_adaptive_quad(cf_small):
     worst = 0.0
     for zeta in (0.66, 0.78, 0.9):
         arcs = cy.SectorArcs.from_zeta(zeta)
-        images = saddle_images(arcs)
-        for j, image, tilde in CHI_EVALS:
-            ref = quad_chi(j, arcs, cf_small, images[image], tilde)
-            worst = max(worst, abs(cy.chi(j, arcs, cf_small, images[image], tilde=tilde) - ref))
+        for c in asy.CHI_TERMS:
+            image = arcs.image(c.term)[0]
+            ref = quad_chi(c.j, arcs, cf_small, image, c.tilde)
+            worst = max(worst, abs(cy.chi(c.j, arcs, cf_small, image, tilde=c.tilde) - ref))
     assert worst < 1e-11
 
 
@@ -322,8 +312,7 @@ def test_script_D_deltas_match_adaptive_quad(cf_small):
     for k, table in ((OMEGA * arcs.saddles.k4, asy._D1_EXP),
                      (OMEGA**2 * arcs.saddles.k2, asy._D2_EXP)):
         for j, factors in table.items():
-            name, dens_name, sign = cy._ARC_SPEC[j]
-            lo, hi = cy._arc_interval(arcs, name)
+            lo, hi, dens_name, sign = arcs.arc(j)
             dens = cf_small.density(dens_name)
             points = [asy._TRANSFORMS[t](k) for t in factors]
             for p, val in zip(points, cy.delta(j, arcs, cf_small, points)):
@@ -381,17 +370,17 @@ def test_eps_sequence_extrapolates(arcs, cf_small):
 
 
 def test_holder_bound_near_saddle(arcs, cf_small):
-    images = saddle_images(arcs)
-    for j, image, tilde in CHI_EVALS:
-        chi_at = cy.chi(j, arcs, cf_small, images[image], tilde=tilde)
+    for c in asy.CHI_TERMS:
+        image = arcs.image(c.term)[0]
+        chi_at = cy.chi(c.j, arcs, cf_small, image, tilde=c.tilde)
         ratios = []
         for n in range(4, 11):
             e = 2.0**-n
-            k = (1 + e) * images[image]  # nontangential (radial) approach
-            val = cy.chi(j, arcs, cf_small, k, tilde=tilde)
+            k = (1 + e) * image  # nontangential (radial) approach
+            val = cy.chi(c.j, arcs, cf_small, k, tilde=c.tilde)
             ratios.append(abs(val - chi_at) / (e * (1 + abs(np.log(e)))))
         bound = 10 * max(ratios[:3]) + 1e-12
-        assert max(ratios) < bound, (j, image, tilde)
+        assert max(ratios) < bound, c.name
 
 
 def test_branch_log_conventions(arcs):

@@ -1,5 +1,5 @@
 """The configs that the project's own callers write load: the README example
-and the seed-0 config of every perfbench workload."""
+and the seed-0 config of every perfbench workload; every field rule names a field."""
 
 import json
 import os
@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from bqist.config import DEFAULTS, RunConfig
+from bqist.config import DEFAULTS, RULES, RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +52,19 @@ def test_perfbench_workload_configs_load(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[:-1] == ["compact 56 none", "long_time 56 none",
                                            "readme 56 none", "soliton_detect 56 detect"]
+
+
+def leaves(block, prefix=""):
+    """The dotted names of the non-block fields of a DEFAULTS block."""
+    for key, val in block.items():
+        if isinstance(val, dict):
+            yield from leaves(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_rule_names_a_field():
+    """A RULES key that names no field (a misspelt "pde.cuttoff") would never run."""
+    fields = set(leaves(DEFAULTS))
+    assert len(fields) == 14
+    assert set(RULES) - fields == {"initial_data.n"}

@@ -737,6 +737,42 @@ def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypa
     assert_no_child_left()
 
 
+def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
+    """With two CPUs but an os.fork that raises (EAGAIN at a process limit),
+    both branches run here: scattering_data equals the one-CPU run, each
+    pipe is closed, and scatter exits 0 with the one-CPU run's bytes."""
+    tol = Tolerances()
+    cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8)
+    argv = ["scatter", "--config", str(tmp_path / "run.json"), "--out"]
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
+    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True, tol)
+    assert cli.main(argv + [str(tmp_path / "one_cpu")]) == 0
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+
+    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sc.os, "pipe", recorded_pipe)
+    monkeypatch.setattr(sc.os, "fork", failing_fork)
+    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True, tol)
+    assert len(pipes) == 2  # scattering_data's and reflection_coefficients'
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    for name in ("theta", "r1", "r2", "s11", "sA11"):
+        assert np.array_equal(getattr(refl2, name), getattr(refl1, name)), name
+    assert (sol2.zeros, sol2.c, sol2.d, report2) == (sol1.zeros, sol1.c, sol1.d, report1)
+    assert cli.main(argv + [str(cfg.out_dir)]) == 0
+    for name in ("reflection.csv", "solitons.json", "validators.json"):
+        assert (cfg.out_dir / name).read_bytes() == (tmp_path / "one_cpu" / name).read_bytes()
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_scatter_off_circle_failure_writes_nothing(soliton_data, tmp_path, monkeypatch,
                                                    capsys, cpus):
