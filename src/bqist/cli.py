@@ -8,43 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, number_pairs, read_columns
+from .config import ConfigError, RunConfig, atomic_write, number_pairs, read_columns
+from .config import write_columns as _write_csv  # the name perfbench/trace_stage.py wraps
 
-FMT = "%.17g"
 #: reflection.csv columns: one row per node, n_per_arc rows for each of the arcs 0..5 in turn
 REFLECTION_HEADER = ("arc", "theta", "re_r1", "im_r1", "re_r2", "im_r2",
                      "re_s11", "im_s11", "re_sA11", "im_sA11")
-
-
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(FMT % v if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _c2pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +39,12 @@ def cmd_scatter(cfg: RunConfig) -> int:
     columns = [np.repeat(np.arange(6), refl.n_per_arc), refl.theta]
     for z in (refl.r1, refl.r2, refl.s11, refl.sA11):
         columns += [z.real, z.imag]
-    _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER,
-               zip(*(c.tolist() for c in columns)))
-    sol_payload = {
-        "zeros": [_c2pair(z) for z in sol.zeros],
-        "c": [_c2pair(c) for c in sol.c],
-        "d": [None if d is None else _c2pair(d) for d in sol.d],
-    }
-    _atomic_write(cfg.out_dir / "solitons.json", json.dumps(sol_payload, indent=1))
-    _atomic_write(cfg.out_dir / "validators.json",
-                  json.dumps(report, indent=1, default=_json_default))
+    _write_csv(cfg.out_dir / "reflection.csv", REFLECTION_HEADER, columns)
+    pairs = {key: [None if z is None else [float(np.real(z)), float(np.imag(z))]
+                   for z in getattr(sol, key)] for key in ("zeros", "c", "d")}
+    atomic_write(cfg.out_dir / "solitons.json", json.dumps(pairs, indent=1))
+    atomic_write(cfg.out_dir / "validators.json",
+                 json.dumps(report, indent=1, default=_json_default))
     if not report["ok"]:
         print("validator failure; see validators.json", file=sys.stderr)
         return 1
@@ -145,19 +115,19 @@ def cmd_asym(cfg: RunConfig) -> int:
                           f"arc, not n_per_arc = {cfg.n_per_arc}; rerun scatter with this config")
     sol = load_solitons(cfg.out_dir)
     cf = cy.CircleFunctions(refl)
-    rows, dbg_rows = [], []
+    evs, debug = [], []
     for z in cfg.zetas:
-        z = float(z)
-        ing = asy.build_ingredients(z, cf, solitons=sol.zeros, tol=cfg.tol)
-        for t in cfg.t_values:
-            ev = asy.u_asym(ing, t)
-            rows.append((ev.x, ev.t, ev.zeta, ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u))
-        for name, v in zip(asy.DEBUG_QUANTITIES, map(complex, ing.debug_values()), strict=True):
-            dbg_rows.append((z, name, v.real, v.imag))
-    _write_csv(cfg.out_dir / "asymptotics.csv",
-               ["x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u_asym"], rows)
-    _write_csv(cfg.out_dir / "deltas_debug.csv", ["zeta", "quantity", "re", "im"], dbg_rows)
-    print(f"asym: wrote asymptotics.csv ({len(rows)} rows) and deltas_debug.csv")
+        ing = asy.build_ingredients(float(z), cf, solitons=sol.zeros, tol=cfg.tol)
+        evs += [asy.u_asym(ing, t) for t in cfg.t_values]
+        debug.append(ing.debug_values())
+    fields = ("x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u")  # u is written as u_asym
+    _write_csv(cfg.out_dir / "asymptotics.csv", fields[:-1] + ("u_asym",),
+               [[getattr(ev, f) for ev in evs] for f in fields])
+    debug = np.array(debug, dtype=complex)  # one row per zeta, DEBUG_QUANTITIES' columns
+    _write_csv(cfg.out_dir / "deltas_debug.csv", ["zeta", "quantity", "re", "im"],
+               [np.repeat(cfg.zetas, debug.shape[1]),
+                np.tile(asy.DEBUG_QUANTITIES, len(debug)), debug.real.ravel(), debug.imag.ravel()])
+    print(f"asym: wrote asymptotics.csv ({len(evs)} rows) and deltas_debug.csv")
     return 0
 
 
@@ -173,12 +143,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     snaps = pde.evolve(data, max(cfg.t_values), dt=cfg.pde["dt"], cutoff=cfg.pde["cutoff"],
                        snapshot_times=list(cfg.t_values))
     for snap in snaps:
-        rows = list(zip(snap.x, snap.u, snap.ut))
-        _write_csv(cfg.out_dir / f"evolution_t{snap.t:g}.csv", ["x", "u", "u_t"], rows)
-        uh = snap.uhat()
+        _write_csv(cfg.out_dir / f"evolution_t{snap.t:g}.csv", ["x", "u", "u_t"],
+                   [snap.x, snap.u, snap.ut])
         xi = 2 * np.pi * np.fft.rfftfreq(len(snap.x) - 1, d=snap.x[1] - snap.x[0])
         _write_csv(cfg.out_dir / f"spectrum_t{snap.t:g}.csv", ["xi", "abs_uhat"],
-                   list(zip(xi, np.abs(uh))))
+                   [xi, np.abs(snap.uhat())])
     print(f"evolve: wrote {len(snaps)} snapshots to {cfg.out_dir}")
     return 0
 
@@ -204,10 +173,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t))
 
     rep = pde.compare(zetas, u_asym, snaps)
-    rows = [(r["t"], r["max_err"], r["rms_err"], r["envelope_pde"], r["envelope_asym"])
-            for r in rep["rows"]]
-    _write_csv(cfg.out_dir / "compare.csv",
-               ["t", "max_err", "rms_err", "envelope_pde", "envelope_asym"], rows)
+    header = ["t", "max_err", "rms_err", "envelope_pde", "envelope_asym"]
+    _write_csv(cfg.out_dir / "compare.csv", header,
+               [[r[name] for r in rep["rows"]] for name in header])
     lines = ["comparison of leading-order formula against filtered spectral evolution",
              f"zeta window: [{cfg.zeta_window[0]}, {cfg.zeta_window[1]}]"
              f" with {cfg.n_zeta} points",
@@ -219,7 +187,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     for r in rep["rows"]:
         lines.append(f"  t={r['t']:g}: max_err={r['max_err']:.6e} "
                      f"rms_err={r['rms_err']:.6e} envelope={r['envelope_pde']:.6e}")
-    _atomic_write(cfg.out_dir / "compare_summary.txt", "\n".join(lines) + "\n")
+    atomic_write(cfg.out_dir / "compare_summary.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -1,9 +1,11 @@
-"""Run configuration, tolerance registry and CSV reader of the command-line pipeline."""
+"""Run configuration, tolerance registry and CSV dialect of the command-line pipeline."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -81,6 +83,32 @@ RULES = {
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
+
+
+FMT = "%.17g"  # a float cell: 17 significant digits read back to the same float
+
+
+def atomic_write(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def write_columns(path: Path, header, columns):
+    """Write the equal-length ``columns`` under ``header`` as the pipeline's CSV: one
+    header line, then comma-separated rows; each column's format follows its dtype,
+    floats as FMT and ints and names as text."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join(FMT if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    cells = np.stack(columns, axis=1, dtype=object)  # Python floats, ints and strs
+    atomic_write(path, ",".join(header) + "\n" + row * len(cells) % tuple(cells.flat))
 
 
 def read_columns(path, names) -> dict:

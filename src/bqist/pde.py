@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, ConfigError, whole_steps
-from .scattering import InitialData
 
 DEFAULT_CUTOFF = DEFAULTS["pde"]["cutoff"]
 
@@ -31,6 +30,7 @@ def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -
     U = a sech^2(b (x - x0)) solves the traveling-wave reduction
     v^2 U = U + U^2 + U'' iff b = sqrt(v^2-1)/2 and a = 3(v^2-1)/2.
     """
+    from .scattering import InitialData  # here, so that `compare` never loads scattering
     if v <= 1:
         raise ValueError("soliton speed must exceed 1")
     a = 1.5 * (v * v - 1.0)
@@ -121,8 +121,9 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     alias-free by the Nyquist >= 2 * cutoff requirement, and only the band's
     modes are stepped: each stage's (u^2)_x is cut back to them.  The
     nonlinearity enters the w equation only, so each RK stage needs the u
-    field of its stage value and nothing else, and stages 2 and 3 are
-    transformed as one batch.  The stage fields live on the m-point grid of
+    field of its stage value and nothing else: stages 1 and 3 (the state's and
+    e^{A dt/2}'s, free of k2) are transformed as one batch, and stages 2 and 4
+    (from k1 and k3) as another.  The stage fields live on the m-point grid of
     ``alias_free_size`` (irfft zero-pads the band to its m//2 + 1 modes), and
     irfft(..., n=n) zero-pads each snapshot back to the n-point grid of ``data``.
     """
@@ -136,7 +137,9 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         raise ValueError(f"evolve steps forward only: T = {T!r} must be positive")
     nsteps = whole_steps(T, dt)
     times = sorted(set(float(t) for t in ([T] if snapshot_times is None else snapshot_times)))
-    at_step = [whole_steps(t, dt) if t > 0 else 0 for t in times]
+    at_step = {}  # step -> the snapshot times it reaches
+    for t in times:
+        at_step.setdefault(whole_steps(t, dt) if t > 0 else 0, []).append(t)
     if not all(1 <= k <= nsteps for k in at_step):
         raise ValueError(f"snapshot times {times} must lie in (0, T = {T!r}]")
 
@@ -151,38 +154,38 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
 
     cf, af, bf = _propagator(xi, dt)
     ch, ah, _ = _propagator(xi, dt / 2)  # the w stage values are never needed
+    # the rows (eu, fu, fw): u of e^{A dt/2} y, and u and w of e^{A dt} y, for y = (uh, wh)
+    prop = np.array([(ch, ah), (cf, af), (bf, cf)])
 
     def nonlin(u):
         return ixi * np.fft.rfft(u * u)[..., :K]
 
     out = []
     sup_prev = max(np.max(np.abs(data.u0)), 1e-30)
-    u_now = np.fft.irfft(uh, n=m)
-    for step in range(1, nsteps + 1):
-        k1 = nonlin(u_now)
-        eu = ch * uh + ah * wh
-        # stage 3's u field is eu, free of k2: stages 2 and 3 share one transform pair
-        k2, k3 = nonlin(np.fft.irfft(np.stack((eu + 0.5 * dt * (ah * k1), eu)), n=m))
-        fu = cf * uh + af * wh
-        fw = bf * uh + cf * wh
-        k4 = nonlin(np.fft.irfft(fu + dt * (ah * k3), n=m))
-        k23 = k2 + k3
-        uh = fu + (dt / 6.0) * (af * k1 + 2 * (ah * k23))
-        wh = fw + (dt / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
-        u_now = np.fft.irfft(uh, n=m)
-        sup = np.abs(u_now).max()
-        if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
-            spec = np.abs(uh) * (n / m)
-            bands = [(float(b), float(np.max(spec[(xi >= b) & (xi < b + 0.1)], initial=0.0)))
-                     for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
-            raise BlowupError(step * dt, bands)
-        sup_prev = max(sup, 1e-30)
-        for t in (t for t, k in zip(times, at_step) if k == step):
+    for done in range(nsteps + 1):  # (uh, wh) is the state after `done` steps
+        eu, fu, fw = prop[:, 0] * uh + prop[:, 1] * wh
+        fields = np.fft.irfft(np.stack((uh, eu)), n=m)  # stage 1's, the state's, and stage 3's
+        if done:  # the blow-up check
+            sup = np.abs(fields[0]).max()
+            if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
+                spec = np.abs(uh) * (n / m)
+                bands = [(float(b), float(np.max(spec[(xi >= b) & (xi < b + 0.1)], initial=0.0)))
+                         for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
+                raise BlowupError(done * dt, bands)
+            sup_prev = max(sup, 1e-30)
+        for t in at_step.get(done, ()):
             u = np.fft.irfft(uh * (n / m), n=n)
             ut = np.fft.irfft(ixi * (wh * (n / m)), n=n)
             out.append(FieldSnapshot(x=data.x.copy(), u=np.append(u, u[0]),
                                      ut=np.append(ut, ut[0]), t=t))
-    return out
+        if done == nsteps:
+            return out
+        k1, k3 = nonlin(fields)
+        k2, k4 = nonlin(np.fft.irfft(np.stack((eu + 0.5 * dt * (ah * k1),
+                                               fu + dt * (ah * k3))), n=m))
+        k23 = k2 + k3
+        uh = fu + (dt / 6.0) * (af * k1 + 2 * (ah * k23))
+        wh = fw + (dt / 6.0) * (cf * k1 + 2 * (ch * k23) + k4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from bqist import asymptotics as asy
 from bqist import cli
 from bqist import scattering as sc
-from bqist.config import TOLERANCES, ConfigError, RunConfig, Tolerances
+from bqist.config import FMT, TOLERANCES, ConfigError, RunConfig, Tolerances
 
 
 def run_cli(*args):
@@ -383,7 +383,7 @@ def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 24
     word = lines[5].split(",")
     word[1] = "abc"
-    moved = [",".join([f[0], cli.FMT % (float(f[1]) + 1e-9), *f[2:]])
+    moved = [",".join([f[0], FMT % (float(f[1]) + 1e-9), *f[2:]])
              for f in (line.split(",") for line in lines[1:])]
     bad_tables = {
         "one row missing": lines[:79] + lines[80:],

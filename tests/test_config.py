@@ -1,5 +1,6 @@
 """The configs that the project's own callers write load: the README example
-and the seed-0 config of every perfbench workload; every field rule names a field."""
+and the seed-0 config of every perfbench workload; every field rule names a
+field.  The CSV dialect reads back what it writes."""
 
 import json
 import os
@@ -9,7 +10,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from bqist.config import DEFAULTS, RULES, RunConfig
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bqist.config import DEFAULTS, FMT, RULES, RunConfig, read_columns, write_columns
+from bqist.scattering import ReflectionData
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,3 +74,47 @@ def test_every_rule_names_a_field():
     fields = set(leaves(DEFAULTS))
     assert len(fields) == 14
     assert set(RULES) - fields == {"initial_data.n"}
+
+
+#: the floats at the edges of the format: signed zero, subnormals, the largest
+#: finite values, nan and the infinities
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+def round_trip(path, columns):
+    """The float ``columns`` written as a, b, ... and read back by name."""
+    names = [chr(ord("a") + j) for j in range(len(columns))]
+    write_columns(path, names, columns)
+    return list(read_columns(path, names).values())
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False), max_size=40))
+def test_float_columns_read_back_bit_for_bit(tmp_path_factory, values):
+    column = EDGE_FLOATS + values
+    path = tmp_path_factory.getbasetemp() / "floats.csv"
+    back = round_trip(path, [column, column[::-1]])
+    assert same_bits(column, back[0]) and same_bits(column[::-1], back[1])
+
+
+def test_node_angles_read_back_bit_for_bit(tmp_path):
+    for n in (8, 24, 56, 168):
+        theta = ReflectionData.nodes(n)
+        assert same_bits(theta, round_trip(tmp_path / "theta.csv", [theta])[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                               st.text("abcxyz_0123456789", min_size=1), st.floats()),
+                     min_size=1, max_size=20))
+def test_ints_and_names_are_written_as_str(tmp_path_factory, rows):
+    ints, names, floats = zip(*rows)
+    path = tmp_path_factory.getbasetemp() / "mixed.csv"
+    write_columns(path, ["i", "name", "x"], [np.array(ints), list(names), list(floats)])
+    assert path.read_text() == "i,name,x\n" + "".join(
+        f"{i},{name},{FMT % x}\n" for i, name, x in rows)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,9 +188,10 @@ def test_alias_free_size_bound():
 
 
 def test_evolve_steps_on_alias_free_grid(monkeypatch):
-    # on a compact-shaped PDE grid a step makes 3 rfft and 3 irfft calls, all of
-    # length m <= n/8 (stages 2 and 3 in one batched pair); only the two initial
-    # transforms and the snapshot's two use n
+    # on a compact-shaped PDE grid a step makes 2 rfft and 2 irfft calls, all of
+    # length m <= n/8 (stages 1 and 3, then 2 and 4, in one batched pair each);
+    # the blow-up check of the last state takes one more irfft; only the two
+    # initial transforms and the snapshot's two use n
     d = sc.gaussian_bandlimited(0.01, 2.0, L=380.0, n=4097)
     n, m = 4096, 450  # the smallest 5-smooth m with pi m / 760 >= 2 * 0.9
     assert m <= n // 8
@@ -205,14 +210,14 @@ def test_evolve_steps_on_alias_free_grid(monkeypatch):
     monkeypatch.setattr(pde.np.fft, "rfft", counting_rfft)
     monkeypatch.setattr(pde.np.fft, "irfft", counting_irfft)
     pde.evolve(d, 2.0, dt=0.1)
-    assert sorted(lengths["rfft"]) == [m] * (3 * 20) + [n] * 2
-    assert sorted(lengths["irfft"]) == [m] * (3 * 20 + 1) + [n] * 2
+    assert sorted(lengths["rfft"]) == [m] * (2 * 20) + [n] * 2
+    assert sorted(lengths["irfft"]) == [m] * (2 * 20 + 1) + [n] * 2
 
 
 def test_evolve_inverse_transforms_per_step(monkeypatch):
-    # stages 2 and 3 share one batched inverse FFT and stage 4 takes one; the
-    # first stage reuses the field that the blow-up check transforms after every
-    # step.  Plus the initial field and the snapshot's u and u_t
+    # stages 1 and 3 share one batched inverse FFT, and stages 2 and 4 another;
+    # the blow-up check reads stage 1's field, the state's.  Plus the last
+    # state's field for its check and the snapshot's u and u_t
     calls = []
     irfft = np.fft.irfft
 
@@ -223,7 +228,7 @@ def test_evolve_inverse_transforms_per_step(monkeypatch):
     monkeypatch.setattr(pde.np.fft, "irfft", counting)
     d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
     pde.evolve(d, 2.0, dt=0.1)
-    assert len(calls) == 3 * 20 + 1 + 2
+    assert len(calls) == 2 * 20 + 1 + 2
 
 
 def test_filter_idempotent():
@@ -288,3 +293,12 @@ def test_compare_window_guard():
     snaps = pde.evolve(d, 120.0, dt=0.5, snapshot_times=[120.0])
     with pytest.raises(ValueError):
         pde.compare(np.linspace(0.65, 0.9, 10), [np.zeros(10)], snaps)
+
+
+def test_import_leaves_scattering_unloaded():
+    # soliton_profile imports InitialData itself, so compare never compiles scattering
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, bqist.pde; print('bqist.scattering' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

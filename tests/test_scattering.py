@@ -514,6 +514,20 @@ def test_interpolant_accuracy(refl_small, data_small):
     assert np.max(np.abs(r2i - r2d)) < 1e-9
 
 
+def test_f_times_abs_s11_squared_is_one_on_the_table(refl_small):
+    # f(k) = 1 + r1 r2(k) + r1 r2(omega/k) is 1/|s11(k)|^2 on the circle; omega/k has
+    # the angle 2 pi/3 - theta, and each node's partner is a node too (to 8.9e-16).
+    # Measured: 9.2e-13 here, 31.8 with the sign of r2 flipped
+    th = refl_small.theta
+    gap = np.abs((2 * np.pi / 3 - th[:, None]) % (2 * np.pi) - th)
+    partner = gap.argmin(axis=1)
+    assert np.max(gap[np.arange(len(th)), partner]) < 1e-15
+    assert sorted(partner) == list(range(len(th)))
+    rr = refl_small.r1 * refl_small.r2
+    f = 1 + rr + rr[partner]
+    assert np.max(np.abs(f * np.abs(refl_small.s11) ** 2 - 1)) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # zeros, residues, validators
 # ---------------------------------------------------------------------------
