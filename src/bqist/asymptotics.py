@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, PositivityError, SectorArcs
-from .config import Tolerances
+from .config import TOLERANCES
 from .gammafn import arg_gamma
 from .scattering import is_real
 from .spectral import OMEGA, SQRT3, phi
@@ -230,12 +230,12 @@ class SectorIngredients:
 DEBUG_QUANTITIES = ("D1_wk4", "D2_w2k2", *(c.name for c in CHI_TERMS))
 
 
-def build_ingredients(zeta: float, cf: CircleFunctions, solitons: list | None = None,
-                      tol: Tolerances = Tolerances()) -> SectorIngredients:
+def build_ingredients(zeta: float, cf: CircleFunctions,
+                      solitons: list | None = None) -> SectorIngredients:
     """The per-zeta bundle; ``solitons`` are the zeros of s11 (None for none)."""
     arcs = SectorArcs.from_zeta(zeta)
     nu = cy.nu_bundle(arcs, cf)
-    if nu.nu_hat1 < tol.nu_hat_floor or nu.nu_hat2 < tol.nu_hat_floor:
+    if min(nu.nu_hat1, nu.nu_hat2) < TOLERANCES["nu_hat_floor"]:
         raise PositivityError(
             f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
     sad, wk4, w2k2 = arcs.saddles, arcs.wk4, arcs.w2k2

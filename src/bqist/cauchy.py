@@ -23,6 +23,18 @@ The densities ln f and ln f(omega^2 .) are evaluated through the smooth
 cofactor representation ln f = ln c + 2 ln(2 sin((2 pi/3 - theta)/2)) near the
 double zero at omega, where the raw combination loses all relative accuracy.
 
+On the unit circle f = 1 + r1 r2(theta) + r1 r2(2 pi/3 - theta) is 1/|s11|^2,
+that is ln f = -2 ln|s11|.  PAPER.md holds only the paper's abstract, so this
+identity is stated as measured, by two tests in tests/test_scattering.py:
+test_f_times_abs_s11_squared_is_one_on_the_table (the stored table's node
+pairs, 9.2e-13) and test_f_times_abs_s11_squared_is_one_off_the_table (direct
+marches on three datasets, at most 1.2e-10, reached within 1.5e-3 of a sixth
+root of unity, where |s11|^2 magnifies the cancellation in f).
+_LayerCofactor still builds ln f from f_raw: -2 ln|s11| from the weighted s11
+fit wins near omega but loses inside the arc (2.2e-11 against 1.3e-14 at
+u = 1e-2 on the README data), so it waits for a reflection interpolant that
+resolves s11 to about 1e-13 on the arc's last 0.3 rad.
+
 The chi integrals are integrated by parts into the Cauchy integral of their
 density, the same bounded integral as delta's, plus branch logs at the arc
 ends; no density is ever differentiated.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, atomic_write, number_pairs, read_columns
+from .config import TOLERANCES, ConfigError, RunConfig, atomic_write, number_pairs, read_columns
 from .config import write_columns as _write_csv  # the name perfbench/trace_stage.py wraps
 
 #: reflection.csv columns: one row per node, n_per_arc rows for each of the arcs 0..5 in turn
@@ -31,11 +31,11 @@ def cmd_scatter(cfg: RunConfig) -> int:
 
     data = cfg.build_initial_data()
     mass = abs(data.mass())
-    if mass > cfg.tol.mass_condition:
+    if mass > TOLERANCES["mass_condition"]:
         print(f"error: mass condition violated (|int u1| = {mass:.3e})", file=sys.stderr)
         return 1
     refl, sol, report = sc.scattering_data(data, cfg.n_per_arc,
-                                           cfg.solitons["mode"] == "detect", cfg.tol)
+                                           cfg.solitons["mode"] == "detect")
     columns = [np.repeat(np.arange(6), refl.n_per_arc), refl.theta]
     for z in (refl.r1, refl.r2, refl.s11, refl.sA11):
         columns += [z.real, z.imag]
@@ -117,7 +117,7 @@ def cmd_asym(cfg: RunConfig) -> int:
     cf = cy.CircleFunctions(refl)
     evs, debug = [], []
     for z in cfg.zetas:
-        ing = asy.build_ingredients(float(z), cf, solitons=sol.zeros, tol=cfg.tol)
+        ing = asy.build_ingredients(float(z), cf, solitons=sol.zeros)
         evs += [asy.u_asym(ing, t) for t in cfg.t_values]
         debug.append(ing.debug_values())
     fields = ("x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u")  # u is written as u_asym

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +29,15 @@ def is_number(v) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Thresholds of the admissibility checks, passed to every site that applies one."""
-
-    mass_condition: float = 1e-9   # |int u1 dx|
-    tail: float = 1e-9             # compact-support tails at +-L
-    r1_segment: float = 5e-3       # heuristic no-high-frequency threshold
-    zero_residual: float = 1e-8    # |s11| at an accepted zero
-    nu_hat_floor: float = -1e-10   # admissible negativity of nu-hat
-
-
-#: documented tolerance names and defaults; the config's "tolerances" override them
-TOLERANCES = asdict(Tolerances())
+#: thresholds of the admissibility checks, each read where its check is applied;
+#: fixed values, not config fields
+TOLERANCES = {
+    "mass_condition": 1e-9,   # |int u1 dx|
+    "tail": 1e-9,             # compact-support tails at +-L
+    "r1_segment": 5e-3,       # heuristic no-high-frequency threshold
+    "zero_residual": 1e-8,    # |s11| at an accepted zero
+    "nu_hat_floor": -1e-10,   # admissible negativity of nu-hat
+}
 
 #: every field of a config file but initial_data, with its default (the README
 #: example's).  Its kind is its default's: an int is a count (56.0 is taken), a
@@ -53,7 +49,6 @@ DEFAULTS = {
     "t_values": (60.0, 120.0, 240.0),
     "solitons": {"mode": "none"},
     "pde": {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9},  # evolve's grid, step, filter
-    "tolerances": TOLERANCES,
 }
 
 _KINDS = {int: f"a whole number {_NUMBER_RULE}", float: f"a number {_NUMBER_RULE}",
@@ -76,8 +71,6 @@ RULES = {
     "pde.n": _ODD_COUNT,
     "pde.cutoff": ("in (0, 1)", lambda c: 0 < c < 1),
     "initial_data.n": _ODD_COUNT,
-    **{f"tolerances.{name}": ("positive", lambda v: v > 0)
-       for name in TOLERANCES if name != "nu_hat_floor"},
 }
 
 
@@ -200,7 +193,6 @@ class RunConfig:
     t_values: tuple
     solitons: dict
     pde: dict
-    tol: Tolerances
 
     @classmethod
     def load(cls, path, out_dir=None) -> "RunConfig":
@@ -241,8 +233,7 @@ class RunConfig:
                 whole_steps(t, fields["pde"]["dt"])
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
-        tol = Tolerances(**fields.pop("tolerances"))
-        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), tol=tol, **fields)
+        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), **fields)
 
     @property
     def zetas(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .config import Tolerances, read_columns
+from .config import TOLERANCES, read_columns
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
 from .util import ChebPanel, gauss_legendre
 
@@ -73,7 +73,7 @@ class InitialData:
                 raise ValueError(f"InitialData {name} has non-finite values")
         if not self.h > 0:
             raise ValueError(f"InitialData grid must be increasing: x[1] - x[0] = {self.h!r}")
-        if not np.allclose(np.diff(self.x), self.h, rtol=0, atol=1e-12 * max(1.0, self.h)):
+        if not np.all(np.abs(np.diff(self.x) - self.h) <= 1e-12 * max(1.0, self.h)):
             raise ValueError("InitialData grid must be uniform")
 
     @property
@@ -88,12 +88,13 @@ class InitialData:
         vals = [np.abs(self.u0[s]).max() + np.abs(self.u1[s]).max() for s in edge]
         return float(max(vals))
 
-    def validate(self, mass_tol: float, tail_tol: float) -> None:
-        m = abs(self.mass())
-        if m > mass_tol:
-            raise ValueError(f"mass condition violated: |int u1 dx| = {m:.3e} > {mass_tol:.1e}")
+    def validate(self) -> None:
+        """ValueError unless the data meet TOLERANCES' mass condition and tail bound."""
+        m, bound = abs(self.mass()), TOLERANCES["mass_condition"]
+        if m > bound:
+            raise ValueError(f"mass condition violated: |int u1 dx| = {m:.3e} > {bound:.1e}")
         t = self.tail_max()
-        if t > tail_tol:
+        if t > TOLERANCES["tail"]:
             raise ValueError(f"initial data not numerically compactly supported: tail {t:.3e}")
 
 
@@ -620,9 +621,12 @@ class ReflectionData:
         return out
 
     def _ratio(self, theta, num, den):
-        th = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2 * np.pi)
+        """num / den at the angles theta: a scalar for a scalar, an array of
+        theta's length for a 1-d array (length 1 included)."""
+        theta = np.asarray(theta, dtype=float)
+        th = np.mod(np.atleast_1d(theta), 2 * np.pi)
         out = self._eval_weighted(num, th) / self._eval_weighted(den, th)
-        return out if out.shape != (1,) else out[0]
+        return out[0] if theta.ndim == 0 else out
 
     def r1_at(self, theta):
         return self._ratio(theta, "n1", "d1")
@@ -769,8 +773,8 @@ def find_s11_zeros(data: InitialData) -> list:
     then one per Newton step.  A zero within 1e-9 of the real axis is real; one
     in the strip between a contour's lower ray and the real edge is not
     admissible and is dropped.  residue_constants checks |s11| at each zero
-    against tol.zero_residual, from the march it makes there anyway.  Zero data
-    have s11 = 1 on both contours, which wind zero times: no zeros."""
+    against TOLERANCES["zero_residual"], from the march it makes there anyway.
+    Zero data have s11 = 1 on both contours, which wind zero times: no zeros."""
     s11 = partial(s11_values, data)
     contours = search_contours()
     vals = np.split(s11(np.concatenate([k for k, _ in contours])), len(contours))
@@ -795,11 +799,12 @@ def soliton_d(k0: complex, c: complex):
     return (kb**2 - 1) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
 
 
-def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) -> SolitonData:
+def residue_constants(data: InitialData, zeros) -> SolitonData:
     """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real).
 
-    RuntimeError if |s11| at a zero exceeds tol.zero_residual."""
-    data.validate(tol.mass_condition, tol.tail)
+    ValueError if the data fail InitialData.validate; RuntimeError if |s11| at a
+    zero exceeds TOLERANCES["zero_residual"]."""
+    data.validate()
     cs, ds, kept = [], [], []
     for k0 in zeros:
         k0 = complex(k0)
@@ -807,7 +812,7 @@ def residue_constants(data: InitialData, zeros, tol: Tolerances = Tolerances()) 
         pts, dk = _central_points(k0)
         s = scattering_columns(data, pts, "X", cols=(0, 1 if is_real(k0) else 2))
         resid = abs(s[0, 0, 0])
-        if resid > tol.zero_residual:
+        if resid > TOLERANCES["zero_residual"]:
             raise RuntimeError(f"zero candidate {k0} has residual {resid:.2e}")
         dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
         if abs(dek) < 1e-10:
@@ -831,8 +836,7 @@ def nonsingularity_value(k0: complex, c: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def assumption_validators(data: InitialData, solitons: SolitonData | None = None,
-                          tol: Tolerances = Tolerances()) -> dict:
+def assumption_validators(data: InitialData, solitons: SolitonData | None = None) -> dict:
     """Report-style checks of the three standing assumptions.
 
     The genericity margins are heuristic (flagged as such in the report); the
@@ -840,7 +844,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
     """
     report: dict = {"heuristic_thresholds": True}
     m = abs(data.mass())
-    report["mass_condition"] = {"value": m, "ok": bool(m <= tol.mass_condition)}
+    report["mass_condition"] = {"value": m, "ok": bool(m <= TOLERANCES["mass_condition"])}
     if not report["mass_condition"]["ok"]:
         report["ok"] = False
         return report
@@ -862,10 +866,8 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
 
     # (iii) r1 on the segment (0, i)
     r1seg = _ratio_values(data, segment, "X", Xseg)[0]
-    sup = float(np.nanmax(np.abs(r1seg)))
-    report["no_high_frequency"] = {"sup_r1_segment": sup,
-                                   "ok": bool(sup <= tol.r1_segment),
-                                   "tol": tol.r1_segment}
+    sup, bound = float(np.nanmax(np.abs(r1seg))), TOLERANCES["r1_segment"]
+    report["no_high_frequency"] = {"sup_r1_segment": sup, "ok": bool(sup <= bound), "tol": bound}
 
     # (ii) generic behavior near k = +-1: scaled entries have finite nonzero limits
     s_all = _terminal_values(data, kprobes, "X", cols, Xprobe)
@@ -929,20 +931,20 @@ def _in_admissible_region(k0: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _off_circle(data: InitialData, detect: bool, tol: Tolerances):
+def _off_circle(data: InitialData, detect: bool):
     """The off-circle branch of scattering_data: the zeros of s11 and their
     residue constants (none unless ``detect``), then the validator report."""
     zeros = find_s11_zeros(data) if detect else []
-    sol = residue_constants(data, zeros, tol=tol) if zeros else SolitonData([], [], [])
-    return sol, assumption_validators(data, solitons=sol, tol=tol)
+    sol = residue_constants(data, zeros) if zeros else SolitonData([], [], [])
+    return sol, assumption_validators(data, solitons=sol)
 
 
-def scattering_data(data: InitialData, n_per_arc: int, detect: bool,
-                    tol: Tolerances) -> tuple[ReflectionData, SolitonData, dict]:
+def scattering_data(data: InitialData, n_per_arc: int,
+                    detect: bool) -> tuple[ReflectionData, SolitonData, dict]:
     """(ReflectionData, SolitonData, validator report) of ``data``.  The
     off-circle branch needs no reflection table, so it runs in a forked child
     while reflection_coefficients runs here (_in_two_processes); with one CPU
     it runs first.  An exception from either is raised here."""
-    (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect, tol),
+    (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect),
                                             partial(reflection_coefficients, data, n_per_arc))
     return refl, sol, report

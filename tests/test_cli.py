@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from bqist import asymptotics as asy
+from bqist import cauchy as cy
 from bqist import cli
 from bqist import scattering as sc
-from bqist.config import FMT, TOLERANCES, ConfigError, RunConfig, Tolerances
+from bqist.config import FMT, TOLERANCES, ConfigError, RunConfig
 
 
 def run_cli(*args):
@@ -108,23 +109,78 @@ def test_even_pde_n_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_tolerances_resolved_once_without_environ_writes(tmp_path, monkeypatch):
+def write_massive_csv(path):
+    """Initial data whose u1 integrates to 1.77e-8, above the mass condition's 1e-9."""
+    x = np.linspace(-20.0, 20.0, 513)
+    return write_csv(path, x, 0.05 * np.exp(-(x / 2) ** 2), 1e-8 * np.exp(-x**2))
+
+
+def test_tolerances_are_fixed_not_config_fields(tmp_path, monkeypatch):
+    """The admissibility thresholds are config.TOLERANCES alone: a "tolerances"
+    block is an unknown field, and the environment sets none of them."""
     before = dict(os.environ)
-    loose = RunConfig.load(write_config(tmp_path / "loose.json",
-                                        tolerances={"zero_residual": 1e-3}))
-    assert loose.tol.zero_residual == 1e-3
+    for block in ({"zero_residual": 1e-3}, {}, 5):
+        cfgp = write_config(tmp_path / "c.json", tolerances=block)
+        with pytest.raises(ConfigError, match="unknown config field 'tolerances'"):
+            RunConfig.load(cfgp)
+        res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2 and "'tolerances'" in res.stderr
     assert dict(os.environ) == before
-    # a later config without overrides gets the defaults back
-    assert RunConfig.load(write_config(tmp_path / "plain.json")).tol == Tolerances()
-    # the config alone sets them: the environment is not read
-    monkeypatch.setenv("BQIST_TOL_ZERO_RESIDUAL", "1e-5")
-    assert RunConfig.load(tmp_path / "plain.json").tol == Tolerances()
-    assert RunConfig.load(tmp_path / "loose.json").tol.zero_residual == 1e-3
-    # names that no check reads are rejected, not silently ignored
-    cfgp = write_config(tmp_path / "circle.json", tolerances={"circle_relation": 1e-6})
-    with pytest.raises(ConfigError, match="circle_relation"):
-        RunConfig.load(cfgp)
-    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+    # loose BQIST_TOL_* variables leave the mass condition as it is
+    for name in TOLERANCES:
+        monkeypatch.setenv(f"BQIST_TOL_{name.upper()}", "1")
+    write_massive_csv(tmp_path / "massive.csv")
+    cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"})
+    res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1 and "mass condition violated" in res.stderr
+    assert TOLERANCES == {"mass_condition": 1e-9, "tail": 1e-9, "r1_segment": 5e-3,
+                          "zero_residual": 1e-8, "nu_hat_floor": -1e-10}
+
+
+def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soliton_data,
+                                              soliton_zeros, zero_refl):
+    """Setting an entry of config.TOLERANCES flips the one check that applies it;
+    each is loosened in turn, and monkeypatch puts the registry back."""
+    # mass_condition: scatter exits 1 before the march, or runs to the end with
+    # validators.json's mass condition ok; residue_constants checks it too
+    massive = sc.load_csv(write_massive_csv(tmp_path / "massive.csv"))
+    cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"}, n_per_arc=16)
+    argv = ["scatter", "--config", str(cfgp), "--out", str(tmp_path / "m")]
+    assert cli.main(argv) == 1
+    assert "mass condition violated" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="mass condition violated"):
+        sc.residue_constants(massive, [])
+    monkeypatch.setitem(TOLERANCES, "mass_condition", 1e-6)
+    assert cli.main(argv) == 0
+    assert sc.residue_constants(massive, []).zeros == []
+    # r1_segment: validators.json's no_high_frequency (sup |r1| = 0.034 on this data)
+    cfgp = write_config(tmp_path / "hf.json", n_per_arc=16,
+                        initial_data={"form": "gaussian", "amplitude": 0.1, "width": 0.8,
+                                      "L": 20.0, "n": 1025})
+    argv = ["scatter", "--config", str(cfgp), "--out", str(tmp_path / "hf")]
+    for bound, ok in ((5e-3, False), (0.1, True)):
+        monkeypatch.setitem(TOLERANCES, "r1_segment", bound)
+        cli.main(argv)
+        check = json.loads((tmp_path / "hf" / "validators.json").read_text())["no_high_frequency"]
+        assert (check["ok"], check["tol"]) == (ok, bound)
+    # tail: residue_constants validates the data before any march (tails 4.1e-6 here)
+    short = sc.gaussian(0.1, 2.0, L=7.0, n=513)
+    with pytest.raises(ValueError, match="compactly supported"):
+        sc.residue_constants(short, [])
+    monkeypatch.setitem(TOLERANCES, "tail", 1e-3)
+    assert sc.residue_constants(short, []).zeros == []
+    # zero_residual: |s11| at a point 1e-5 off the soliton's zero
+    near = [soliton_zeros[0] + 1e-5]
+    with pytest.raises(RuntimeError, match="has residual"):
+        sc.residue_constants(soliton_data, near)
+    monkeypatch.setitem(TOLERANCES, "zero_residual", 1.0)
+    assert len(sc.residue_constants(soliton_data, near).c) == 1
+    # nu_hat_floor: zero data have nu-hat 0, below a floor of 1
+    cf = cy.CircleFunctions(zero_refl)
+    asy.build_ingredients(0.75, cf)
+    monkeypatch.setitem(TOLERANCES, "nu_hat_floor", 1.0)
+    with pytest.raises(cy.PositivityError, match="nu_hat negative"):
+        asy.build_ingredients(0.75, cf)
 
 
 def test_bad_window_exits_2(tmp_path, capsys):
@@ -165,18 +221,14 @@ def test_bad_window_exits_2(tmp_path, capsys):
         assert cli.main(["evolve", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
     # and every block that must be an object, in every stage that loads it
-    for field, value in (("solitons", []), ("tolerances", 5), ("tolerances", []),
-                         ("initial_data", 5), ("initial_data", ["form"])):
+    for field, value in (("solitons", []), ("initial_data", 5), ("initial_data", ["form"])):
         cfgp = write_config(tmp_path / "c.json", **{field: value})
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert f"{field} must be an object" in capsys.readouterr().err
-    # tolerances and named-form parameters must be finite numbers, and the soliton mode
-    # none or detect: solitons.json is the only list of zeros and c that asym reads
+    # named-form parameters must be finite numbers, and the soliton mode none or
+    # detect: solitons.json is the only list of zeros and c that asym reads
     for field, value, name in (
-            ("tolerances", {"mass_condition": float("nan")}, "mass_condition"),
-            ("tolerances", {"nu_hat_floor": float("nan")}, "nu_hat_floor"),
-            ("tolerances", {"tail": True}, "tail"),
             ("initial_data", {"form": "gaussian", "amplitude": True, "width": 2.0},
              "initial_data.amplitude"),
             ("initial_data", {"form": "gaussian", "amplitude": 0.1, "width": True},
@@ -349,15 +401,13 @@ def test_initial_data_csv_input(tmp_path):
     out = tmp_path / "out"
     res = run_cli("scatter", "--config", str(cfgp), "--out", str(out))
     assert res.returncode == 0, res.stderr
-    # mass 1.8e-8 passes a loosened mass_condition both in scatter and in validators.json
-    x = np.linspace(-20.0, 20.0, 513)
-    write_csv(tmp_path / "massive.csv", x, 0.05 * np.exp(-(x / 2) ** 2), 1e-8 * np.exp(-x**2))
-    cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"},
-                        n_per_arc=16, tolerances={"mass_condition": 1e-6})
-    res = run_cli("scatter", "--config", str(cfgp), "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    report = json.loads((out / "validators.json").read_text())
-    assert report["mass_condition"]["ok"] and 1e-8 < report["mass_condition"]["value"] < 1e-6
+    # CSV data of mass 1.77e-8 fail the mass condition: exit 1 before the march
+    write_massive_csv(tmp_path / "massive.csv")
+    cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"}, n_per_arc=16)
+    res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "m"))
+    assert res.returncode == 1
+    assert "mass condition violated (|int u1| = 1.772e-08)" in res.stderr
+    assert not (tmp_path / "m").exists()
 
 
 def test_pipeline_roundtrip_reflection(small_run):
@@ -454,7 +504,7 @@ def test_trace_stage_finds_every_layer(small_run, tmp_path):
                      "asymptotics.build_ingredients"}
     # perfbench/run.py's soliton check calls these by name, untraced
     assert callable(sc.load_csv) and callable(sc.s11_values)
-    assert TOLERANCES["zero_residual"] == Tolerances().zero_residual
+    assert TOLERANCES["zero_residual"] == 1e-8
 
 
 def test_pipeline_deterministic_and_left_soliton_invariant(small_run, tmp_path):

@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 
 from bqist import cli, pde
 from bqist import scattering as sc
-from bqist.config import RunConfig, Tolerances
+from bqist.config import TOLERANCES, RunConfig
 from bqist.spectral import OMEGA, SQRT3, phase_values
 
 
@@ -528,6 +528,46 @@ def test_f_times_abs_s11_squared_is_one_on_the_table(refl_small):
     assert np.max(np.abs(f * np.abs(refl_small.s11) ** 2 - 1)) < 1e-11
 
 
+@pytest.fixture(scope="module")
+def data_compact():
+    """The benchmark's compact workload data: the README example's on a quarter of its grid."""
+    return sc.gaussian_bandlimited(0.01, 2.0, L=60.0, n=2049, u1_mode="zero")
+
+
+# bound = about 10x the measured maximum; sign of r2 flipped: 69, 2.8e3 and 31
+@pytest.mark.parametrize("name, bound", [("data_small", 2e-11), ("data_acc", 1e-9),
+                                         ("data_compact", 2e-10)])
+def test_f_times_abs_s11_squared_is_one_off_the_table(request, name, bound):
+    """f |s11|^2 = 1 at angles marched directly, not read from the table: 12 spread
+    over the circle and 12 within 1.5e-3 and 2e-2 of the sixth roots of unity, each
+    with its partner 2 pi/3 - theta.  Measured: 2.3e-12 (data_small, 3.6e-14 away
+    from the roots), 1.2e-10 (data_acc) and 2.1e-11 (data_compact); the largest sit
+    at the roots, where |s11|^2 magnifies the cancellation in f."""
+    data = request.getfixturevalue(name)
+    kap = np.pi * np.arange(6) / 3
+    th = np.concatenate([2 * np.pi * (np.arange(12) + 0.37) / 12,
+                         (kap + 1.5e-3) % (2 * np.pi), (kap - 2e-2) % (2 * np.pi)])
+    th = np.concatenate([th, (2 * np.pi / 3 - th) % (2 * np.pi)])
+    assert np.min(np.abs(th[:, None] - np.pi * np.arange(7) / 3)) > 1e-3
+    k = np.exp(1j * th)
+    r1, s11 = sc.reflection_ratio(data, k, "X")
+    r2, _ = sc.reflection_ratio(data, k, "XA")
+    rr = r1 * r2
+    f = 1 + rr + np.roll(rr, len(th) // 2)  # the partner of th[j] is th[j -+ 24]
+    assert np.max(np.abs(f * np.abs(s11) ** 2 - 1)) < bound
+
+
+def test_reflection_at_keeps_the_shape_of_its_angles(refl_small):
+    """r1_at and r2_at give a scalar for a float and an array of n values for n
+    angles, n = 1 included."""
+    for at in (refl_small.r1_at, refl_small.r2_at):
+        pair = at(np.array([0.5, 4.0]))
+        assert pair.shape == (2,)
+        assert np.shape(at(0.5)) == () and np.isclose(at(0.5), pair[0], rtol=1e-14, atol=0)
+        one = at(np.array([0.5]))
+        assert one.shape == (1,) and np.isclose(one[0], pair[0], rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # zeros, residues, validators
 # ---------------------------------------------------------------------------
@@ -687,12 +727,12 @@ def test_residue_constants_march_once_per_zero(soliton_data, soliton_zeros, monk
     assert calls == [("X",)] * len(soliton_zeros)
 
 
-def test_residue_constants_checks_the_residual(soliton_data, soliton_zeros):
-    """|s11| at a zero above tol.zero_residual is a numerical failure."""
+def test_residue_constants_checks_the_residual(soliton_data, soliton_zeros, monkeypatch):
+    """|s11| at a zero above TOLERANCES["zero_residual"] is a numerical failure."""
     with pytest.raises(RuntimeError, match="has residual"):
         sc.residue_constants(soliton_data, [soliton_zeros[0] + 1e-5])
-    loose = Tolerances(zero_residual=1.0)
-    assert len(sc.residue_constants(soliton_data, [soliton_zeros[0] + 1e-5], loose).c) == 1
+    monkeypatch.setitem(TOLERANCES, "zero_residual", 1.0)
+    assert len(sc.residue_constants(soliton_data, [soliton_zeros[0] + 1e-5]).c) == 1
 
 
 def test_validators_march_once_per_question(data_small, monkeypatch):
@@ -737,11 +777,10 @@ def test_scatter_marches(soliton_data, tmp_path, monkeypatch):
 def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypatch):
     """With two CPUs the off-circle branch and the X march each run in a
     forked child, two forks in all, and every output equals the one-CPU run's."""
-    tol = Tolerances()
     monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True, tol)
+    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
     forks = counted_forks(monkeypatch)
-    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True, tol)
+    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True)
     assert forks == [os.getpid()] * 2
     for name in ("theta", "r1", "r2", "s11", "sA11"):
         assert np.array_equal(getattr(refl2, name), getattr(refl1, name)), name
@@ -755,11 +794,10 @@ def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
     """With two CPUs but an os.fork that raises (EAGAIN at a process limit),
     both branches run here: scattering_data equals the one-CPU run, each
     pipe is closed, and scatter exits 0 with the one-CPU run's bytes."""
-    tol = Tolerances()
     cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8)
     argv = ["scatter", "--config", str(tmp_path / "run.json"), "--out"]
     monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True, tol)
+    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
     assert cli.main(argv + [str(tmp_path / "one_cpu")]) == 0
     pipes, pipe = [], os.pipe
 
@@ -773,7 +811,7 @@ def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
     monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc.os, "pipe", recorded_pipe)
     monkeypatch.setattr(sc.os, "fork", failing_fork)
-    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True, tol)
+    refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True)
     assert len(pipes) == 2  # scattering_data's and reflection_coefficients'
     for fd in (fd for pair in pipes for fd in pair):
         with pytest.raises(OSError):
@@ -791,18 +829,17 @@ def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
 def test_scatter_off_circle_failure_writes_nothing(soliton_data, tmp_path, monkeypatch,
                                                    capsys, cpus):
     """A residue that fails its check in the off-circle branch is raised with
-    its type and message, at one CPU and from the child at two; scatter then
-    exits 1 and writes no file."""
-    tight = Tolerances(zero_residual=1e-30)
+    its type and message, at one CPU and from the child at two, which inherits
+    the tightened TOLERANCES; scatter then exits 1 and writes no file."""
+    monkeypatch.setitem(TOLERANCES, "zero_residual", 1e-30)
     monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
     with pytest.raises(RuntimeError, match="has residual") as alone:
-        sc.scattering_data(soliton_data, 8, True, tight)
+        sc.scattering_data(soliton_data, 8, True)
     monkeypatch.setattr(sc, "_cpu_count", lambda: cpus)
     with pytest.raises(RuntimeError) as raised:
-        sc.scattering_data(soliton_data, 8, True, tight)
+        sc.scattering_data(soliton_data, 8, True)
     assert type(raised.value) is RuntimeError and str(raised.value) == str(alone.value)
-    cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8,
-                         tolerances={"zero_residual": 1e-30})
+    cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8)
     assert cli.main(["scatter", "--config", str(tmp_path / "run.json"),
                      "--out", str(cfg.out_dir)]) == 1
     assert "has residual" in capsys.readouterr().err
@@ -830,7 +867,7 @@ def test_scattering_data_kills_the_off_circle_child(soliton_data, monkeypatch):
     monkeypatch.setattr(sc, "_march_matmul", failing_matmul)
     monkeypatch.setattr(sc.os, "kill", recording_kill)
     with pytest.raises(ArithmeticError, match="^XA march failed$"):
-        sc.scattering_data(soliton_data, 8, True, Tolerances())
+        sc.scattering_data(soliton_data, 8, True)
     assert len(forks) == 2 and kills == [signal.SIGKILL] * 2
     assert_no_child_left()
 
