@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cauchy as cy
-from .cauchy import CircleFunctions, NuBundle, PositivityError, SectorArcs
-from .config import TOLERANCES
+from .cauchy import CircleFunctions, NuBundle, SectorArcs
+from .config import TOLERANCES, NumericalError
 from .gammafn import arg_gamma
 from .scattering import is_real
 from .spectral import OMEGA, SQRT3, phi
@@ -60,7 +60,7 @@ def blaschke_P(k, zeros: list | None) -> complex:
             num = (k - k0) * (k - 1 / k0) * (k - w**2 * kb) * (k - w / kb)
             den = (k - kb) * (k - 1 / kb) * (k - w * k0) * (k - w**2 / k0)
         if den == 0:
-            raise ValueError(f"blaschke_P: pole at k = {k}")
+            raise NumericalError(f"blaschke_P: pole at k = {k}")
         out *= num / den
     return out
 
@@ -142,10 +142,10 @@ def z_star(which: int, arcs: SectorArcs) -> ZStar:
     image, angle = arcs.image(which)
     norm = -1j * image * z
     if abs(norm.imag) > 1e-10 * abs(norm):
-        raise ValueError(f"z_star normalization not real: {norm}")
+        raise NumericalError(f"z_star normalization not real: {norm}")
     expected = np.pi / 2 - angle
     if abs((np.angle(z) - expected + np.pi) % (2 * np.pi) - np.pi) > 1e-9:
-        raise ValueError("z_star argument disagrees with pi/2 - arg(saddle image)")
+        raise NumericalError("z_star argument disagrees with pi/2 - arg(saddle image)")
     return ZStar(value=z, log=np.log(abs(z)) + 1j * expected)
 
 
@@ -175,11 +175,11 @@ def q_values(arcs: SectorArcs, refl) -> QValues:
         th = float(np.angle(p))
         rt = complex(rtilde(p))
         if abs(rt.imag) > 1e-9 * max(1.0, abs(rt)):
-            raise ValueError(f"rtilde not real at {name} point {p}")
+            raise NumericalError(f"rtilde not real at {name} point {p}")
         r1v = complex(refl.r1_at(th))
         if name in ("q1", "q2"):
             if rt.real <= 0:
-                raise PositivityError(f"rtilde({name}) = {rt.real} must be positive")
+                raise NumericalError(f"rtilde({name}) = {rt.real} must be positive")
             vals[name] = np.sqrt(rt.real) * r1v
         else:
             vals[name] = np.sqrt(abs(rt.real)) * r1v
@@ -236,15 +236,14 @@ def build_ingredients(zeta: float, cf: CircleFunctions,
     arcs = SectorArcs.from_zeta(zeta)
     nu = cy.nu_bundle(arcs, cf)
     if min(nu.nu_hat1, nu.nu_hat2) < TOLERANCES["nu_hat_floor"]:
-        raise PositivityError(
-            f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
+        raise NumericalError(f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
     sad, wk4, w2k2 = arcs.saddles, arcs.wk4, arcs.w2k2
     q = q_values(arcs, cf.refl)
 
     phi31 = complex(phi(3, 1, zeta, wk4))
     phi32 = complex(phi(3, 2, zeta, w2k2))
     if max(abs(phi31.real), abs(phi32.real)) > 1e-10:
-        raise ValueError("saddle-image phases are not purely imaginary")
+        raise NumericalError("saddle-image phases are not purely imaginary")
 
     return SectorIngredients(
         arcs=arcs,

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NumericalError
 from .scattering import ReflectionData
 from .spectral import OMEGA, SaddleSet, saddle_points
 from .util import ChebPanel, graded_panels, panel_quad, refine_near
@@ -64,24 +65,15 @@ ARC_LO = np.pi / 2
 BOUNDARY_TOL = 1e-6
 
 
-class BoundaryPolicyError(ValueError):
-    """Evaluation point is on (or within BOUNDARY_TOL of) the defining arc, where
-    delta has no value; its boundary values are limits from either side."""
-
-
-class PositivityError(ValueError):
-    """A log argument that the theory requires to be positive is not."""
-
-
 def check_positive(vals, label: str, var: str, at) -> None:
-    """PositivityError unless ``vals``, the log argument ``label`` at ``var`` = ``at``,
+    """NumericalError unless ``vals``, the log argument ``label`` at ``var`` = ``at``,
     are positive: Re > 0 at each and max |Im| at most 1e-6 max(1, max Re)."""
     re = np.real(vals)
     if np.any(re <= 0):
-        raise PositivityError(f"{label} is nonpositive near {var} = {at[np.argmin(re)]:.6g}")
+        raise NumericalError(f"{label} is nonpositive near {var} = {at[np.argmin(re)]:.6g}")
     im = np.max(np.abs(np.imag(vals)))
     if im > 1e-6 * max(1.0, np.max(re)):
-        raise PositivityError(f"{label} has imaginary residual {im:.2e}")
+        raise NumericalError(f"{label} has imaginary residual {im:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +200,10 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
         if not tilde:
             # off the cut arc [pi/2, theta_s]
             if ARC_LO - 1e-14 <= phi <= theta_s + 1e-14:
-                raise ValueError("ln_branch: k on the cut of ln_s")
+                raise NumericalError("ln_branch: k on the cut of ln_s")
             return mag + 0.5j * (_arg_i(phi) + theta_s + np.pi)
         if not (-np.pi < phi < theta_s):
-            raise ValueError("ln_branch: k on the cut of tilde-ln_s")
+            raise NumericalError("ln_branch: k on the cut of tilde-ln_s")
         return mag + 0.5j * (phi + theta_s - np.pi)
     # the principal Arg(k - s) jumps on {Im k = Im s, Re k < Re s}, which lies
     # in {|k| > 1, Re k < 0}; the region rule moves that jump onto the cut
@@ -315,7 +307,7 @@ def delta(j: int, arcs: SectorArcs, cf: CircleFunctions, k):
     k = np.asarray(k, dtype=complex)
     for kk in k.ravel():
         if _arc_distance(kk, lo, hi) < BOUNDARY_TOL:
-            raise BoundaryPolicyError(f"delta_{j}: k={kk} within {BOUNDARY_TOL:.0e} of the arc")
+            raise NumericalError(f"delta_{j}: k={kk} within {BOUNDARY_TOL:.0e} of the arc")
     val = _cauchy_integral(cf.density(dens_name), k, _arc_panels(lo, hi, k.ravel()))
     return np.exp(sign * val / (2j * np.pi))
 

@@ -1,4 +1,4 @@
-"""Run configuration, tolerance registry and CSV dialect of the command-line pipeline."""
+"""Run configuration, tolerance registry, error types and CSV dialect of the pipeline."""
 
 from __future__ import annotations
 
@@ -76,6 +76,11 @@ RULES = {
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
+
+
+class NumericalError(RuntimeError):
+    """A check on computed values failed: an admissibility condition of the data or
+    a numerical guard of the method (exit code 1)."""
 
 
 FMT = "%.17g"  # a float cell: 17 significant digits read back to the same float

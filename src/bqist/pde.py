@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, ConfigError, whole_steps
+from .config import DEFAULTS, ConfigError, NumericalError, whole_steps
 
 DEFAULT_CUTOFF = DEFAULTS["pde"]["cutoff"]
 
@@ -69,13 +69,6 @@ class FieldSnapshot:
         if n % 2 == 0:
             weights[-1] = 1.0
         return np.real(phase @ (weights * coeff))
-
-
-class BlowupError(RuntimeError):
-    def __init__(self, t, spectrum):
-        super().__init__(f"instability detected at t={t:.3f}")
-        self.t = t
-        self.spectrum = spectrum
 
 
 def _propagator(xi, tau):
@@ -168,10 +161,9 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         if done:  # the blow-up check
             sup = np.abs(fields[0]).max()
             if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
-                spec = np.abs(uh) * (n / m)
-                bands = [(float(b), float(np.max(spec[(xi >= b) & (xi < b + 0.1)], initial=0.0)))
-                         for b in np.arange(0, nyq * (m / n) - 0.1, 0.1)]
-                raise BlowupError(done * dt, bands)
+                band = np.floor(10 * xi[np.argmax(np.abs(uh))]) / 10
+                raise NumericalError(f"instability detected at t={done * dt:.3f}: |u hat| is "
+                                     f"largest in the band [{band:.1f}, {band + 0.1:.1f}) of xi")
             sup_prev = max(sup, 1e-30)
         for t in at_step.get(done, ()):
             u = np.fft.irfft(uh * (n / m), n=n)
@@ -205,8 +197,8 @@ def compare(zetas, u_asym, snapshots: list[FieldSnapshot]) -> dict:
     for snap, u_a in zip(snapshots, u_asym, strict=True):
         xq = zetas * snap.t
         if xq.max() >= snap.x[-1]:
-            raise ValueError("zeta window leaves the unwrapped domain at "
-                             f"t={snap.t}: x={xq.max():.1f} >= {snap.x[-1]:.1f}")
+            raise ConfigError(f"zeta window leaves the unwrapped domain at t={snap.t}: "
+                              f"x={xq.max():.1f} >= {snap.x[-1]:.1f}; rerun evolve")
         u_pde = snap.eval_at(xq)
         err = np.abs(u_pde - u_a)
         rows.append({

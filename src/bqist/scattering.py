@@ -16,16 +16,12 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .config import TOLERANCES, read_columns
+from .config import TOLERANCES, NumericalError, read_columns
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
 from .util import ChebPanel, gauss_legendre
 
 DEGENERATE_TOL = 1e-8
 EXCLUSION = 2e-3  # sample keep-out radius around the sixth roots of unity
-
-
-class DegenerateSpectralPointError(ValueError):
-    """k is too close to a sixth root of unity: P(k) is numerically singular."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +84,18 @@ class InitialData:
         vals = [np.abs(self.u0[s]).max() + np.abs(self.u1[s]).max() for s in edge]
         return float(max(vals))
 
-    def validate(self) -> None:
-        """ValueError unless the data meet TOLERANCES' mass condition and tail bound."""
+    def check_mass(self) -> None:
+        """NumericalError unless the data meet TOLERANCES' mass condition."""
         m, bound = abs(self.mass()), TOLERANCES["mass_condition"]
         if m > bound:
-            raise ValueError(f"mass condition violated: |int u1 dx| = {m:.3e} > {bound:.1e}")
+            raise NumericalError(f"mass condition violated: |int u1 dx| = {m:.3e} > {bound:.1e}")
+
+    def validate(self) -> None:
+        """NumericalError unless the data meet TOLERANCES' mass condition and tail bound."""
+        self.check_mass()
         t = self.tail_max()
         if t > TOLERANCES["tail"]:
-            raise ValueError(f"initial data not numerically compactly supported: tail {t:.3e}")
+            raise NumericalError(f"initial data not numerically compactly supported: tail {t:.3e}")
 
 
 def from_arrays(x, u0, u1) -> InitialData:
@@ -200,9 +200,8 @@ def _frame(k):
     w31 = -u0'/4 - i v0/(4 sqrt 3), w32 = -u0/2 (potential_weights).
     """
     bad = k[np.min(np.abs(k[:, None] - KAPPA), axis=-1) < DEGENERATE_TOL]
-    if bad.size:
-        raise DegenerateSpectralPointError(
-            f"k within {DEGENERATE_TOL:.0e} of a sixth root of unity: {bad[:4]}")
+    if bad.size:  # P(k) is numerically singular there
+        raise NumericalError(f"k within {DEGENERATE_TOL:.0e} of a sixth root of unity: {bad[:4]}")
     l = phase_values(k).l
     P = np.empty((k.shape[0], 3, 3), dtype=complex)
     P[:, 0, :] = 1.0
@@ -634,6 +633,13 @@ class ReflectionData:
     def r2_at(self, theta):
         return self._ratio(theta, "n2", "d2")
 
+    def circle_identity_residual(self) -> float:
+        """max |f |s11|^2 - 1| over the nodes, f = 1 + r1 r2(theta) + r1 r2(2 pi/3 - theta):
+        the partners of arc 0, ..., 5 are arc 1, 0, 5, 4, 3, 2's nodes, reversed."""
+        rr = (self.r1 * self.r2).reshape(6, -1)
+        f = 1 + rr + rr[[1, 0, 5, 4, 3, 2], ::-1]
+        return float(np.max(np.abs(f.ravel() * np.abs(self.s11) ** 2 - 1)))
+
 
 def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
     """Sample the reflection data at ReflectionData.nodes(n_per_arc): the X and
@@ -715,12 +721,12 @@ def _sector_contour(r_lo, r_hi, th_lo, th_hi):
 def _winding_number(vals):
     """Winding number of f around a closed contour, from f at its nodes in order."""
     if np.min(np.abs(vals)) < 1e-9:
-        raise RuntimeError("zero too close to a search contour")
+        raise NumericalError("zero too close to a search contour")
     ang = np.unwrap(np.angle(np.concatenate([vals, vals[:1]])))
     w = (ang[-1] - ang[0]) / (2 * np.pi)
     wi = int(np.round(w))
     if abs(w - wi) > 0.1:
-        raise RuntimeError(f"unresolved winding number {w:.3f}")
+        raise NumericalError(f"unresolved winding number {w:.3f}")
     return wi
 
 
@@ -729,8 +735,8 @@ def _contour_zeros(f, k, w, vals):
     vals = f(k): as many as f winds, from the moments s_p of f'/f about the mean
     node c as eigenvalues of a Hankel pencil (Delves & Lyness, Math. Comp. 21,
     1967; Kravanja & Van Barel, LNM 1727, 2000), each polished by Newton on f.
-    RuntimeError if a polished zero is outside the contour; |f| at a zero is the
-    caller's to check (residue_constants).
+    NumericalError if the pencil is singular or a polished zero is outside the
+    contour; |f| at a zero is the caller's to check (residue_constants).
 
     With z = k - c, s_p = -p/(2 pi i) int z^(p-1) log(f / z^n) dk for p > 0 (by
     parts): f / z^n winds zero times, so its unwrapped log has no jump."""
@@ -743,13 +749,17 @@ def _contour_zeros(f, k, w, vals):
     logg = np.log(np.abs(g)) + 1j * np.unwrap(np.angle(g))
     s = [n] + [-p / (2j * np.pi) * np.sum(z ** (p - 1) * logg * w) for p in range(1, 2 * n)]
     H = np.array([[s[i + j] for j in range(n + 1)] for i in range(n)])
+    try:
+        guesses = c + np.linalg.eigvals(np.linalg.solve(H[:, :n], H[:, 1:]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hankel pencil of {n} contour zeros: {exc}") from None
     out = []
-    for guess in c + np.linalg.eigvals(np.linalg.solve(H[:, :n], H[:, 1:])):
+    for guess in guesses:
         kz, fz = _newton_polish(f, guess)
         inside = abs(np.sum(np.angle(np.roll(k - kz, -1) / (k - kz)))) > np.pi
         if not inside:
-            raise RuntimeError(f"contour zero {kz} is outside its contour "
-                               f"(residual {abs(fz):.2e})")
+            raise NumericalError(f"contour zero {kz} is outside its contour "
+                                 f"(residual {abs(fz):.2e})")
         out.append(kz)
     return out
 
@@ -802,8 +812,8 @@ def soliton_d(k0: complex, c: complex):
 def residue_constants(data: InitialData, zeros) -> SolitonData:
     """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real).
 
-    ValueError if the data fail InitialData.validate; RuntimeError if |s11| at a
-    zero exceeds TOLERANCES["zero_residual"]."""
+    NumericalError if the data fail InitialData.validate, if |s11| at a zero
+    exceeds TOLERANCES["zero_residual"] or if s11' there is below 1e-10."""
     data.validate()
     cs, ds, kept = [], [], []
     for k0 in zeros:
@@ -813,10 +823,10 @@ def residue_constants(data: InitialData, zeros) -> SolitonData:
         s = scattering_columns(data, pts, "X", cols=(0, 1 if is_real(k0) else 2))
         resid = abs(s[0, 0, 0])
         if resid > TOLERANCES["zero_residual"]:
-            raise RuntimeError(f"zero candidate {k0} has residual {resid:.2e}")
+            raise NumericalError(f"zero candidate {k0} has residual {resid:.2e}")
         dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
         if abs(dek) < 1e-10:
-            raise RuntimeError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
+            raise NumericalError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
         c = -complex(s[0, 0, 1]) / dek
         if abs(c) < 1e-13:
             continue  # removable pole
@@ -911,10 +921,8 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
             zinfo.append(entry)
     report["soliton_set"] = {"ok": bool(zeros_ok), "zeros": zinfo}
 
-    report["ok"] = bool(report["mass_condition"]["ok"]
-                        and report["no_high_frequency"]["ok"]
-                        and report["genericity_pm1"]["ok"]
-                        and report["soliton_set"]["ok"])
+    report["ok"] = all(report[check]["ok"] for check in ("mass_condition", "no_high_frequency",
+                                                         "genericity_pm1", "soliton_set"))
     return report
 
 
@@ -947,4 +955,5 @@ def scattering_data(data: InitialData, n_per_arc: int,
     it runs first.  An exception from either is raised here."""
     (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect),
                                             partial(reflection_coefficients, data, n_per_arc))
+    report["circle_identity_residual"] = refl.circle_identity_residual()  # never sets "ok"
     return refl, sol, report

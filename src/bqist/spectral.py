@@ -81,7 +81,8 @@ def saddle_points(zeta: float) -> SaddleSet:
     inner2 = 4.0 - zeta**2 + zeta * rad
     inner4 = 4.0 - zeta**2 - zeta * rad
     if inner2 < 0 or inner4 < 0:
-        raise ValueError(f"saddle radicals negative at zeta={zeta}")
+        from .config import NumericalError  # here: config imports this module
+        raise NumericalError(f"saddle radicals negative at zeta={zeta}")
     k2 = 0.25 * (zeta - rad - 1j * np.sqrt(2.0) * np.sqrt(inner2))
     k4 = 0.25 * (zeta + rad - 1j * np.sqrt(2.0) * np.sqrt(inner4))
     assert -3 * np.pi / 4 < np.angle(k2) < -2 * np.pi / 3, np.angle(k2)

@@ -3,7 +3,7 @@ product identities criterion 5 and tests/test_asymptotics.py check."""
 
 import numpy as np
 
-from bqist.cauchy import PositivityError
+from bqist.config import NumericalError
 from bqist.gammafn import log_gamma
 
 
@@ -18,10 +18,10 @@ def model_beta(which: int, *qs) -> tuple[complex, complex]:
     if which == 1:
         q1, q3 = (complex(q) for q in qs)
         if not 1 + abs(q1) ** 2 - abs(q3) > 0:
-            raise PositivityError("model 1 requires 1 + |q1|^2 - |q3| > 0")
+            raise NumericalError("model 1 requires 1 + |q1|^2 - |q3| > 0")
         arg3 = 1 + abs(q1) ** 2 - abs(q3) ** 2
         if arg3 <= 0:
-            raise PositivityError("model 1 requires 1 + |q1|^2 - |q3|^2 > 0")
+            raise NumericalError("model 1 requires 1 + |q1|^2 - |q3|^2 > 0")
         nu1 = -np.log(1 + abs(q1) ** 2) / (2 * np.pi)
         nu3 = -np.log(arg3) / (2 * np.pi)
         hat = nu3 - nu1
@@ -40,9 +40,9 @@ def model_beta(which: int, *qs) -> tuple[complex, complex]:
         a24 = 1 + abs(q2) ** 2 - abs(q4) ** 2
         a56 = 1 - abs(q5) ** 2 - abs(q6) ** 2
         if a24 <= 0:
-            raise PositivityError("model 2 requires 1 + |q2|^2 - |q4|^2 > 0")
+            raise NumericalError("model 2 requires 1 + |q2|^2 - |q4|^2 > 0")
         if a56 <= 0:
-            raise PositivityError("model 2 requires 1 - |q5|^2 - |q6|^2 > 0")
+            raise NumericalError("model 2 requires 1 - |q5|^2 - |q6|^2 > 0")
         nu2 = -np.log(1 + abs(q2) ** 2) / (2 * np.pi)
         nu4 = -np.log(a24) / (2 * np.pi)
         nu5 = -np.log(a56) / (2 * np.pi)

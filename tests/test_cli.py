@@ -11,7 +11,7 @@ from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import cli
 from bqist import scattering as sc
-from bqist.config import FMT, TOLERANCES, ConfigError, RunConfig
+from bqist.config import FMT, TOLERANCES, ConfigError, NumericalError, RunConfig
 
 
 def run_cli(*args):
@@ -132,7 +132,7 @@ def test_tolerances_are_fixed_not_config_fields(tmp_path, monkeypatch):
     write_massive_csv(tmp_path / "massive.csv")
     cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"})
     res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "out"))
-    assert res.returncode == 1 and "mass condition violated" in res.stderr
+    assert res.returncode == 1 and "numerical failure: mass condition violated" in res.stderr
     assert TOLERANCES == {"mass_condition": 1e-9, "tail": 1e-9, "r1_segment": 5e-3,
                           "zero_residual": 1e-8, "nu_hat_floor": -1e-10}
 
@@ -147,8 +147,9 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
     cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"}, n_per_arc=16)
     argv = ["scatter", "--config", str(cfgp), "--out", str(tmp_path / "m")]
     assert cli.main(argv) == 1
-    assert "mass condition violated" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="mass condition violated"):
+    assert ("numerical failure: mass condition violated: |int u1 dx| = 1.772e-08 > 1.0e-09"
+            in capsys.readouterr().err)
+    with pytest.raises(NumericalError, match="mass condition violated"):
         sc.residue_constants(massive, [])
     monkeypatch.setitem(TOLERANCES, "mass_condition", 1e-6)
     assert cli.main(argv) == 0
@@ -165,13 +166,13 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
         assert (check["ok"], check["tol"]) == (ok, bound)
     # tail: residue_constants validates the data before any march (tails 4.1e-6 here)
     short = sc.gaussian(0.1, 2.0, L=7.0, n=513)
-    with pytest.raises(ValueError, match="compactly supported"):
+    with pytest.raises(NumericalError, match="compactly supported"):
         sc.residue_constants(short, [])
     monkeypatch.setitem(TOLERANCES, "tail", 1e-3)
     assert sc.residue_constants(short, []).zeros == []
     # zero_residual: |s11| at a point 1e-5 off the soliton's zero
     near = [soliton_zeros[0] + 1e-5]
-    with pytest.raises(RuntimeError, match="has residual"):
+    with pytest.raises(NumericalError, match="has residual"):
         sc.residue_constants(soliton_data, near)
     monkeypatch.setitem(TOLERANCES, "zero_residual", 1.0)
     assert len(sc.residue_constants(soliton_data, near).c) == 1
@@ -179,8 +180,31 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
     cf = cy.CircleFunctions(zero_refl)
     asy.build_ingredients(0.75, cf)
     monkeypatch.setitem(TOLERANCES, "nu_hat_floor", 1.0)
-    with pytest.raises(cy.PositivityError, match="nu_hat negative"):
+    with pytest.raises(NumericalError, match="nu_hat negative at zeta=0.75"):
         asy.build_ingredients(0.75, cf)
+    # through the CLI, the same check exits 1 naming it
+    cfgp = write_config(tmp_path / "z.json")
+    argv = ["--config", str(cfgp), "--out", str(tmp_path / "z")]
+    assert cli.main(["scatter", *argv]) == 0
+    capsys.readouterr()
+    assert cli.main(["asym", *argv]) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: nu_hat negative at zeta=0.66")
+
+
+def test_a_bug_is_not_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    """cli.main exits 1 on a NumericalError alone: any other exception from a
+    layer, here a TypeError, is a bug and propagates with its traceback."""
+    cfgp = write_config(tmp_path / "c.json")
+    argv = ["--config", str(cfgp), "--out", str(tmp_path / "out")]
+    assert cli.main(["scatter", *argv]) == 0
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken refactor")
+
+    monkeypatch.setattr(asy, "build_ingredients", broken)
+    with pytest.raises(TypeError, match="broken refactor"):
+        cli.main(["asym", *argv])
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 def test_bad_window_exits_2(tmp_path, capsys):
@@ -406,7 +430,8 @@ def test_initial_data_csv_input(tmp_path):
     cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"}, n_per_arc=16)
     res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "m"))
     assert res.returncode == 1
-    assert "mass condition violated (|int u1| = 1.772e-08)" in res.stderr
+    assert res.stderr == ("numerical failure: mass condition violated: "
+                          "|int u1 dx| = 1.772e-08 > 1.0e-09\n")
     assert not (tmp_path / "m").exists()
 
 
@@ -551,6 +576,20 @@ def test_pipeline_evolve_compare(small_run):
     assert str(out / "asymptotics.csv") in res.stderr and "rerun asym" in res.stderr
 
 
+def test_compare_beyond_the_evolved_grid_exits_2(tmp_path, capsys):
+    """Snapshots that evolve wrote for a narrower zeta window than compare's
+    exit 2 naming the rerun, before compare writes anything."""
+    out = tmp_path / "out"
+    narrow = write_config(tmp_path / "a.json", zeta_window=[0.66, 0.7], pde={"L": 45.0, "n": 129})
+    wide = write_config(tmp_path / "b.json", pde={"L": 45.0, "n": 129})
+    for stage, cfgp in (("evolve", narrow), ("scatter", wide), ("asym", wide)):
+        assert cli.main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+    assert cli.main(["compare", "--config", str(wide), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "zeta window leaves the unwrapped domain at t=60.0" in err and "rerun evolve" in err
+    assert not (out / "compare.csv").exists()
+
+
 def test_scatter_validator_failure_exits_1_with_its_report(tmp_path, capsys):
     """Data that fails a validator (here no_high_frequency: sup |r1| on its
     segment is 0.034 against 5e-3) still gets all three files, the report
@@ -577,5 +616,5 @@ def test_scatter_mass_condition_exits_1_before_the_march(tmp_path, capsys):
     cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "massive.csv"})
     out = tmp_path / "out"
     assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 1
-    assert "mass condition violated" in capsys.readouterr().err
+    assert "numerical failure: mass condition violated: |int u1 dx|" in capsys.readouterr().err
     assert not (out / "reflection.csv").exists()
