@@ -302,7 +302,7 @@ class AsymptoticEvaluation:
     A2: float
     alpha1: float
     alpha2: float
-    u: float
+    u_asym: float
     err_scale: float
 
 
@@ -344,5 +344,5 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
         x=ing.arcs.zeta * t, t=t, zeta=ing.arcs.zeta,
         A1=float(a1c), A2=float(a2c),
         alpha1=float(alpha1), alpha2=float(alpha2),
-        u=float(u), err_scale=float(np.log(t) / t),
+        u_asym=float(u), err_scale=float(np.log(t) / t),
     )

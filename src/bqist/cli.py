@@ -22,6 +22,10 @@ from .config import write_columns as _write_csv  # the name perfbench/trace_stag
 #: reflection.csv columns: one row per node, n_per_arc rows for each of the arcs 0..5 in turn
 REFLECTION_HEADER = ("arc", "theta", "re_r1", "im_r1", "re_r2", "im_r2",
                      "re_s11", "im_s11", "re_sA11", "im_sA11")
+#: asymptotics.csv and evolution_t*.csv columns, named as the fields they are written from:
+#: asymptotics.AsymptoticEvaluation's (a row per zeta and t) and pde.FieldSnapshot's
+ASYMPTOTICS_HEADER = ("x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u_asym")
+EVOLUTION_HEADER = ("x", "u", "u_t")
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +124,8 @@ def cmd_asym(cfg: RunConfig) -> int:
         ing = asy.build_ingredients(float(z), cf, solitons=sol.zeros)
         evs += [asy.u_asym(ing, t) for t in cfg.t_values]
         debug.append(ing.debug_values())
-    fields = ("x", "t", "zeta", "A1", "A2", "alpha1", "alpha2", "u")  # u is written as u_asym
-    _write_csv(cfg.out_dir / "asymptotics.csv", fields[:-1] + ("u_asym",),
-               [[getattr(ev, f) for ev in evs] for f in fields])
+    _write_csv(cfg.out_dir / "asymptotics.csv", ASYMPTOTICS_HEADER,
+               [[getattr(ev, name) for ev in evs] for name in ASYMPTOTICS_HEADER])
     debug = np.array(debug, dtype=complex)  # one row per zeta, DEBUG_QUANTITIES' columns
     _write_csv(cfg.out_dir / "deltas_debug.csv", ["zeta", "quantity", "re", "im"],
                [np.repeat(cfg.zetas, debug.shape[1]),
@@ -143,8 +146,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     snaps = pde.evolve(data, max(cfg.t_values), dt=cfg.pde["dt"], cutoff=cfg.pde["cutoff"],
                        snapshot_times=list(cfg.t_values))
     for snap in snaps:
-        _write_csv(cfg.out_dir / f"evolution_t{snap.t:g}.csv", ["x", "u", "u_t"],
-                   [snap.x, snap.u, snap.ut])
+        _write_csv(cfg.out_dir / f"evolution_t{snap.t:g}.csv", EVOLUTION_HEADER,
+                   [getattr(snap, name) for name in EVOLUTION_HEADER])
         xi = 2 * np.pi * np.fft.rfftfreq(len(snap.x) - 1, d=snap.x[1] - snap.x[0])
         _write_csv(cfg.out_dir / f"spectrum_t{snap.t:g}.csv", ["xi", "abs_uhat"],
                    [xi, np.abs(snap.uhat())])
@@ -156,7 +159,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     from . import pde
 
     path = cfg.out_dir / "asymptotics.csv"
-    asym = read_columns(path, ("t", "zeta", "u_asym"))
+    asym = read_columns(path, ASYMPTOTICS_HEADER)
     missing = [t for t in cfg.t_values if t not in asym["t"]]
     if missing:
         raise ConfigError(f"{path} has no rows for t = {missing}; rerun asym with this config")
@@ -169,8 +172,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
             raise ConfigError(f"{path} has another zeta grid; rerun asym with this config")
         u_asym.append(asym["u_asym"][at_t][order])
-        snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", ("x", "u", "u_t"))
-        snaps.append(pde.FieldSnapshot(x=snap["x"], u=snap["u"], ut=snap["u_t"], t=t))
+        snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", EVOLUTION_HEADER)
+        snaps.append(pde.FieldSnapshot(**snap, t=t))
 
     rep = pde.compare(zetas, u_asym, snaps)
     header = ["t", "max_err", "rms_err", "envelope_pde", "envelope_asym"]

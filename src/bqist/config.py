@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,38 +40,47 @@ TOLERANCES = {
     "nu_hat_floor": -1e-10,   # admissible negativity of nu-hat
 }
 
-#: every field of a config file but initial_data, with its default (the README
-#: example's).  Its kind is its default's: an int is a count (56.0 is taken), a
-#: float a number, a tuple a list of numbers, a str a name, a dict a block.
-DEFAULTS = {
-    "n_per_arc": 56,
-    "zeta_window": (0.62, 0.95),
-    "n_zeta": 60,
-    "t_values": (60.0, 120.0, 240.0),
-    "solitons": {"mode": "none"},
-    "pde": {"L": 760.0, "n": 8193, "dt": 0.1, "cutoff": 0.9},  # evolve's grid, step, filter
-}
-
 _KINDS = {int: f"a whole number {_NUMBER_RULE}", float: f"a number {_NUMBER_RULE}",
           tuple: f"a list of numbers {_NUMBER_RULE}", str: "a string"}
+
+#: one field of a config file: its default (the README example's, or None: left out
+#: unless given, so a named form's own default applies), its kind (an int is a count,
+#: and 56.0 is taken; a float a number, a tuple a list of numbers, a str a name) and
+#: its check, if any: (what the value must be, test of the value as its kind)
+Field = namedtuple("Field", "default kind check", defaults=[None])
 
 # a grid's size: the march's RK4 steps take the odd-index points as midpoints
 _ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
 
-#: dotted field name -> (what its value must be, test of the value as its kind);
-#: pde.dt must divide every t, which RunConfig.load checks
-RULES = {
-    "zeta_window": ("two increasing values inside (1/sqrt(3), 1)",
-                    lambda w: len(w) == 2 and ZETA_MIN < w[0] < w[1] < ZETA_MAX),
-    "t_values": ("a nonempty, strictly increasing list, all >= 2",
-                 lambda t: len(t) > 0 and t[0] >= 2 and all(a < b for a, b in zip(t, t[1:]))),
-    "n_per_arc": ("at least 8", lambda n: n >= 8),
-    "n_zeta": ("at least 1", lambda n: n >= 1),
-    "solitons.mode": ("none or detect", lambda mode: mode in ("none", "detect")),
-    "pde.L": ("positive", lambda L: L > 0),
-    "pde.n": _ODD_COUNT,
-    "pde.cutoff": ("in (0, 1)", lambda c: 0 < c < 1),
-    "initial_data.n": _ODD_COUNT,
+#: every field of a config file, block by block; RunConfig.load checks the rules
+#: that join fields: exactly one of initial_data's csv and form, nothing else in
+#: a CSV block and no pde grid in a CSV run, pde.dt dividing every t
+SPEC = {
+    "initial_data": {
+        "csv": Field(None, str),
+        "form": Field(None, str),
+        "u1_mode": Field(None, str),
+        "amplitude": Field(None, float),
+        "width": Field(None, float, ("nonzero", lambda w: w != 0)),
+        "L": Field(None, float),
+        "n": Field(None, int, _ODD_COUNT),
+    },
+    "n_per_arc": Field(56, int, ("at least 8", lambda n: n >= 8)),
+    "zeta_window": Field((0.62, 0.95), tuple, (
+        "two increasing values inside (1/sqrt(3), 1)",
+        lambda w: len(w) == 2 and ZETA_MIN < w[0] < w[1] < ZETA_MAX)),
+    "n_zeta": Field(60, int, ("at least 1", lambda n: n >= 1)),
+    "t_values": Field((60.0, 120.0, 240.0), tuple, (
+        "a nonempty, strictly increasing list, all >= 2",
+        lambda t: len(t) > 0 and t[0] >= 2 and all(a < b for a, b in zip(t, t[1:])))),
+    "solitons": {"mode": Field("none", str, ("none or detect",
+                                             lambda mode: mode in ("none", "detect")))},
+    "pde": {  # evolve's grid, step and filter
+        "L": Field(760.0, float, ("positive", lambda L: L > 0)),
+        "n": Field(8193, int, _ODD_COUNT),
+        "dt": Field(0.1, float),
+        "cutoff": Field(0.9, float, ("in (0, 1)", lambda c: 0 < c < 1)),
+    },
 }
 
 
@@ -142,48 +152,46 @@ def number_pairs(items, name: str, nullable: bool = False) -> list:
     numbers (None kept where ``nullable``); ConfigError naming ``name`` otherwise."""
     if not isinstance(items, list):
         raise ConfigError(f"{name} must be a list of [re, im] number pairs: {items!r}")
-    out = []
     for item in items:
-        if item is None and nullable:
-            out.append(None)
-        elif isinstance(item, list) and len(item) == 2 and all(map(is_number, item)):
-            out.append(complex(item[0], item[1]))
-        else:
+        if not (item is None and nullable or isinstance(item, list) and len(item) == 2
+                and all(map(is_number, item))):
             raise ConfigError(f"{name} entry {item!r} is not a [re, im] pair of finite numbers")
-    return out
+    return [None if item is None else complex(*item) for item in items]
 
 
-def _value(name: str, val, kind):
-    """The config's ``val`` of the field ``name`` as ``kind`` (see DEFAULTS), checked
-    against RULES[name]; ConfigError naming the field otherwise.  Numbers follow
-    is_number, and a count is equal to its int(): 56 and 56.0, not 2.9."""
+def _value(name: str, val, field: Field):
+    """The config's ``val`` of the field ``name`` as its kind, checked by its check;
+    ConfigError naming the field otherwise.  Numbers follow is_number, and a count
+    is equal to its int(): 56 and 56.0, not 2.9."""
+    kind, what = field.kind, _KINDS[field.kind]
     if kind is str:
         ok = isinstance(val, str)
     else:
         vals = val if kind is tuple else [val]
         ok = isinstance(vals, (list, tuple)) and all(
             is_number(v) and (kind is not int or v == int(v)) for v in vals)
-    what = _KINDS[kind]
     if ok:
         out = tuple(map(float, val)) if kind is tuple else kind(val)
-        what, test = RULES.get(name, (what, None))
+        what, test = field.check or (what, None)
         if test is None or test(out):
             return out
     raise ConfigError(f"{name} must be {what}, not {name.split('.')[-1]} = {val!r}")
 
 
-def _resolve(raw, defaults: dict, prefix: str = "") -> dict:
-    """The block ``raw`` of a config, walked once against ``defaults``: it must be
-    an object, each field of ``defaults`` is taken from it (or its default) by
-    _value, a block by this walk, and a name that ``defaults`` lacks is an error."""
+def _resolve(raw, spec: dict, prefix: str = "") -> dict:
+    """The block ``raw`` of a config, walked once against its ``spec``: it must be
+    an object, each field is taken from it (or its default, if it has one) by
+    _value, a block by this walk, and a name that ``spec`` lacks is an error."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix[:-1]} must be an object: {raw!r}")
-    out = {key: _resolve(raw.get(key, default), default, f"{prefix}{key}.")
-             if isinstance(default, dict) else
-             _value(prefix + key, raw.get(key, default), type(default))
-           for key, default in defaults.items()}
+    out = {}
+    for key, field in spec.items():
+        if isinstance(field, dict):
+            out[key] = _resolve(raw.get(key, {}), field, f"{prefix}{key}.")
+        elif key in raw or field.default is not None:
+            out[key] = _value(prefix + key, raw.get(key, field.default), field)
     for key in raw:
-        if key not in defaults:
+        if key not in spec:
             raise ConfigError(f"unknown config field {prefix + key!r}")
     return out
 
@@ -212,75 +220,57 @@ class RunConfig:
             raise ConfigError(f"config must be a JSON object of fields: {raw!r}")
         if "initial_data" not in raw:
             raise ConfigError("config missing required field 'initial_data'")
-        idata = raw["initial_data"]
-        if not isinstance(idata, dict):
-            raise ConfigError(f"initial_data must be an object: {idata!r}")
+        fields = _resolve(raw, SPEC)
+        idata = fields["initial_data"]
         if "csv" in idata:
-            csv_path = Path(_resolve(idata, {"csv": ""}, "initial_data.")["csv"])
-            if not csv_path.is_absolute():
-                csv_path = path.parent / csv_path
-            if not csv_path.exists():
-                raise ConfigError(f"initial_data.csv file not found: {csv_path}")
-            idata = {"csv": str(csv_path)}
+            extra = ([f"initial_data.{key}" for key in idata if key != "csv"]
+                     + [f"pde.{key}" for key in ("L", "n") if key in raw.get("pde", {})])
+            if extra:
+                raise ConfigError(f"{extra[0]} does not apply to a CSV run: "
+                                  "its data and its PDE grid are the CSV file's")
+            idata["csv"] = str(path.parent / idata["csv"])  # an absolute path stays as it is
+            if not Path(idata["csv"]).exists():
+                raise ConfigError(f"initial_data.csv file not found: {idata['csv']}")
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
-        else:  # the form's parameters are numbers, its grid size n a count
-            idata = {key: val if key in ("form", "u1_mode") else
-                     _value(f"initial_data.{key}", val, int if key == "n" else float)
-                     for key, val in idata.items()}
-        fields = _resolve({k: v for k, v in raw.items() if k != "initial_data"}, DEFAULTS)
-        for key in ("L", "n"):
-            if "csv" in idata and key in raw.get("pde", {}):
-                raise ConfigError(f"pde.{key} does not apply to a CSV run: "
-                                  "its PDE grid is the CSV grid")
         try:
             for t in fields["t_values"]:
                 whole_steps(t, fields["pde"]["dt"])
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
-        return cls(initial_data=idata, out_dir=Path(out_dir or "bqist_out"), **fields)
+        return cls(out_dir=Path(out_dir or "bqist_out"), **fields)
 
     @property
     def zetas(self) -> np.ndarray:
         """The n_zeta points of the zeta window, ends included."""
         return np.linspace(self.zeta_window[0], self.zeta_window[1], self.n_zeta)
 
-    def build_initial_data(self):
-        return self._build(self.initial_data)
+    def build_initial_data(self, **grid):
+        """The initial data: CSV data as given, a named form on ``grid`` (L, n) if given."""
+        from . import scattering as sc
+
+        if "csv" in self.initial_data:
+            return sc.load_csv(self.initial_data["csv"])
+        kwargs = dict(self.initial_data, **grid)
+        form = kwargs.pop("form")
+        if form not in sc.NAMED_FORMS:
+            raise ConfigError(f"unknown initial-data form {form!r}; "
+                              f"choose from {sorted(sc.NAMED_FORMS)} or give csv")
+        try:
+            return sc.NAMED_FORMS[form](**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad parameters for form {form!r}: {exc}") from exc
 
     def build_pde_data(self):
         """The initial data on the periodic grid of the evolve stage: a named form
         re-sampled with pde.L and pde.n, CSV data as given.  ConfigError if the
         zeta window leaves that grid by the last t (pde.compare's rule)."""
-        idata = self.initial_data
-        csv = "csv" in idata
-        data = self._build(idata if csv else dict(idata, L=self.pde["L"], n=self.pde["n"]))
+        data = self.build_initial_data(L=self.pde["L"], n=self.pde["n"])
         reach = self.zetas[-1] * self.t_values[-1]
         if not reach < data.x[-1]:
             grid, fix = ((f"the CSV grid, which ends at x = {data.x[-1]:g}", "widen the CSV grid")
-                         if csv else (f"pde.L = {self.pde['L']:g}", "raise pde.L"))
+                         if "csv" in self.initial_data else
+                         (f"pde.L = {self.pde['L']:g}", "raise pde.L"))
             raise ConfigError(f"zeta window reaches x = {reach:g} at t = {self.t_values[-1]:g}, "
                               f"beyond {grid}; {fix} or narrow zeta_window")
         return data
-
-    @staticmethod
-    def _build(idata: dict):
-        from . import scattering as sc
-
-        if "csv" in idata:
-            path = idata["csv"]
-            try:
-                return sc.load_csv(path)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad initial_data.csv {path}: {exc}") from exc
-        form = idata["form"]
-        if not isinstance(form, str) or form not in sc.NAMED_FORMS:
-            raise ConfigError(f"unknown initial-data form {form!r}; "
-                              f"choose from {sorted(sc.NAMED_FORMS)} or give csv")
-        kwargs = {k: v for k, v in idata.items() if k != "form"}
-        try:
-            return sc.NAMED_FORMS[form](**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad parameters for form {form!r}: {exc}") from exc

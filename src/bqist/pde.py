@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, ConfigError, NumericalError, whole_steps
+from .config import SPEC, ConfigError, NumericalError, whole_steps
 
-DEFAULT_CUTOFF = DEFAULTS["pde"]["cutoff"]
+DEFAULT_CUTOFF = SPEC["pde"]["cutoff"].default
 
 
 def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -> InitialData:
@@ -50,7 +50,7 @@ class FieldSnapshot:
 
     x: np.ndarray
     u: np.ndarray
-    ut: np.ndarray
+    u_t: np.ndarray
     t: float
 
     def uhat(self) -> np.ndarray:
@@ -167,9 +167,9 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
             sup_prev = max(sup, 1e-30)
         for t in at_step.get(done, ()):
             u = np.fft.irfft(uh * (n / m), n=n)
-            ut = np.fft.irfft(ixi * (wh * (n / m)), n=n)
+            u_t = np.fft.irfft(ixi * (wh * (n / m)), n=n)
             out.append(FieldSnapshot(x=data.x.copy(), u=np.append(u, u[0]),
-                                     ut=np.append(ut, ut[0]), t=t))
+                                     u_t=np.append(u_t, u_t[0]), t=t))
         if done == nsteps:
             return out
         k1, k3 = nonlin(fields)

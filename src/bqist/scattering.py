@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .config import TOLERANCES, NumericalError, read_columns
+from .config import TOLERANCES, ConfigError, NumericalError, read_columns
 from .spectral import KAPPA, OMEGA, SQRT3, phase_values
 from .util import ChebPanel, gauss_legendre
 
@@ -181,9 +181,12 @@ NAMED_FORMS = {
 
 
 def load_csv(path) -> InitialData:
-    """Initial data from a CSV file with columns x, u0, u1."""
+    """Initial data from a CSV file with columns x, u0, u1; ConfigError if they are not."""
     col = read_columns(path, ("x", "u0", "u1"))
-    return from_arrays(col["x"], col["u0"], col["u1"])
+    try:
+        return from_arrays(col["x"], col["u0"], col["u1"])
+    except ValueError as exc:
+        raise ConfigError(f"bad initial_data.csv {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -956,4 +959,5 @@ def scattering_data(data: InitialData, n_per_arc: int,
     (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect),
                                             partial(reflection_coefficients, data, n_per_arc))
     report["circle_identity_residual"] = refl.circle_identity_residual()  # never sets "ok"
+    report["tail_max"] = data.tail_max()  # nor does this; residue_constants checks tails
     return refl, sol, report

@@ -202,7 +202,7 @@ def test_criterion_7_pde_cross_validation(small_amp_pipeline):
     dp = sc.gaussian_bandlimited(a, 2.0, L=760.0, n=8193, u1_mode="zero")
     snaps = pde.evolve(dp, 240.0, dt=0.1, snapshot_times=[60.0, 120.0, 240.0])
 
-    u_asym = [[asy.u_asym(ings[z], snap.t).u for z in zetas] for snap in snaps]
+    u_asym = [[asy.u_asym(ings[z], snap.t).u_asym for z in zetas] for snap in snaps]
     rep = pde.compare(zetas, u_asym, snaps)
     expo = rep["envelope_exponent"]
     ratios = rep["error_ratios"]

@@ -5,7 +5,7 @@ from model_problem import model_beta
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import scattering as sc
-from bqist.config import DEFAULTS, NumericalError
+from bqist.config import SPEC, NumericalError
 from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phi, saddle_points
 from bqist.util import graded_panels, panel_quad, refine_near
 
@@ -233,7 +233,7 @@ def test_u_asym_zero_data(zero_refl):
     cf0 = cy.CircleFunctions(zero_refl)
     ing0 = asy.build_ingredients(ZETA, cf0)
     ev = asy.u_asym(ing0, 100.0)
-    assert ev.u == 0.0 and ev.A1 == 0.0 and ev.A2 == 0.0
+    assert ev.u_asym == 0.0 and ev.A1 == 0.0 and ev.A2 == 0.0
     assert ev.err_scale == np.log(100.0) / 100.0
 
 
@@ -265,11 +265,11 @@ def test_asym_on_reflectionless_soliton_data(soliton_data, soliton_zeros):
     still gives finite ingredients and a finite leading term."""
     data = sc.from_arrays(soliton_data.x, soliton_data.u0, soliton_data.u1)
     cf = cy.CircleFunctions(sc.reflection_coefficients(data, n_per_arc=56))
-    for zeta in np.linspace(*DEFAULTS["zeta_window"], DEFAULTS["n_zeta"]):
+    for zeta in np.linspace(*SPEC["zeta_window"].default, SPEC["n_zeta"].default):
         ing = asy.build_ingredients(float(zeta), cf, solitons=soliton_zeros)
-        for t in DEFAULTS["t_values"]:
+        for t in SPEC["t_values"].default:
             ev = asy.u_asym(ing, t)
-            assert np.all(np.isfinite([ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u]))
+            assert np.all(np.isfinite([ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u_asym]))
 
 
 def test_phase_derivative_identities(cf_small):

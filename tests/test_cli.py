@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,8 +17,15 @@ from bqist.config import FMT, TOLERANCES, ConfigError, NumericalError, RunConfig
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "bqist.cli", *args],
-                          capture_output=True, text=True)
+    """``bqist`` run on ``args`` in this process: cli.main's exit code (or that of
+    argparse's SystemExit) and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_csv(path, x, u0, u1):
@@ -40,7 +49,9 @@ def write_config(path, **overrides):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    res = run_cli("scatter", "--config", str(tmp_path / "nope.json"))
+    # the one run of the module as a program: its exit status is cli.main's
+    res = subprocess.run([sys.executable, "-m", "bqist.cli", "scatter",
+                          "--config", str(tmp_path / "nope.json")], capture_output=True, text=True)
     assert res.returncode == 2
     assert "nope.json" in res.stderr
     # a config that is not JSON, not an object of fields, or has no usable initial_data
@@ -270,7 +281,7 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     for overrides, name in (
             ({"n_zetas": 3}, "'n_zetas'"), ({"pde": {"LL": 5}}, "'pde.LL'"),
             ({"out_dir": "elsewhere"}, "'out_dir'"),
-            ({"initial_data": {"csv": "d.csv", "L": 50}}, "'initial_data.L'"),
+            ({"initial_data": {"form": "zero", "shift": 5.0}}, "'initial_data.shift'"),
             ({"solitons": {"mode": "detect", "zeros": [[1.5, 0.0]]}}, "'solitons.zeros'")):
         cfgp = write_config(tmp_path / "c.json", **overrides)
         for stage in ("scatter", "evolve"):
@@ -307,11 +318,16 @@ def test_window_beyond_pde_grid_exits_2_before_evolve(tmp_path, capsys):
 
 
 def test_csv_run_rejects_pde_grid(tmp_path, capsys):
-    """A CSV run evolves on the CSV grid, so pde.L and pde.n are config errors."""
+    """A CSV run takes its data and its PDE grid from the CSV file, so a form, a
+    form parameter, pde.L and pde.n are config errors."""
     x = np.linspace(-20.0, 20.0, 513)
     write_csv(tmp_path / "d.csv", x, np.zeros_like(x), np.zeros_like(x))
-    for block, name in (({"L": 999.0, "n": 77777}, "pde.L"), ({"n": 77777}, "pde.n")):
-        cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "d.csv"}, pde=block)
+    for extra, block, name in (({"L": 50}, {}, "initial_data.L"),
+                               ({"form": "zero"}, {}, "initial_data.form"),
+                               ({}, {"L": 999.0, "n": 77777}, "pde.L"),
+                               ({}, {"n": 77777}, "pde.n")):
+        cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "d.csv", **extra},
+                            pde=block)
         for stage in ("scatter", "evolve"):
             assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert f"{name} does not apply to a CSV run" in capsys.readouterr().err
@@ -324,10 +340,11 @@ def test_csv_run_rejects_pde_grid(tmp_path, capsys):
 
 
 def test_unknown_form_exits_2(tmp_path):
-    for form in ("sinc", ["zero"]):
+    for form, message in (("sinc", "unknown initial-data form"),
+                          (["zero"], "initial_data.form must be a string")):
         cfgp = write_config(tmp_path / "c.json", initial_data={"form": form})
         res = run_cli("scatter", "--config", str(cfgp))
-        assert res.returncode == 2 and "initial-data form" in res.stderr
+        assert res.returncode == 2 and message in res.stderr
     cfgp = write_config(tmp_path / "c.json",
                         initial_data={"form": "gaussian", "amplitude": 0.1, "width": 2.0,
                                       "u1_mode": "sideways"})
@@ -338,13 +355,14 @@ def test_unknown_form_exits_2(tmp_path):
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
     assert "n = 1" in res.stderr
-    # parameters that make the samples non-finite
-    for idata in ({"form": "gaussian_bl", "amplitude": float("nan"), "width": 2.0},
-                  {"form": "gaussian_bl", "amplitude": float("inf"), "width": 2.0},
-                  {"form": "gaussian", "amplitude": 0.1, "width": 0}):
+    # parameters that would make the samples non-finite
+    for idata, message in (
+            ({"form": "gaussian_bl", "amplitude": float("nan"), "width": 2.0}, "non-finite"),
+            ({"form": "gaussian_bl", "amplitude": float("inf"), "width": 2.0}, "non-finite"),
+            ({"form": "gaussian", "amplitude": 0.1, "width": 0}, "width must be nonzero")):
         cfgp = write_config(tmp_path / "c.json", initial_data=dict(idata, L=20.0, n=513))
         res = run_cli("scatter", "--config", str(cfgp))
-        assert res.returncode == 2 and "non-finite" in res.stderr, res.stderr
+        assert res.returncode == 2 and message in res.stderr, res.stderr
 
 
 def test_zero_data_pipeline(tmp_path):
@@ -606,6 +624,20 @@ def test_scatter_validator_failure_exits_1_with_its_report(tmp_path, capsys):
     assert report["ok"] is False and report["mass_condition"]["ok"]
     check = report["no_high_frequency"]
     assert not check["ok"] and check["sup_r1_segment"] > 6 * check["tol"]
+
+
+def test_scatter_reports_the_tail_it_does_not_check(tmp_path):
+    """In mode none nothing checks the tails against the 1e-9 tail threshold:
+    scatter exits 0 on data truncated at L = 7, and validators.json reports
+    the data's tail_max (3.0e-7 here) without setting "ok"."""
+    idata = {"form": "gaussian", "amplitude": 0.01, "width": 2.0, "L": 7.0, "n": 1025}
+    cfgp = write_config(tmp_path / "c.json", initial_data=idata)
+    out = tmp_path / "out"
+    res = run_cli("scatter", "--config", str(cfgp), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    report = json.loads((out / "validators.json").read_text())
+    tail = RunConfig.load(cfgp).build_initial_data().tail_max()
+    assert report["ok"] is True and report["tail_max"] == tail > TOLERANCES["tail"]
 
 
 def test_scatter_mass_condition_exits_1_before_the_march(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The configs that the project's own callers write load: the README example
-and the seed-0 config of every perfbench workload; every field rule names a
-field.  The CSV dialect reads back what it writes."""
+and the seed-0 config of every perfbench workload; every field of the spec
+table names itself when its value fails.  The CSV dialect reads back what it
+writes."""
 
 import json
 import os
@@ -13,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqist.config import DEFAULTS, FMT, RULES, RunConfig, read_columns, write_columns
+from bqist import cli
+from bqist.config import FMT, SPEC, RunConfig, read_columns, write_columns
 from bqist.scattering import ReflectionData
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,7 +29,11 @@ def test_readme_example_config_is_the_defaults(tmp_path):
     cfg = RunConfig.load(tmp_path / "readme.json")
     assert cfg.initial_data == raw["initial_data"]
     # every field the example writes is its default, and so is every field it leaves out
-    for key, default in DEFAULTS.items():
+    for key, field in SPEC.items():
+        if key == "initial_data":
+            continue
+        default = ({name: f.default for name, f in field.items()} if isinstance(field, dict)
+                   else field.default)
         assert getattr(cfg, key) == default, key
         if key in raw:
             assert json.dumps(raw[key]) == json.dumps(default), key
@@ -58,20 +64,46 @@ def test_perfbench_workload_configs_load(tmp_path):
                                            "readme 56 none", "soliton_detect 56 detect"]
 
 
-def leaves(block, prefix=""):
-    """The dotted names of the non-block fields of a DEFAULTS block."""
-    for key, val in block.items():
-        if isinstance(val, dict):
-            yield from leaves(val, f"{prefix}{key}.")
-        else:
-            yield prefix + key
+#: every field of the spec table by its dotted name
+LEAVES = {**{key: field for key, field in SPEC.items() if not isinstance(field, dict)},
+          **{f"{block}.{key}": field for block, fields in SPEC.items()
+             if isinstance(fields, dict) for key, field in fields.items()}}
+
+#: a value that fails the check of each field that has one
+FAILING = {"initial_data.width": 0, "initial_data.n": 512, "n_per_arc": 7, "zeta_window": [0.5, 0.9], "n_zeta": 0,
+           "t_values": [60.0, 60.0], "solitons.mode": "explicit", "pde.L": -1.0,
+           "pde.n": 8192, "pde.cutoff": 1.0}
 
 
-def test_every_rule_names_a_field():
-    """A RULES key that names no field (a misspelt "pde.cuttoff") would never run."""
-    fields = set(leaves(DEFAULTS))
-    assert len(fields) == 9
-    assert set(RULES) - fields == {"initial_data.n"}
+def config_with(path, name, value):
+    """A config that loads but for ``value`` in the field ``name`` (a dotted name)."""
+    raw = {"initial_data": {"form": "gaussian", "amplitude": 0.1, "width": 2.0,
+                            "L": 20.0, "n": 513}}
+    if name == "initial_data.csv":
+        raw["initial_data"] = {"csv": value}
+    elif name is not None:
+        block, _, key = name.rpartition(".")
+        (raw.setdefault(block, {}) if block else raw)[key] = value
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_every_field_names_itself_when_it_fails(tmp_path, capsys):
+    """Each of the 16 fields, given a value of another kind (a string, true, a
+    count 2.5) or one that fails its check, exits 2 naming it (and the check)."""
+    assert len(LEAVES) == 16
+    assert {name for name, field in LEAVES.items() if field.check} == set(FAILING)
+    RunConfig.load(config_with(tmp_path / "c.json", None, None))
+    for name, field in LEAVES.items():
+        cases = [(value, name) for value in (True, 5 if field.kind is str else "0.1")]
+        if field.kind is int:
+            cases.append((2.5, name))
+        if field.check:
+            cases.append((FAILING[name], f"{name} must be {field.check[0]}"))
+        for value, message in cases:
+            cfgp = config_with(tmp_path / "c.json", name, value)
+            assert cli.main(["scatter", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err, (name, value)
 
 
 #: the floats at the edges of the format: signed zero, subnormals, the largest

@@ -95,10 +95,10 @@ def snapshot_data(snap):
     n = len(snap.x) - 1
     xi = 2 * np.pi * np.fft.rfftfreq(n, d=snap.x[1] - snap.x[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        wh = np.where(xi > 0, np.fft.rfft(snap.ut[:-1]) / (1j * xi), 0.0)
+        wh = np.where(xi > 0, np.fft.rfft(snap.u_t[:-1]) / (1j * xi), 0.0)
     v0 = np.fft.irfft(wh, n=n)
     du0 = np.fft.irfft(1j * xi * np.fft.rfft(snap.u[:-1]), n=n)
-    return sc.InitialData(x=snap.x.copy(), u0=snap.u.copy(), u1=snap.ut.copy(),
+    return sc.InitialData(x=snap.x.copy(), u0=snap.u.copy(), u1=snap.u_t.copy(),
                           v0=np.append(v0, v0[0]), du0=np.append(du0, du0[0]))
 
 
@@ -160,12 +160,12 @@ def test_evolve_matches_generic_stepper():
     assert pde.alias_free_size(48, np.pi / d.h, 0.9) == 48
     snap = pde.evolve(d, 6.0, dt=0.1)[-1]
     u, ut = reference_evolve(d, 6.0, 0.1)
-    assert np.array_equal(snap.u[:-1], u) and np.array_equal(snap.ut[:-1], ut)
+    assert np.array_equal(snap.u[:-1], u) and np.array_equal(snap.u_t[:-1], ut)
 
     # ... and equal up to roundoff where it is smaller (m = 144 of 2048 and 4096)
     def assert_close(snap, u, ut):
         assert np.max(np.abs(snap.u[:-1] - u)) <= 1e-13 * np.max(np.abs(u))
-        assert np.max(np.abs(snap.ut[:-1] - ut)) <= 1e-13 * np.max(np.abs(ut))
+        assert np.max(np.abs(snap.u_t[:-1] - ut)) <= 1e-13 * np.max(np.abs(ut))
 
     d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=2049)
     assert_close(pde.evolve(d, 6.0, dt=0.1)[-1], *reference_evolve(d, 6.0, 0.1))
