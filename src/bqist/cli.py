@@ -48,7 +48,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
                    for z in getattr(sol, key)] for key in ("zeros", "c", "d")}
     atomic_write(cfg.out_dir / "solitons.json", json.dumps(pairs, indent=1))
     atomic_write(cfg.out_dir / "validators.json",
-                 json.dumps(report, indent=1, default=_json_default))
+                 json.dumps(report, indent=1, default=_json_default, allow_nan=False))
     if not report["ok"]:
         print("validator failure; see validators.json", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -54,7 +55,8 @@ _ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
 
 #: every field of a config file, block by block; RunConfig.load checks the rules
 #: that join fields: exactly one of initial_data's csv and form, nothing else in
-#: a CSV block and no pde grid in a CSV run, pde.dt dividing every t
+#: a CSV block and no pde grid in a CSV run, a named form's parameters
+#: (_check_form), pde.dt dividing every t
 SPEC = {
     "initial_data": {
         "csv": Field(None, str),
@@ -196,6 +198,30 @@ def _resolve(raw, spec: dict, prefix: str = "") -> dict:
     return out
 
 
+def _check_form(idata: dict) -> None:
+    """ConfigError naming the field unless the named form ``idata["form"]`` is one
+    of initial_data.NAMED_FORMS, ``idata`` gives each parameter that its function
+    requires and no other, and its u1_mode, if any, is one of U1_MODES.  The
+    parameters are those of the function's signature."""
+    from .initial_data import NAMED_FORMS, U1_MODES
+
+    form = idata["form"]
+    if form not in NAMED_FORMS:
+        raise ConfigError(f"initial_data.form must be one of {sorted(NAMED_FORMS)} "
+                          f"(or give initial_data.csv), not form = {form!r}")
+    params = inspect.signature(NAMED_FORMS[form]).parameters
+    for key in idata:
+        if key != "form" and key not in params:
+            raise ConfigError(f"initial_data.{key} does not apply to form {form!r}, "
+                              f"which takes {', '.join(params)}")
+    for key, param in params.items():
+        if param.default is param.empty and key not in idata:
+            raise ConfigError(f"initial_data.{key} is required by form {form!r}")
+    if "u1_mode" in idata and idata["u1_mode"] not in U1_MODES:
+        raise ConfigError(f"initial_data.u1_mode must be one of {U1_MODES}, "
+                          f"not u1_mode = {idata['u1_mode']!r}")
+
+
 @dataclass
 class RunConfig:
     initial_data: dict
@@ -233,6 +259,8 @@ class RunConfig:
                 raise ConfigError(f"initial_data.csv file not found: {idata['csv']}")
         elif "form" not in idata:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
+        else:
+            _check_form(idata)
         try:
             for t in fields["t_values"]:
                 whole_steps(t, fields["pde"]["dt"])
@@ -246,19 +274,18 @@ class RunConfig:
         return np.linspace(self.zeta_window[0], self.zeta_window[1], self.n_zeta)
 
     def build_initial_data(self, **grid):
-        """The initial data: CSV data as given, a named form on ``grid`` (L, n) if given."""
+        """The initial data: CSV data as given, a named form on ``grid`` (L, n) if given.
+        load has checked the form and its parameters; ConfigError if the data's own
+        checks (the grid, finite samples) reject what they give."""
         from . import scattering as sc
 
         if "csv" in self.initial_data:
             return sc.load_csv(self.initial_data["csv"])
         kwargs = dict(self.initial_data, **grid)
         form = kwargs.pop("form")
-        if form not in sc.NAMED_FORMS:
-            raise ConfigError(f"unknown initial-data form {form!r}; "
-                              f"choose from {sorted(sc.NAMED_FORMS)} or give csv")
         try:
             return sc.NAMED_FORMS[form](**kwargs)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad parameters for form {form!r}: {exc}") from exc
 
     def build_pde_data(self):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPEC, ConfigError, NumericalError, whole_steps
+from .initial_data import InitialData
 
 DEFAULT_CUTOFF = SPEC["pde"]["cutoff"].default
 
@@ -30,7 +31,6 @@ def soliton_profile(v: float, x0: float = 0.0, L: float = 40.0, n: int = 4097) -
     U = a sech^2(b (x - x0)) solves the traveling-wave reduction
     v^2 U = U + U^2 + U'' iff b = sqrt(v^2-1)/2 and a = 3(v^2-1)/2.
     """
-    from .scattering import InitialData  # here, so that `compare` never loads scattering
     if v <= 1:
         raise ValueError("soliton speed must exceed 1")
     a = 1.5 * (v * v - 1.0)

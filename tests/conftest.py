@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bqist import cauchy as cy
+from bqist import initial_data as ini
 from bqist import pde
 from bqist import scattering as sc
 
@@ -10,7 +11,7 @@ from bqist import scattering as sc
 def data_small():
     """Symmetric band-limited Gaussian, small enough that the no-high-frequency
     assumption holds to ~4e-5 (identity tests at 1e-8 need this)."""
-    return sc.gaussian_bandlimited(0.015, 2.0, u1_mode="zero")
+    return ini.gaussian_bandlimited(0.015, 2.0, u1_mode="zero")
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +27,7 @@ def cf_small(refl_small):
 @pytest.fixture(scope="session")
 def data_acc():
     """The amplitude-0.1 dataset named by the scattering acceptance criteria."""
-    return sc.gaussian_bandlimited(0.1, 2.0, u1_mode="zero")
+    return ini.gaussian_bandlimited(0.1, 2.0, u1_mode="zero")
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +42,7 @@ def soliton_zeros(soliton_data):
 
 @pytest.fixture(scope="session")
 def zero_refl():
-    return sc.reflection_coefficients(sc.zero_data(L=20.0, n=1025), n_per_arc=24)
+    return sc.reflection_coefficients(ini.zero_data(L=20.0, n=1025), n_per_arc=24)
 
 
 def arcs_at(zeta=0.75):

@@ -16,6 +16,7 @@ from model_problem import model_beta
 
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
+from bqist import initial_data as ini
 from bqist import pde
 from bqist import scattering as sc
 from bqist.spectral import OMEGA
@@ -189,7 +190,7 @@ def test_criterion_6_soliton_phase_shift(cf_small):
 @pytest.fixture(scope="module")
 def small_amp_pipeline():
     a = 0.005
-    d = sc.gaussian_bandlimited(a, 2.0, u1_mode="zero")
+    d = ini.gaussian_bandlimited(a, 2.0, u1_mode="zero")
     refl = sc.reflection_coefficients(d)
     cf = cy.CircleFunctions(refl)
     zetas = np.linspace(0.62, 0.95, 150)
@@ -199,7 +200,7 @@ def small_amp_pipeline():
 
 def test_criterion_7_pde_cross_validation(small_amp_pipeline):
     a, zetas, ings = small_amp_pipeline
-    dp = sc.gaussian_bandlimited(a, 2.0, L=760.0, n=8193, u1_mode="zero")
+    dp = ini.gaussian_bandlimited(a, 2.0, L=760.0, n=8193, u1_mode="zero")
     snaps = pde.evolve(dp, 240.0, dt=0.1, snapshot_times=[60.0, 120.0, 240.0])
 
     u_asym = [[asy.u_asym(ings[z], snap.t).u_asym for z in zetas] for snap in snaps]

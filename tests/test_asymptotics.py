@@ -4,6 +4,7 @@ from model_problem import model_beta
 
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
+from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import SPEC, NumericalError
 from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phi, saddle_points
@@ -263,7 +264,7 @@ def test_asym_on_reflectionless_soliton_data(soliton_data, soliton_zeros):
     """The criterion-8 soliton, read as samples the way the CLI reads a CSV
     input, has reflection data at noise level; every zeta of the default window
     still gives finite ingredients and a finite leading term."""
-    data = sc.from_arrays(soliton_data.x, soliton_data.u0, soliton_data.u1)
+    data = ini.from_arrays(soliton_data.x, soliton_data.u0, soliton_data.u1)
     cf = cy.CircleFunctions(sc.reflection_coefficients(data, n_per_arc=56))
     for zeta in np.linspace(*SPEC["zeta_window"].default, SPEC["n_zeta"].default):
         ing = asy.build_ingredients(float(zeta), cf, solitons=soliton_zeros)

@@ -12,6 +12,7 @@ import pytest
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
 from bqist import cli
+from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import FMT, TOLERANCES, ConfigError, NumericalError, RunConfig
 
@@ -108,7 +109,7 @@ def test_even_initial_data_n_exits_2(tmp_path, capsys):
             assert "initial_data.n must be odd" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ValueError, match="odd number"):
-        sc.zero_data(L=20.0, n=512)
+        ini.zero_data(L=20.0, n=512)
 
 
 def test_even_pde_n_exits_2(tmp_path, capsys):
@@ -154,7 +155,7 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
     each is loosened in turn, and monkeypatch puts the registry back."""
     # mass_condition: scatter exits 1 before the march, or runs to the end with
     # validators.json's mass condition ok; residue_constants checks it too
-    massive = sc.load_csv(write_massive_csv(tmp_path / "massive.csv"))
+    massive = ini.load_csv(write_massive_csv(tmp_path / "massive.csv"))
     cfgp = write_config(tmp_path / "m.json", initial_data={"csv": "massive.csv"}, n_per_arc=16)
     argv = ["scatter", "--config", str(cfgp), "--out", str(tmp_path / "m")]
     assert cli.main(argv) == 1
@@ -176,7 +177,7 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
         check = json.loads((tmp_path / "hf" / "validators.json").read_text())["no_high_frequency"]
         assert (check["ok"], check["tol"]) == (ok, bound)
     # tail: residue_constants validates the data before any march (tails 4.1e-6 here)
-    short = sc.gaussian(0.1, 2.0, L=7.0, n=513)
+    short = ini.gaussian(0.1, 2.0, L=7.0, n=513)
     with pytest.raises(NumericalError, match="compactly supported"):
         sc.residue_constants(short, [])
     monkeypatch.setitem(TOLERANCES, "tail", 1e-3)
@@ -340,17 +341,21 @@ def test_csv_run_rejects_pde_grid(tmp_path, capsys):
 
 
 def test_unknown_form_exits_2(tmp_path):
-    for form, message in (("sinc", "unknown initial-data form"),
-                          (["zero"], "initial_data.form must be a string")):
-        cfgp = write_config(tmp_path / "c.json", initial_data={"form": form})
-        res = run_cli("scatter", "--config", str(cfgp))
-        assert res.returncode == 2 and message in res.stderr
-    cfgp = write_config(tmp_path / "c.json",
-                        initial_data={"form": "gaussian", "amplitude": 0.1, "width": 2.0,
-                                      "u1_mode": "sideways"})
-    res = run_cli("scatter", "--config", str(cfgp))
-    assert res.returncode == 2
-    assert "sideways" in res.stderr
+    # a named form's name, parameters and u1_mode are checked when the config loads,
+    # so every stage rejects them, compare too, which never builds the data
+    for idata, field in (
+            ({"form": "zero", "amplitude": 0.1}, "amplitude"),
+            ({"form": "gaussian", "amplitude": 0.1, "width": 2.0, "u1_mode": "sideways"},
+             "u1_mode"),
+            ({"form": "sinc"}, "form"),
+            ({"form": "gaussian"}, "amplitude"),  # lacks amplitude and width
+            ({"form": ["zero"]}, "form")):
+        cfgp = write_config(tmp_path / "c.json", initial_data=idata)
+        for stage in ("scatter", "asym", "evolve", "compare"):
+            res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
+            assert res.returncode == 2, (idata, stage)
+            assert f"config error: initial_data.{field} " in res.stderr, (stage, res.stderr)
+    assert not (tmp_path / "out").exists()
     cfgp = write_config(tmp_path / "c.json", initial_data={"form": "zero", "n": 1})
     res = run_cli("scatter", "--config", str(cfgp))
     assert res.returncode == 2
@@ -434,9 +439,9 @@ def test_debug_dump(small_run):
 
 
 def test_initial_data_csv_input(tmp_path):
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=120.0, n=4097)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=120.0, n=4097)
     csv_path = write_csv(tmp_path / "data.csv", d.x, d.u0, d.u1)
-    loaded = sc.load_csv(csv_path)
+    loaded = ini.load_csv(csv_path)
     assert np.allclose(loaded.u0, d.u0)
     cfgp = write_config(tmp_path / "c.json", initial_data={"csv": "data.csv"},
                         n_per_arc=16)
@@ -457,7 +462,7 @@ def test_pipeline_roundtrip_reflection(small_run):
     _, out = small_run
     refl = cli.load_reflection(out)
     # a fresh in-memory run of the same data gives the very same table and interpolant
-    d = sc.gaussian_bandlimited(0.02, 2.0, L=120.0, n=8193, u1_mode="zero")
+    d = ini.gaussian_bandlimited(0.02, 2.0, L=120.0, n=8193, u1_mode="zero")
     refl2 = sc.reflection_coefficients(d, n_per_arc=40)
     for name in ("theta", "r1", "r2", "s11", "sA11"):
         assert np.array_equal(getattr(refl, name), getattr(refl2, name)), name
@@ -533,20 +538,31 @@ def test_trace_stage_finds_every_layer(small_run, tmp_path):
     cfgp, _ = small_run
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    names = set()
-    for stage in ("scatter", "asym"):
+
+    def traced(stage, config):  # the names of the spans of one traced stage
         spans = tmp_path / f"{stage}.json"
         res = subprocess.run([sys.executable, str(root / "perfbench" / "trace_stage.py"),
-                              str(spans), stage, "--config", str(cfgp),
+                              str(spans), stage, "--config", str(config),
                               "--out", str(tmp_path / "out")],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
-        names |= {span[0] for span in json.loads(spans.read_text())}
+        return {span[0] for span in json.loads(spans.read_text())}
+
+    scatter = traced("scatter", cfgp)
+    names = scatter | traced("asym", cfgp)
     assert names >= {"scattering.march_volterra", "scattering.reflection_coefficients",
                      "cli.write_csv", "cli.load_reflection", "cauchy.CircleFunctions",
                      "asymptotics.build_ingredients"}
-    # perfbench/run.py's soliton check calls these by name, untraced
-    assert callable(sc.load_csv) and callable(sc.s11_values)
+    # the data are built through scattering's NAMED_FORMS and load_csv, the names the
+    # tracer wraps, both for a named form and for CSV input
+    x = np.linspace(-20.0, 20.0, 513)
+    write_csv(tmp_path / "zero.csv", x, np.zeros_like(x), np.zeros_like(x))
+    csv_run = write_config(tmp_path / "csv.json", initial_data={"csv": "zero.csv"})
+    assert "scattering.initial_data" in scatter & traced("scatter", csv_run)
+    # perfbench/run.py's soliton check calls these by name, untraced; the table is
+    # initial_data's own, whose signatures RunConfig.load reads through the wrappers
+    assert sc.load_csv is ini.load_csv and callable(sc.s11_values)
+    assert sc.NAMED_FORMS is ini.NAMED_FORMS
     assert TOLERANCES["zero_residual"] == 1e-8
 
 
@@ -649,4 +665,17 @@ def test_scatter_mass_condition_exits_1_before_the_march(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 1
     assert "numerical failure: mass condition violated: |int u1 dx|" in capsys.readouterr().err
+    assert not (out / "reflection.csv").exists()
+
+
+def test_scatter_overflowing_march_is_a_numerical_failure(tmp_path, capsys):
+    """Data of amplitude 1e308 have finite samples and pass every data check, but
+    the marches overflow: scatter exits 1 naming the march, with no RuntimeWarning
+    (an error under this suite's filters) and no reflection.csv."""
+    idata = {"form": "gaussian", "amplitude": 1e308, "width": 2.0, "L": 20.0, "n": 513}
+    cfgp = write_config(tmp_path / "c.json", initial_data=idata)
+    out = tmp_path / "out"
+    assert cli.main(["scatter", "--config", str(cfgp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the X") and "march is not finite at k = " in err
     assert not (out / "reflection.csv").exists()

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bqist import initial_data as ini
 from bqist import pde
-from bqist import scattering as sc
 from bqist.config import ConfigError, NumericalError
 
 
@@ -46,7 +46,7 @@ def test_soliton_amplitude_continuous_in_speed():
 
 
 def test_evolve_zero_data():
-    d = sc.zero_data(L=40.0, n=257)
+    d = ini.zero_data(L=40.0, n=257)
     snap = pde.evolve(d, 5.0, dt=0.25)[-1]
     assert np.max(np.abs(snap.u)) == 0.0
 
@@ -73,7 +73,7 @@ def linear_evolution(data, T, cutoff=pde.DEFAULT_CUTOFF):
 
 
 def test_evolve_linear_oracle():
-    d = sc.gaussian_bandlimited(1e-6, 2.0, L=120.0, n=4097)
+    d = ini.gaussian_bandlimited(1e-6, 2.0, L=120.0, n=4097)
     snap = pde.evolve(d, 8.0, dt=0.05)[-1]
     assert np.max(np.abs(snap.u - linear_evolution(d, 8.0))) < 1e-8
 
@@ -98,7 +98,7 @@ def snapshot_data(snap):
         wh = np.where(xi > 0, np.fft.rfft(snap.u_t[:-1]) / (1j * xi), 0.0)
     v0 = np.fft.irfft(wh, n=n)
     du0 = np.fft.irfft(1j * xi * np.fft.rfft(snap.u[:-1]), n=n)
-    return sc.InitialData(x=snap.x.copy(), u0=snap.u.copy(), u1=snap.u_t.copy(),
+    return ini.InitialData(x=snap.x.copy(), u0=snap.u.copy(), u1=snap.u_t.copy(),
                           v0=np.append(v0, v0[0]), du0=np.append(du0, du0[0]))
 
 
@@ -109,7 +109,7 @@ def time_reversed(data):
 
 
 def test_mass_conservation_and_reversal():
-    d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097)
+    d = ini.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097)
     snap = pde.evolve(d, 10.0, dt=0.05)[-1]
     assert abs(snapshot_mass(snap) - np.trapezoid(d.u0, d.x)) < 1e-8
     back = pde.evolve(time_reversed(snapshot_data(snap)), 10.0, dt=0.05)[-1]
@@ -156,7 +156,7 @@ def reference_evolve(data, T, dt, cutoff=0.9):
 
 def test_evolve_matches_generic_stepper():
     # bit-identical where the compute grid is the stored one (m == n) ...
-    d = sc.gaussian_bandlimited(0.1, 2.0, L=40.0, n=49)
+    d = ini.gaussian_bandlimited(0.1, 2.0, L=40.0, n=49)
     assert pde.alias_free_size(48, np.pi / d.h, 0.9) == 48
     snap = pde.evolve(d, 6.0, dt=0.1)[-1]
     u, ut = reference_evolve(d, 6.0, 0.1)
@@ -167,10 +167,10 @@ def test_evolve_matches_generic_stepper():
         assert np.max(np.abs(snap.u[:-1] - u)) <= 1e-13 * np.max(np.abs(u))
         assert np.max(np.abs(snap.u_t[:-1] - ut)) <= 1e-13 * np.max(np.abs(ut))
 
-    d = sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=2049)
+    d = ini.gaussian_bandlimited(0.1, 2.0, L=120.0, n=2049)
     assert_close(pde.evolve(d, 6.0, dt=0.1)[-1], *reference_evolve(d, 6.0, 0.1))
     # the time-reversed run from an evolved state, as in the reversal test
-    fwd = pde.evolve(sc.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097), 10.0, dt=0.05)[-1]
+    fwd = pde.evolve(ini.gaussian_bandlimited(0.1, 2.0, L=120.0, n=4097), 10.0, dt=0.05)[-1]
     rev = time_reversed(snapshot_data(fwd))
     assert_close(pde.evolve(rev, 10.0, dt=0.05)[-1], *reference_evolve(rev, 10.0, 0.05))
 
@@ -184,7 +184,7 @@ def test_alias_free_size_bound():
         m = pde.alias_free_size(n, np.pi / (2 * L / n), cutoff)
         assert m == expected and m <= n
         assert np.pi * m / (2 * L) >= 2 * cutoff * (1 - 1e-12)
-    d = sc.zero_data(L=40.0, n=49)
+    d = ini.zero_data(L=40.0, n=49)
     pde.evolve(d, 1.0, dt=0.5, cutoff=np.pi / d.h / 2)  # the guard lets it through
 
 
@@ -193,7 +193,7 @@ def test_evolve_steps_on_alias_free_grid(monkeypatch):
     # length m <= n/8 (stages 1 and 3, then 2 and 4, in one batched pair each);
     # the blow-up check of the last state takes one more irfft; only the two
     # initial transforms and the snapshot's two use n
-    d = sc.gaussian_bandlimited(0.01, 2.0, L=380.0, n=4097)
+    d = ini.gaussian_bandlimited(0.01, 2.0, L=380.0, n=4097)
     n, m = 4096, 450  # the smallest 5-smooth m with pi m / 760 >= 2 * 0.9
     assert m <= n // 8
     lengths = {"rfft": [], "irfft": []}
@@ -227,13 +227,13 @@ def test_evolve_inverse_transforms_per_step(monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(pde.np.fft, "irfft", counting)
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
     pde.evolve(d, 2.0, dt=0.1)
     assert len(calls) == 2 * 20 + 1 + 2
 
 
 def test_filter_idempotent():
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=120.0, n=4097)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=120.0, n=4097)
     once = pde.evolve(d, 1.0, dt=0.5)[-1]
     h1 = np.fft.rfft(once.u[:-1])
     mask = np.abs(2 * np.pi * np.fft.rfftfreq(len(once.u) - 1, d=d.h)) <= 0.9
@@ -244,7 +244,7 @@ def test_filter_idempotent():
 
 def test_evolve_refuses_before_building_propagators(monkeypatch):
     # evolve steps forward only, to snapshots a whole number of dt steps in
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=60.0, n=1025)
 
     def no_propagator(*args):
         raise AssertionError("evolve built its propagators")
@@ -257,7 +257,7 @@ def test_evolve_refuses_before_building_propagators(monkeypatch):
 
 
 def test_nyquist_guard():
-    d = sc.zero_data(L=40.0, n=33)  # Nyquist ~ 1.26 < 1.8
+    d = ini.zero_data(L=40.0, n=33)  # Nyquist ~ 1.26 < 1.8
     with pytest.raises(ValueError):
         pde.evolve(d, 1.0, dt=0.5)
 
@@ -268,21 +268,21 @@ def test_blowup_detector():
     # band of the data's wavenumber 2.4, where |u hat| is largest
     x = np.linspace(-40, 40, 257)
     u0 = 1e-3 * np.cos(2.4 * x)
-    d = sc.from_arrays(x, u0, np.zeros_like(x))
+    d = ini.from_arrays(x, u0, np.zeros_like(x))
     with pytest.raises(NumericalError, match=r"instability detected at t=0\.800: \|u hat\| "
                                              r"is largest in the band \[2\.4, 2\.5\) of xi"):
         pde.evolve(d, 12.0, dt=0.4, cutoff=2.5)
 
 
 def test_snapshot_trig_interpolation():
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=120.0, n=2049)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=120.0, n=2049)
     snap = pde.evolve(d, 2.0, dt=0.1)[-1]
     sub = snap.x[200:210]
     assert np.max(np.abs(snap.eval_at(sub) - snap.u[200:210])) < 1e-10
 
 
 def test_compare_self_is_zero():
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=200.0, n=2049)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=200.0, n=2049)
     snaps = pde.evolve(d, 60.0, dt=0.1, snapshot_times=[60.0])
 
     zetas = np.linspace(0.65, 0.9, 40)
@@ -291,14 +291,15 @@ def test_compare_self_is_zero():
 
 
 def test_compare_window_guard():
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=100.0, n=1025)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=100.0, n=1025)
     snaps = pde.evolve(d, 120.0, dt=0.5, snapshot_times=[120.0])
     with pytest.raises(ConfigError, match="leaves the unwrapped domain at t=120.0.*rerun evolve"):
         pde.compare(np.linspace(0.65, 0.9, 10), [np.zeros(10)], snaps)
 
 
 def test_import_leaves_scattering_unloaded():
-    # soliton_profile imports InitialData itself, so compare never compiles scattering
+    # pde takes InitialData from initial_data, which does not import scattering, so
+    # compare never compiles scattering
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import sys, bqist.pde; print('bqist.scattering' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

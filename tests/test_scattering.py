@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from bqist import cli, pde
+from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import TOLERANCES, NumericalError, RunConfig
 from bqist.spectral import OMEGA, SQRT3, phase_values
@@ -26,7 +27,7 @@ def rtilde(k):
 
 
 def test_zero_data_trivial():
-    d = sc.zero_data(L=15.0, n=513)
+    d = ini.zero_data(L=15.0, n=513)
     k = np.array([np.exp(0.7j), 1.4 + 0.3j])
     for which in ("X", "XA"):
         assert np.max(np.abs(sc.scattering_columns(d, k, which) - np.eye(3))) == 0.0
@@ -38,11 +39,11 @@ def test_zero_data_trivial():
 
 
 GRID_BUILDERS = {
-    "zero_data": lambda n: sc.zero_data(L=20.0, n=n),
-    "gaussian": lambda n: sc.gaussian(0.1, 2.0, n=n),
-    "gaussian_bandlimited": lambda n: sc.gaussian_bandlimited(0.01, 2.0, L=60.0, n=n),
+    "zero_data": lambda n: ini.zero_data(L=20.0, n=n),
+    "gaussian": lambda n: ini.gaussian(0.1, 2.0, n=n),
+    "gaussian_bandlimited": lambda n: ini.gaussian_bandlimited(0.01, 2.0, L=60.0, n=n),
     "soliton_profile": lambda n: pde.soliton_profile(1.3, n=n),
-    "from_arrays": lambda n: sc.from_arrays(np.linspace(-20.0, 20.0, n), np.zeros(n),
+    "from_arrays": lambda n: ini.from_arrays(np.linspace(-20.0, 20.0, n), np.zeros(n),
                                             np.zeros(n)),
 }
 
@@ -84,7 +85,7 @@ def frame_by_definition(k):
 
 
 def test_potential_middle_factor_entries():
-    d = sc.gaussian(0.3, 1.5, L=20.0, n=513)
+    d = ini.gaussian(0.3, 1.5, L=20.0, n=513)
     k = np.array([0.8 + 0.4j])
     M1, M2 = frame_by_definition(k)
     w31, w32 = sc.potential_weights(d)
@@ -100,7 +101,7 @@ def test_potential_middle_factor_entries():
 
 
 def test_degenerate_point_flagged():
-    d = sc.gaussian(0.1, 2.0, L=20.0, n=513)
+    d = ini.gaussian(0.1, 2.0, L=20.0, n=513)
     with pytest.raises(NumericalError, match="k within 1e-08 of a sixth root of unity"):
         sc.march_volterra(d, [1.0 + 1e-10j], "X")
 
@@ -165,10 +166,10 @@ def reference_march(data, k, which, cols, keep_trajectory=False):
 
 
 def test_volterra_boundary_and_zero_data():
-    d0 = sc.zero_data(L=10.0, n=257)
+    d0 = ini.zero_data(L=10.0, n=257)
     X = sc.march_volterra(d0, np.array([0.6 + 0.1j]), "X")
     assert np.max(np.abs(X - np.eye(3))) == 0.0
-    d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
+    d = ini.gaussian(0.2, 2.0, L=20.0, n=1025)
     k = np.array([np.exp(0.5j)])
     traj = reference_march(d, k, "X", (0, 1, 2), keep_trajectory=True)
     assert np.max(np.abs(traj[-1] - np.eye(3))) == 0.0  # X(L) = I exactly
@@ -177,7 +178,7 @@ def test_volterra_boundary_and_zero_data():
 
 def test_volterra_residual_oracle(data_small):
     """Plug the marched X back into its integral equation (Simpson quadrature)."""
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=8193)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=60.0, n=8193)
     rng = np.random.default_rng(7)
     k = np.exp(1j * rng.uniform(0.1, 1.9, 4))
     traj = reference_march(d, k, "X", (0, 1, 2), keep_trajectory=True)
@@ -201,7 +202,7 @@ def test_volterra_residual_oracle(data_small):
 
 def test_volterra_adjoint_residual(data_small):
     """Same oracle for the transposed system marched from the right."""
-    d = sc.gaussian_bandlimited(0.05, 2.0, L=60.0, n=8193)
+    d = ini.gaussian_bandlimited(0.05, 2.0, L=60.0, n=8193)
     k = np.exp(1j * np.array([0.8, 2.4]))
     traj = reference_march(d, k, "XA", (0, 1, 2), keep_trajectory=True)
     assert np.array_equal(sc.march_volterra(d, k, "XA"), traj[0])
@@ -226,14 +227,14 @@ def test_circle_march_bit_identical():
     sizes that do and do not fill whole blocks of sc.PACK, every column set
     the callers ask for, and the 336 k of reflection_coefficients (84 packed
     blocks) on a short grid."""
-    d = sc.gaussian(0.2, 2.0, L=20.0, n=1025)
+    d = ini.gaussian(0.2, 2.0, L=20.0, n=1025)
     for nk in (1, 5, 12):
         k = np.exp(1j * np.linspace(0.1, 6.1, nk))
         for which in ("X", "XA"):
             for cols in ((0,), (0, 1), (0, 1, 2)):
                 assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
                                       reference_march(d, k, which, cols)), (nk, which, cols)
-    short = sc.gaussian(0.2, 2.0, L=20.0, n=129)
+    short = ini.gaussian(0.2, 2.0, L=20.0, n=129)
     k = np.exp(1j * sc.ReflectionData.nodes(56))
     assert len(k) == 336
     for which in ("X", "XA"):
@@ -429,20 +430,20 @@ def test_reflection_reports_a_child_that_dies(data_small, monkeypatch):
 def test_grid_refinement_stable():
     vals = []
     for n in (2049, 4097):
-        d = sc.gaussian(0.1, 2.0, L=30.0, n=n)
+        d = ini.gaussian(0.1, 2.0, L=30.0, n=n)
         vals.append(sc.scattering_columns(d, np.exp(1j * np.array([1.0])), "X")[0, 0, 0])
     assert abs(vals[1] - vals[0]) < 1e-9
 
 
 def test_translated_samples_obey_the_translation_law():
     """Samples moved by s give r1 e^{-s(l1 - l2)}, wherever the grid starts."""
-    d = sc.gaussian(0.05, 2.0, L=20.0, n=1025)
-    base = sc.from_arrays(d.x, d.u0, d.u1)
+    d = ini.gaussian(0.05, 2.0, L=20.0, n=1025)
+    base = ini.from_arrays(d.x, d.u0, d.u1)
     k = np.exp(1j * np.linspace(0.3, 1.2, 5))
     r0, _ = sc.reflection_ratio(base, k, "X")
     l = phase_values(k).l
     for shift in (25.0, -5.0, 20.0):  # grids [5, 45], [-25, 15] and [0, 40]
-        r, _ = sc.reflection_ratio(sc.from_arrays(d.x + shift, d.u0, d.u1), k, "X")
+        r, _ = sc.reflection_ratio(ini.from_arrays(d.x + shift, d.u0, d.u1), k, "X")
         law = r0 * np.exp(-shift * (l[0] - l[1]))
         assert np.max(np.abs(r - law)) < 1e-12 * np.max(np.abs(r0))
 
@@ -542,14 +543,14 @@ def test_f_times_abs_s11_squared_is_one_on_the_table(refl_small):
 def test_f_times_abs_s11_squared_is_one_on_drawn_data(amplitude, width, u1_mode):
     """f |s11|^2 = 1 over the node pairs theta, 2 pi/3 - theta of the table of
     drawn gaussian_bl data, on one grid: L = 60, n = 1025, 24 nodes per arc."""
-    data = sc.gaussian_bandlimited(amplitude, width, L=60.0, n=1025, u1_mode=u1_mode)
+    data = ini.gaussian_bandlimited(amplitude, width, L=60.0, n=1025, u1_mode=u1_mode)
     assert sc.reflection_coefficients(data, n_per_arc=24).circle_identity_residual() < 1.5e-7
 
 
 @pytest.fixture(scope="module")
 def data_compact():
     """The benchmark's compact workload data: the README example's on a quarter of its grid."""
-    return sc.gaussian_bandlimited(0.01, 2.0, L=60.0, n=2049, u1_mode="zero")
+    return ini.gaussian_bandlimited(0.01, 2.0, L=60.0, n=2049, u1_mode="zero")
 
 
 # bound = about 10x the measured maximum; sign of r2 flipped: 69, 2.8e3 and 31
@@ -691,7 +692,7 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
     k0 = soliton_zeros[0].real
     locs = []
     for fac in (0.98, 1.02):
-        d = sc.from_arrays(soliton_data.x, fac * soliton_data.u0, fac * soliton_data.u1)
+        d = ini.from_arrays(soliton_data.x, fac * soliton_data.u0, fac * soliton_data.u1)
         zs = sc.find_s11_zeros(d)
         # off the exact soliton the zero leaves the axis by about 3e-7, on any grid
         assert len(zs) == 1 and abs(zs[0].imag) < 1e-6
@@ -901,7 +902,7 @@ def test_validators_band_limited_passes(data_small):
 
 def test_validator_discriminates_high_frequency(data_small):
     # a plain (non-band-limited) Gaussian carries far more segment reflection
-    raw = sc.gaussian(0.1, 0.8, L=30.0, n=4097)
+    raw = ini.gaussian(0.1, 0.8, L=30.0, n=4097)
     ys = np.linspace(0.2, 0.95, 10)
     r1_raw, _ = sc.reflection_ratio(raw, 1j * ys, "X")
     r1_bl, _ = sc.reflection_ratio(data_small, 1j * ys, "X")
@@ -911,7 +912,7 @@ def test_validator_discriminates_high_frequency(data_small):
 def test_validator_rejects_mass_violation():
     x = np.linspace(-20, 20, 513)
     u1 = 0.1 * np.exp(-(x**2))  # nonzero mass
-    d = sc.from_arrays(x, np.zeros_like(x), u1)
+    d = ini.from_arrays(x, np.zeros_like(x), u1)
     rep = sc.assumption_validators(d)
     assert not rep["ok"] and not rep["mass_condition"]["ok"]
     with pytest.raises(NumericalError, match="mass condition violated"):
