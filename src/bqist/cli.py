@@ -2,8 +2,8 @@
 
 All outputs are plain CSV/JSON, written atomically (temp file + rename).
 Exit codes: 0 success; 1 a failed check, NumericalError ("numerical failure: <its
-message>"), or a validator report with "ok": false; 2 a ConfigError or OSError.
-Any other exception is a bug to report: it ends the run with its traceback.
+message>"), or a validator report with "ok": false; 2 a ConfigError or OSError;
+3 any other exception, a bug to report: the run prints its traceback.
 """
 
 from __future__ import annotations
@@ -224,6 +224,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        import traceback  # only here: the module costs every run about 0.3 MB
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

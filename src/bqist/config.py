@@ -52,6 +52,8 @@ Field = namedtuple("Field", "default kind check", defaults=[None])
 
 # a grid's size: the march's RK4 steps take the odd-index points as midpoints
 _ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
+# a grid's half-width: it spans [-L, L]
+_POSITIVE = ("positive", lambda L: L > 0)
 
 #: every field of a config file, block by block; RunConfig.load checks the rules
 #: that join fields: exactly one of initial_data's csv and form, nothing else in
@@ -64,7 +66,7 @@ SPEC = {
         "u1_mode": Field(None, str),
         "amplitude": Field(None, float),
         "width": Field(None, float, ("nonzero", lambda w: w != 0)),
-        "L": Field(None, float),
+        "L": Field(None, float, _POSITIVE),
         "n": Field(None, int, _ODD_COUNT),
     },
     "n_per_arc": Field(56, int, ("at least 8", lambda n: n >= 8)),
@@ -78,7 +80,7 @@ SPEC = {
     "solitons": {"mode": Field("none", str, ("none or detect",
                                              lambda mode: mode in ("none", "detect")))},
     "pde": {  # evolve's grid, step and filter
-        "L": Field(760.0, float, ("positive", lambda L: L > 0)),
+        "L": Field(760.0, float, _POSITIVE),
         "n": Field(8193, int, _ODD_COUNT),
         "dt": Field(0.1, float),
         "cutoff": Field(0.9, float, ("in (0, 1)", lambda c: 0 < c < 1)),

@@ -102,6 +102,7 @@ def alias_free_size(n: int, nyq: float, cutoff: float) -> int:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite field fails below
 def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOFF,
            snapshot_times=None) -> list[FieldSnapshot]:
     """Integrate forward to time T > 0 with integrating-factor RK4 (Lawson,
@@ -144,6 +145,8 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
     # an m-point transform of the band is m/n times the n-point one
     uh = np.fft.rfft(data.u0[:-1])[:K] * (m / n)
     wh = np.fft.rfft(data.v0[:-1])[:K] * (m / n)
+    if not (np.isfinite(uh).all() and np.isfinite(wh).all()):
+        raise NumericalError("the transformed initial data are not finite")
 
     cf, af, bf = _propagator(xi, dt)
     ch, ah, _ = _propagator(xi, dt / 2)  # the w stage values are never needed
@@ -160,6 +163,8 @@ def evolve(data: InitialData, T: float, dt: float, cutoff: float = DEFAULT_CUTOF
         fields = np.fft.irfft(np.stack((uh, eu)), n=m)  # stage 1's, the state's, and stage 3's
         if done:  # the blow-up check
             sup = np.abs(fields[0]).max()
+            if not np.isfinite(sup):
+                raise NumericalError(f"the field is not finite at t={done * dt:.3f}")
             if sup > 2.0 * max(sup_prev, 1e-12) and sup > 1e-8:
                 band = np.floor(10 * xi[np.argmax(np.abs(uh))]) / 10
                 raise NumericalError(f"instability detected at t={done * dt:.3f}: |u hat| is "

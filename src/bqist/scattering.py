@@ -414,60 +414,56 @@ class ReflectionData:
         return self.nodes(self.n_per_arc)
 
     @cached_property
-    def _fits(self):
-        fits = {"n1": [], "d1": [], "n2": [], "d2": []}
+    def _panels(self):
+        """Twelve ChebPanels per weighted entry: the six arc fits on theta,
+        then the six kappa-centered least-squares bridges on the angle from
+        their root, which span the node exclusion gaps, so that evaluation
+        near a kappa is interpolation (nodes on both sides), not
+        extrapolation of an arc fit beyond its domain."""
+        panels = {"n1": [], "d1": [], "n2": [], "d2": []}
         n = self.n_per_arc
         for a, (lo, hi) in enumerate(self.ARCS):
             arc = slice(a * n, (a + 1) * n)
             w = _arc_weight(self.theta[arc], a)
-            fits["n1"].append(ChebPanel.fit(lo, hi, w * self.r1[arc] * self.s11[arc]))
-            fits["d1"].append(ChebPanel.fit(lo, hi, w * self.s11[arc]))
-            fits["n2"].append(ChebPanel.fit(lo, hi, w * self.r2[arc] * self.sA11[arc]))
-            fits["d2"].append(ChebPanel.fit(lo, hi, w * self.sA11[arc]))
-        return fits
-
-    @cached_property
-    def _bridges(self):
-        """kappa-centered least-squares refits bridging the node exclusion gaps:
-        evaluation near a kappa is then interpolation (nodes on both sides),
-        not extrapolation of an arc fit beyond its domain."""
+            panels["n1"].append(ChebPanel.fit(lo, hi, w * self.r1[arc] * self.s11[arc]))
+            panels["d1"].append(ChebPanel.fit(lo, hi, w * self.s11[arc]))
+            panels["n2"].append(ChebPanel.fit(lo, hi, w * self.r2[arc] * self.sA11[arc]))
+            panels["d2"].append(ChebPanel.fit(lo, hi, w * self.sA11[arc]))
         vals = {"n1": self.r1 * self.s11, "d1": self.s11,
                 "n2": self.r2 * self.sA11, "d2": self.sA11}
-        bridges = []
-        for j in range(6):
-            kap = ARC_EDGES[j]
+        h = self.BRIDGE_HALF
+        for kap in ARC_EDGES[:6]:
             dth = (self.theta - kap + np.pi) % (2 * np.pi) - np.pi
-            sel = np.abs(dth) <= self.BRIDGE_HALF
+            sel = np.abs(dth) <= h
             order = np.argsort(dth[sel])
             ths = dth[sel][order]
             w = np.exp(1j * (kap + ths)) - np.exp(1j * kap)
             cnt = np.count_nonzero(sel)
             deg = min(max(8, int(0.55 * cnt)), cnt - 1)  # no more coefficients than nodes
-            bridges.append({key: np.polynomial.chebyshev.chebfit(
-                                ths / self.BRIDGE_HALF, v[sel][order] * w, deg)
-                            for key, v in vals.items()})
-        return bridges
+            for key, v in vals.items():
+                coeffs = np.polynomial.chebyshev.chebfit(ths / h, v[sel][order] * w, deg)
+                # ChebPanel's map (2x - (-h + h)) / (h - -h) is x / h exactly
+                panels[key].append(ChebPanel(-h, h, coeffs))
+        return panels
 
     def _eval_weighted(self, key, th):
-        """Weighted entry at angles th in [0, 2 pi) (arc or bridge fit by
-        proximity to kappa).
+        """Weighted entry at angles th in [0, 2 pi): bridge 6 + j on the angle
+        from kappa_j within BRIDGE_USE of it, else the arc fit on theta.
 
-        The weight differs between the two paths, but numerator and
-        denominator of any reflection ratio take the same path at the same
-        angle, so the weights cancel in _ratio.
+        The weight differs between the two, but numerator and denominator of
+        any reflection ratio take the same panel at the same angle, so the
+        weights cancel in _ratio.
         """
-        out = np.empty(th.shape, dtype=complex)
         dk = (th[:, None] - ARC_EDGES[None, :6] + np.pi) % (2 * np.pi) - np.pi
         jmin = np.argmin(np.abs(dk), axis=1)
-        use_bridge = np.min(np.abs(dk), axis=1) <= self.BRIDGE_USE
-        idx = np.minimum((th / (np.pi / 3)).astype(int), 5)
-        for a in np.unique(idx[~use_bridge]):
-            sel = (~use_bridge) & (idx == a)
-            out[sel] = self._fits[key][a](th[sel])
-        for j in np.unique(jmin[use_bridge]):
-            sel = use_bridge & (jmin == j)
-            out[sel] = np.polynomial.chebyshev.chebval(
-                dk[sel, j] / self.BRIDGE_HALF, self._bridges[j][key])
+        dmin = dk[np.arange(len(th)), jmin]
+        bridge = np.abs(dmin) <= self.BRIDGE_USE
+        panel = np.where(bridge, 6 + jmin, np.minimum((th / (np.pi / 3)).astype(int), 5))
+        x = np.where(bridge, dmin, th)
+        out = np.empty(th.shape, dtype=complex)
+        for p in np.unique(panel):
+            sel = panel == p
+            out[sel] = self._panels[key][p](x[sel])
         return out
 
     def _ratio(self, theta, num, den):

@@ -25,6 +25,17 @@ def cf_small(refl_small):
 
 
 @pytest.fixture(scope="session")
+def data_compact():
+    """The benchmark's compact workload data: the README example's on a quarter of its grid."""
+    return ini.gaussian_bandlimited(0.01, 2.0, L=60.0, n=2049, u1_mode="zero")
+
+
+@pytest.fixture(scope="session")
+def cf_compact(data_compact):
+    return cy.CircleFunctions(sc.reflection_coefficients(data_compact))
+
+
+@pytest.fixture(scope="session")
 def data_acc():
     """The amplitude-0.1 dataset named by the scattering acceptance criteria."""
     return ini.gaussian_bandlimited(0.1, 2.0, u1_mode="zero")

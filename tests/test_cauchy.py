@@ -107,22 +107,29 @@ def test_all_five_jump_relations(arcs, cf_small):
     assert abs(din - dout * fv2(th3)) < 1e-6
 
 
-def test_densities_match_direct_marches(data_small, cf_small):
+# bounds about 10x the measured maxima: g1's, then ln f's and ln f2's at u < 5e-3 and beyond
+@pytest.mark.parametrize("name, bounds", [("small", (6e-15, 3e-10, 1e-11)),
+                                          ("compact", (3e-10, 3e-7, 2e-9))],
+                         ids=("data_small", "data_compact"))
+def test_densities_match_direct_marches(request, name, bounds):
     """g1, ln f and ln f2 at u = 2 pi/3 - theta against direct marches at theta,
     no table: ln(1 + r1 r2), -2 ln|s11(e^{i theta})| and -2 ln|s11(e^{i (theta -
-    2 pi/3)})|.  Measured: at most 5.9e-16 for g1; 3.2e-11 for ln f and ln f2 at
-    u = 1e-3, next to the double zero of f, and 1.0e-12 or less elsewhere.
-    Bounds about 10x."""
+    2 pi/3)})|.  Measured on data_small: at most 5.9e-16 for g1; 3.2e-11 for ln f
+    and ln f2 at u = 1e-3, next to the double zero of f, and 1.0e-12 or less
+    elsewhere.  On data_compact: 2.5e-11 for g1; 2.4e-8 at u = 1e-3 and 1.4e-10 or
+    less elsewhere for ln f and ln f2."""
+    data, cf = (request.getfixturevalue(f"{kind}_{name}") for kind in ("data", "cf"))
+    g1_bound, near, far = bounds
     u = np.array([1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.45])
     th = 2 * np.pi / 3 - u
     k = np.exp(1j * th)
-    r1, s11 = sc.reflection_ratio(data_small, np.concatenate([k, k / OMEGA]), "X")
-    r2, _ = sc.reflection_ratio(data_small, k, "XA")
+    r1, s11 = sc.reflection_ratio(data, np.concatenate([k, k / OMEGA]), "X")
+    r2, _ = sc.reflection_ratio(data, k, "XA")
     n = len(u)
-    assert np.max(np.abs(cf_small.g1(th) - np.log(1 + r1[:n] * r2))) < 6e-15
-    bound = np.where(u < 5e-3, 3e-10, 1e-11)
-    assert np.all(np.abs(cf_small.ln_f(th) + 2 * np.log(np.abs(s11[:n]))) < bound)
-    assert np.all(np.abs(cf_small.ln_f2(th) + 2 * np.log(np.abs(s11[n:]))) < bound)
+    assert np.max(np.abs(cf.g1(th) - np.log(1 + r1[:n] * r2))) < g1_bound
+    bound = np.where(u < 5e-3, near, far)
+    assert np.all(np.abs(cf.ln_f(th) + 2 * np.log(np.abs(s11[:n]))) < bound)
+    assert np.all(np.abs(cf.ln_f2(th) + 2 * np.log(np.abs(s11[n:]))) < bound)
 
 
 def test_boundary_value_policy(arcs, cf_small):

@@ -205,7 +205,7 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
 
 def test_a_bug_is_not_a_numerical_failure(tmp_path, monkeypatch, capsys):
     """cli.main exits 1 on a NumericalError alone: any other exception from a
-    layer, here a TypeError, is a bug and propagates with its traceback."""
+    layer, here a TypeError, is a bug and exits 3 with its traceback."""
     cfgp = write_config(tmp_path / "c.json")
     argv = ["--config", str(cfgp), "--out", str(tmp_path / "out")]
     assert cli.main(["scatter", *argv]) == 0
@@ -214,9 +214,12 @@ def test_a_bug_is_not_a_numerical_failure(tmp_path, monkeypatch, capsys):
         raise TypeError("broken refactor")
 
     monkeypatch.setattr(asy, "build_ingredients", broken)
-    with pytest.raises(TypeError, match="broken refactor"):
-        cli.main(["asym", *argv])
-    assert "numerical failure" not in capsys.readouterr().err
+    capsys.readouterr()
+    assert cli.main(["asym", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("TypeError: broken refactor")
+    assert "numerical failure" not in err
 
 
 def test_bad_window_exits_2(tmp_path, capsys):
@@ -349,7 +352,8 @@ def test_unknown_form_exits_2(tmp_path):
              "u1_mode"),
             ({"form": "sinc"}, "form"),
             ({"form": "gaussian"}, "amplitude"),  # lacks amplitude and width
-            ({"form": ["zero"]}, "form")):
+            ({"form": ["zero"]}, "form"),
+            ({"form": "zero", "L": -20.0, "n": 513}, "L")):
         cfgp = write_config(tmp_path / "c.json", initial_data=idata)
         for stage in ("scatter", "asym", "evolve", "compare"):
             res = run_cli(stage, "--config", str(cfgp), "--out", str(tmp_path / "out"))
@@ -679,3 +683,20 @@ def test_scatter_overflowing_march_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: the X") and "march is not finite at k = " in err
     assert not (out / "reflection.csv").exists()
+
+
+@pytest.mark.parametrize("amplitude, message", [
+    (1e308, "the transformed initial data are not finite"),  # the rfft of u0 overflows
+    (1e160, "the field is not finite at t=0.100")],          # u * u overflows in step 1
+    ids=("transform", "step"))
+def test_evolve_overflowing_field_is_a_numerical_failure(tmp_path, capsys, amplitude, message):
+    """evolve exits 1 on a field that is not finite, with no RuntimeWarning (an error
+    under this suite's filters) and no evolution_t10.csv; a NaN sup would pass the
+    blow-up check."""
+    cfgp = write_config(tmp_path / "c.json", t_values=[10.0], zeta_window=[0.62, 0.9],
+                        initial_data={"form": "gaussian", "amplitude": amplitude, "width": 2.0},
+                        pde={"L": 200.0, "n": 2049})
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfgp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (out / "evolution_t10.csv").exists()

@@ -70,7 +70,8 @@ LEAVES = {**{key: field for key, field in SPEC.items() if not isinstance(field, 
              if isinstance(fields, dict) for key, field in fields.items()}}
 
 #: a value that fails the check of each field that has one
-FAILING = {"initial_data.width": 0, "initial_data.n": 512, "n_per_arc": 7, "zeta_window": [0.5, 0.9], "n_zeta": 0,
+FAILING = {"initial_data.width": 0, "initial_data.L": -20.0, "initial_data.n": 512, "n_per_arc": 7,
+           "zeta_window": [0.5, 0.9], "n_zeta": 0,
            "t_values": [60.0, 60.0], "solitons.mode": "explicit", "pde.L": -1.0,
            "pde.n": 8192, "pde.cutoff": 1.0}
 

@@ -547,12 +547,6 @@ def test_f_times_abs_s11_squared_is_one_on_drawn_data(amplitude, width, u1_mode)
     assert sc.reflection_coefficients(data, n_per_arc=24).circle_identity_residual() < 1.5e-7
 
 
-@pytest.fixture(scope="module")
-def data_compact():
-    """The benchmark's compact workload data: the README example's on a quarter of its grid."""
-    return ini.gaussian_bandlimited(0.01, 2.0, L=60.0, n=2049, u1_mode="zero")
-
-
 # bound = about 10x the measured maximum; sign of r2 flipped: 69, 2.8e3 and 31
 @pytest.mark.parametrize("name, bound", [("data_small", 2e-11), ("data_acc", 1e-9),
                                          ("data_compact", 2e-10)])
