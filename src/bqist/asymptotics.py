@@ -26,8 +26,7 @@ from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, SectorArcs
 from .config import TOLERANCES, NumericalError
 from .gammafn import arg_gamma
-from .scattering import is_real
-from .spectral import OMEGA, SQRT3, phi
+from .spectral import OMEGA, SQRT3, is_real, phi
 
 NU_TINY = 1e-13
 
@@ -235,7 +234,7 @@ def build_ingredients(zeta: float, cf: CircleFunctions,
     """The per-zeta bundle; ``solitons`` are the zeros of s11 (None for none)."""
     arcs = SectorArcs.from_zeta(zeta)
     nu = cy.nu_bundle(arcs, cf)
-    if min(nu.nu_hat1, nu.nu_hat2) < TOLERANCES["nu_hat_floor"]:
+    if not (nu.nu_hat1 >= TOLERANCES["nu_hat_floor"] and nu.nu_hat2 >= TOLERANCES["nu_hat_floor"]):
         raise NumericalError(f"nu_hat negative at zeta={zeta}: {nu.nu_hat1}, {nu.nu_hat2}")
     sad, wk4, w2k2 = arcs.saddles, arcs.wk4, arcs.w2k2
     q = q_values(arcs, cf.refl)

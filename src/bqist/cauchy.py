@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NumericalError
-from .scattering import ReflectionData
+from .reflection import ReflectionData
 from .spectral import OMEGA, SaddleSet, saddle_points
 from .util import ChebPanel, graded_panels, panel_quad, refine_near
 
@@ -67,12 +67,12 @@ BOUNDARY_TOL = 1e-6
 
 def check_positive(vals, label: str, var: str, at) -> None:
     """NumericalError unless ``vals``, the log argument ``label`` at ``var`` = ``at``,
-    are positive: Re > 0 at each and max |Im| at most 1e-6 max(1, max Re)."""
+    are positive: Re > 0 at each and max |Im| at most 1e-6 max(1, max Re); a NaN fails."""
     re = np.real(vals)
-    if np.any(re <= 0):
+    if not np.all(re > 0):
         raise NumericalError(f"{label} is nonpositive near {var} = {at[np.argmin(re)]:.6g}")
     im = np.max(np.abs(np.imag(vals)))
-    if im > 1e-6 * max(1.0, np.max(re)):
+    if not im <= 1e-6 * max(1.0, np.max(re)):
         raise NumericalError(f"{label} has imaginary residual {im:.2e}")
 
 

@@ -69,29 +69,37 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 
+def _read_back(path: Path, names, stage: str) -> dict:
+    """read_columns of ``stage``'s output; ConfigError naming a column with a non-finite cell."""
+    col = read_columns(path, names)
+    for name in names:
+        if not np.isfinite(col[name]).all():
+            raise ConfigError(f"{path} column {name!r} has a non-finite cell; rerun {stage}")
+    return col
+
+
 def load_reflection(out_dir: Path):
     """The ReflectionData that ``scatter`` wrote to ``out_dir``/reflection.csv."""
-    from . import scattering as sc
+    from .reflection import ReflectionData
 
     path = Path(out_dir) / "reflection.csv"
-    col = read_columns(path, REFLECTION_HEADER)
+    col = _read_back(path, REFLECTION_HEADER, "scatter")
     n = len(col["arc"]) // 6
     if not np.array_equal(col["arc"], np.repeat(np.arange(6), n)):
         raise ConfigError(f"{path} must hold the arcs 0..5 in turn, with the same number "
                           "of rows each; rerun scatter")
-    if not np.array_equal(col["theta"], sc.ReflectionData.nodes(n)):
+    if not np.array_equal(col["theta"], ReflectionData.nodes(n)):
         raise ConfigError(f"{path} theta is not the sample angles of {n} per arc; rerun scatter")
     entries = {}
     for name in ("r1", "r2", "s11", "sA11"):
         z = entries[name] = np.empty(len(col["theta"]), dtype=complex)
         z.real, z.imag = col["re_" + name], col["im_" + name]
-    return sc.ReflectionData(**entries)
+    return ReflectionData(**entries)
 
 
-def load_solitons(out_dir: Path):
-    """The SolitonData that ``scatter`` wrote to ``out_dir``/solitons.json."""
-    from . import scattering as sc
-
+def load_solitons(out_dir: Path) -> list:
+    """The zeros of s11 that ``scatter`` wrote to ``out_dir``/solitons.json, once
+    their c and d are checked too: asym reads the zeros alone."""
     path = Path(out_dir) / "solitons.json"
     try:
         raw = json.loads(path.read_text())
@@ -106,7 +114,7 @@ def load_solitons(out_dir: Path):
     if not len(zeros) == len(c) == len(d):
         raise ConfigError(f"{path} has {len(zeros)} zeros, {len(c)} c and {len(d)} d; "
                           "each zero needs one of each; rerun scatter")
-    return sc.SolitonData(zeros=zeros, c=c, d=d)
+    return zeros
 
 
 def cmd_asym(cfg: RunConfig) -> int:
@@ -117,11 +125,11 @@ def cmd_asym(cfg: RunConfig) -> int:
     if refl.n_per_arc != cfg.n_per_arc:
         raise ConfigError(f"{cfg.out_dir / 'reflection.csv'} has {refl.n_per_arc} rows per "
                           f"arc, not n_per_arc = {cfg.n_per_arc}; rerun scatter with this config")
-    sol = load_solitons(cfg.out_dir)
+    zeros = load_solitons(cfg.out_dir)
     cf = cy.CircleFunctions(refl)
     evs, debug = [], []
     for z in cfg.zetas:
-        ing = asy.build_ingredients(float(z), cf, solitons=sol.zeros)
+        ing = asy.build_ingredients(float(z), cf, solitons=zeros)
         evs += [asy.u_asym(ing, t) for t in cfg.t_values]
         debug.append(ing.debug_values())
     _write_csv(cfg.out_dir / "asymptotics.csv", ASYMPTOTICS_HEADER,
@@ -159,7 +167,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     from . import pde
 
     path = cfg.out_dir / "asymptotics.csv"
-    asym = read_columns(path, ASYMPTOTICS_HEADER)
+    asym = _read_back(path, ASYMPTOTICS_HEADER, "asym")
     missing = [t for t in cfg.t_values if t not in asym["t"]]
     if missing:
         raise ConfigError(f"{path} has no rows for t = {missing}; rerun asym with this config")
@@ -172,7 +180,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         if len(zs) != len(zetas) or np.max(np.abs(zs - zetas)) > 1e-9:
             raise ConfigError(f"{path} has another zeta grid; rerun asym with this config")
         u_asym.append(asym["u_asym"][at_t][order])
-        snap = read_columns(cfg.out_dir / f"evolution_t{t:g}.csv", EVOLUTION_HEADER)
+        snap = _read_back(cfg.out_dir / f"evolution_t{t:g}.csv", EVOLUTION_HEADER, "evolve")
         snaps.append(pde.FieldSnapshot(**snap, t=t))
 
     rep = pde.compare(zetas, u_asym, snaps)

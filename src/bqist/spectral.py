@@ -46,6 +46,12 @@ def phase_values(k) -> PhaseTriple:
     return PhaseTriple(l=l, z=z)
 
 
+def is_real(k) -> bool:
+    """Whether k is on the real axis, as the formulas for a real zero of s11
+    (residue, soliton d, Blaschke factor, admissibility) take it: |Im k| < 1e-12."""
+    return abs(complex(k).imag) < 1e-12
+
+
 def _check_pair(i: int, j: int) -> None:
     if not (1 <= j < i <= 3):
         raise ValueError(f"phase index pair must satisfy 1 <= j < i <= 3, got ({i},{j})")

@@ -7,6 +7,7 @@ from bqist import cauchy as cy
 from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import SPEC, NumericalError
+from bqist.reflection import ReflectionData
 from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phi, saddle_points
 from bqist.util import graded_panels, panel_quad, refine_near
 
@@ -236,6 +237,27 @@ def test_u_asym_zero_data(zero_refl):
     ev = asy.u_asym(ing0, 100.0)
     assert ev.u_asym == 0.0 and ev.A1 == 0.0 and ev.A2 == 0.0
     assert ev.err_scale == np.log(100.0) / 100.0
+
+
+def test_nu_hat_guard_rejects_nan(zero_refl, monkeypatch):
+    """A NaN nu_hat1 or nu_hat2 fails the nu_hat_floor test like a negative one
+    (min(nan, 0) and nan < floor would each let it through)."""
+    cf0 = cy.CircleFunctions(zero_refl)
+    for nus in ((np.nan, 0.0, 0.0, 0.0, 0.0), (0.0, np.nan, 0.0, 0.0, 0.0)):
+        monkeypatch.setattr(cy, "nu_bundle", lambda arcs, cf, nus=nus: cy.NuBundle(*nus))
+        with pytest.raises(NumericalError, match=f"nu_hat negative at zeta={ZETA}"):
+            asy.build_ingredients(ZETA, cf0)
+
+
+@pytest.mark.parametrize("node", [5, 60])
+def test_table_with_a_nan_sample_is_a_numerical_failure(refl_small, node):
+    """One NaN r1 sample (on arc 0, or on arc 1) reaches ln f and the nu exponents;
+    a positivity check rejects it instead of u_asym turning it into zeros."""
+    r1 = refl_small.r1.copy()
+    r1[node] = complex(np.nan, r1[node].imag)
+    bad = ReflectionData(r1=r1, r2=refl_small.r2, s11=refl_small.s11, sA11=refl_small.sA11)
+    with pytest.raises(NumericalError, match="is nonpositive"):
+        asy.build_ingredients(ZETA, cy.CircleFunctions(bad))
 
 
 def test_u_asym_domain_errors(ing):

@@ -54,6 +54,11 @@ def test_one_positivity_check_for_every_log_argument():
         cy.check_positive(np.array([1.0, 0.5 + 1.1e-6j, 0.2]), "g", "u", at)
     with pytest.raises(NumericalError, match="g is nonpositive near u = 0.2"):
         cy.check_positive(np.array([1.0, -1e-3, 0.0]), "g", "u", at)
+    # a NaN fails both tests, where nan <= 0 and nan > bound are false
+    with pytest.raises(NumericalError, match="g is nonpositive near u = 0.2"):
+        cy.check_positive(np.array([1.0, np.nan, 0.5]), "g", "u", at)
+    with pytest.raises(NumericalError, match="g has imaginary residual nan"):
+        cy.check_positive(np.array([1.0, complex(0.5, np.nan), 0.5]), "g", "u", at)
 
 
 def test_f_vanishes_quadratically_at_one(cf_small):

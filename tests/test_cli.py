@@ -14,7 +14,8 @@ from bqist import cauchy as cy
 from bqist import cli
 from bqist import initial_data as ini
 from bqist import scattering as sc
-from bqist.config import FMT, TOLERANCES, ConfigError, NumericalError, RunConfig
+from bqist.config import (FMT, TOLERANCES, ConfigError, NumericalError, RunConfig,
+                          read_columns, write_columns)
 
 
 def run_cli(*args):
@@ -474,6 +475,54 @@ def test_pipeline_roundtrip_reflection(small_run):
     th = np.array([0.4, 1.3, 2.2, 4.0, np.pi / 3 + 0.01])
     assert np.array_equal(refl.r1_at(th), refl2.r1_at(th))
     assert np.array_equal(refl.r2_at(th), refl2.r2_at(th))
+
+
+def test_asym_leaves_scattering_unloaded(small_run, tmp_path):
+    """asym reads reflection.csv through bqist.reflection and solitons.json as
+    numbers, so a fresh interpreter runs it without importing scattering: not
+    the marches, the fork or the zero search (compare's twin is
+    tests/test_pde.py::test_import_leaves_scattering_unloaded)."""
+    cfgp, out = small_run
+    run = tmp_path / "out"
+    run.mkdir()
+    for name in ("reflection.csv", "solitons.json"):
+        (run / name).write_bytes((out / name).read_bytes())
+    code = ("import sys; from bqist import cli; "
+            f"rc = cli.main(['asym', '--config', {str(cfgp)!r}, '--out', {str(run)!r}]); "
+            "print(rc, 'bqist.scattering' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+    assert (run / "asymptotics.csv").read_bytes() == (out / "asymptotics.csv").read_bytes()
+
+
+def test_a_non_finite_cell_read_back_exits_2(tmp_path, capsys):
+    """A nan or inf cell in a file that one stage wrote and the next reads back
+    exits 2 naming the file, the column and the stage to rerun.  read_columns
+    keeps such a value (test_float_columns_read_back_bit_for_bit), so the check
+    is the CLI's: without it asym turned one nan in re_r1 into A1 = 0 on every
+    row, and compare wrote max_err = nan from one nan in u."""
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path / "c.json", pde={"L": 80.0, "n": 129})
+    argv = ["--config", str(cfgp), "--out", str(out)]
+    for stage in ("scatter", "asym", "evolve"):
+        assert cli.main([stage, *argv]) == 0
+    capsys.readouterr()
+    cases = [("asym", "reflection.csv", cli.REFLECTION_HEADER, "re_r1", np.nan, "scatter"),
+             ("compare", "asymptotics.csv", cli.ASYMPTOTICS_HEADER, "u_asym", np.inf, "asym"),
+             ("compare", "evolution_t60.csv", cli.EVOLUTION_HEADER, "u", np.nan, "evolve")]
+    for stage, name, header, column, cell, rerun in cases:
+        path = out / name
+        good = path.read_bytes()
+        col = read_columns(path, header)
+        col[column][2] = cell
+        write_columns(path, header, [col[h] for h in header])
+        assert cli.main([stage, *argv]) == 2, name
+        err = capsys.readouterr().err
+        assert f"{path} column {column!r} has a non-finite cell; rerun {rerun}" in err, err
+        path.write_bytes(good)
+    assert cli.main(["compare", *argv]) == 0
 
 
 def test_asym_rejects_reflection_table_not_from_this_config(tmp_path, capsys):

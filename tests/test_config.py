@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bqist import cli
 from bqist.config import FMT, SPEC, RunConfig, read_columns, write_columns
-from bqist.scattering import ReflectionData
+from bqist.reflection import ReflectionData
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -12,6 +12,7 @@ from scipy.integrate import simpson
 
 from bqist import cli, pde
 from bqist import initial_data as ini
+from bqist import reflection as rf
 from bqist import scattering as sc
 from bqist.config import TOLERANCES, NumericalError, RunConfig
 from bqist.spectral import OMEGA, SQRT3, phase_values
@@ -111,11 +112,11 @@ def test_rank_one_frame_is_the_definition():
     their XA transposes equal P^-1 E_{3j} P bit for bit at every kind of k the
     program marches: the reflection nodes, the zero-search contours, the
     genericity probes, a Newton triple and points EXCLUSION from each root."""
-    nodes = np.exp(1j * sc.ReflectionData.nodes(56))
+    nodes = np.exp(1j * rf.ReflectionData.nodes(56))
     contours = np.concatenate([k for k, _ in sc.search_contours()])
     probes = np.array([ks + r * np.exp(1j * np.pi / 3) for ks in (1.0, -1.0)
                        for r in (1e-2, 5e-3)])
-    near_roots = np.exp(1j * np.pi * np.arange(6) / 3) * (1 + sc.EXCLUSION)
+    near_roots = np.exp(1j * np.pi * np.arange(6) / 3) * (1 + rf.EXCLUSION)
     assert (len(nodes), len(contours)) == (336, 768)
     k = np.concatenate([nodes, contours, probes, sc._central_points(2.13)[0], near_roots])
     l, a = sc._frame(k)
@@ -235,7 +236,7 @@ def test_circle_march_bit_identical():
                 assert np.array_equal(sc.march_volterra(d, k, which, cols=cols),
                                       reference_march(d, k, which, cols)), (nk, which, cols)
     short = ini.gaussian(0.2, 2.0, L=20.0, n=129)
-    k = np.exp(1j * sc.ReflectionData.nodes(56))
+    k = np.exp(1j * rf.ReflectionData.nodes(56))
     assert len(k) == 336
     for which in ("X", "XA"):
         assert np.array_equal(sc.march_volterra(short, k, which, cols=(0, 1)),
@@ -325,7 +326,7 @@ def reflection_arrays(data):
     """The n_per_arc = 8 samples, and r1, r2 within BRIDGE_USE of each kappa,
     read through bridge fits that have 6 nodes each."""
     rd = sc.reflection_coefficients(data, n_per_arc=8)
-    near = np.mod(sc.ARC_EDGES[:6, None] + 0.5 * rd.BRIDGE_USE * np.array([-1, 1]),
+    near = np.mod(rf.ARC_EDGES[:6, None] + 0.5 * rd.BRIDGE_USE * np.array([-1, 1]),
                   2 * np.pi).ravel()
     return [rd.theta, rd.r1, rd.r2, rd.s11, rd.sA11, rd.r1_at(near), rd.r2_at(near)]
 
