@@ -56,7 +56,7 @@ import numpy as np
 
 from .config import NumericalError
 from .reflection import ReflectionData
-from .spectral import OMEGA, SaddleSet, saddle_points
+from .spectral import OMEGA, SaddleSet, on_unit_circle, saddle_points
 from .util import ChebPanel, graded_panels, panel_quad, refine_near
 
 TWO_THIRDS_PI = 2 * np.pi / 3
@@ -196,7 +196,7 @@ def ln_branch(k: complex, s: complex, tilde: bool = False) -> complex:
     theta_s = float(np.angle(s))
     mag = np.log(abs(k - s))
     phi = float(np.angle(k))
-    if abs(abs(k) - 1.0) < 1e-12:
+    if on_unit_circle(k):
         if not tilde:
             # off the cut arc [pi/2, theta_s]
             if ARC_LO - 1e-14 <= phi <= theta_s + 1e-14:

@@ -34,11 +34,16 @@ def is_number(v) -> bool:
 #: thresholds of the admissibility checks, each read where its check is applied;
 #: fixed values, not config fields
 TOLERANCES = {
-    "mass_condition": 1e-9,   # |int u1 dx|
-    "tail": 1e-9,             # compact-support tails at +-L
-    "r1_segment": 5e-3,       # heuristic no-high-frequency threshold
-    "zero_residual": 1e-8,    # |s11| at an accepted zero
-    "nu_hat_floor": -1e-10,   # admissible negativity of nu-hat
+    "mass_condition": 1e-9,    # |int u1 dx|
+    "tail": 1e-9,              # compact-support tails at +-L
+    "r1_segment": 5e-3,        # heuristic no-high-frequency threshold
+    "zero_residual": 1e-8,     # |s11| at an accepted zero
+    "nu_hat_floor": -1e-10,    # admissible negativity of nu-hat
+    "genericity_floor": 1e-6,  # smallest scaled entry at a probe near k = +-1
+    "genericity_ratio": 5.0,   # r: near/far probe entries lie in (1/r, r)
+    "simple_zero": 1e-10,      # smallest |s11'| at an accepted zero
+    "nonsingularity": 1e-10,   # margin of a real zero's value from the negative real axis
+    "real_axis": 1e-9,         # |Im k| under which a found zero of s11 is real
 }
 
 _KINDS = {int: f"a whole number {_NUMBER_RULE}", float: f"a number {_NUMBER_RULE}",
@@ -50,15 +55,22 @@ _KINDS = {int: f"a whole number {_NUMBER_RULE}", float: f"a number {_NUMBER_RULE
 #: its check, if any: (what the value must be, test of the value as its kind)
 Field = namedtuple("Field", "default kind check", defaults=[None])
 
-# a grid's size: the march's RK4 steps take the odd-index points as midpoints
-_ODD_COUNT = ("odd and at least 3", lambda n: n > 2 and n % 2 == 1)
-# a grid's half-width: it spans [-L, L]
-_POSITIVE = ("positive", lambda L: L > 0)
+
+def is_grid_size(n: int) -> bool:
+    """The grid rule of every initial-data grid: n is odd and at least 3, so that
+    the RK4 march can step over pairs of intervals with the odd-index points as
+    midpoints.  InitialData.check_size applies it to each grid it builds."""
+    return n >= 3 and n % 2 == 1
+
+
+_GRID_SIZE = ("odd and at least 3", is_grid_size)
+# a grid's half-width (it spans [-L, L]) or the PDE step
+_POSITIVE = ("positive", lambda v: v > 0)
 
 #: every field of a config file, block by block; RunConfig.load checks the rules
 #: that join fields: exactly one of initial_data's csv and form, nothing else in
 #: a CSV block and no pde grid in a CSV run, a named form's parameters
-#: (_check_form), pde.dt dividing every t
+#: (_check_form), pde.dt dividing every t in at most MAX_STEPS steps
 SPEC = {
     "initial_data": {
         "csv": Field(None, str),
@@ -67,7 +79,7 @@ SPEC = {
         "amplitude": Field(None, float),
         "width": Field(None, float, ("nonzero", lambda w: w != 0)),
         "L": Field(None, float, _POSITIVE),
-        "n": Field(None, int, _ODD_COUNT),
+        "n": Field(None, int, _GRID_SIZE),
     },
     "n_per_arc": Field(56, int, ("at least 8", lambda n: n >= 8)),
     "zeta_window": Field((0.62, 0.95), tuple, (
@@ -81,11 +93,16 @@ SPEC = {
                                              lambda mode: mode in ("none", "detect")))},
     "pde": {  # evolve's grid, step and filter
         "L": Field(760.0, float, _POSITIVE),
-        "n": Field(8193, int, _ODD_COUNT),
-        "dt": Field(0.1, float),
+        "n": Field(8193, int, _GRID_SIZE),
+        "dt": Field(0.1, float, _POSITIVE),
         "cutoff": Field(0.9, float, ("in (0, 1)", lambda c: 0 < c < 1)),
     },
 }
+
+
+#: the most PDE steps that a config may ask of evolve, to its last t: far above
+#: any documented run (perfbench's long_time, t = 480 at pde.dt = 0.1, takes 4800)
+MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -263,11 +280,15 @@ class RunConfig:
             raise ConfigError("initial_data needs either 'form' or 'csv'")
         else:
             _check_form(idata)
+        dt, t_last = fields["pde"]["dt"], fields["t_values"][-1]
         try:
             for t in fields["t_values"]:
-                whole_steps(t, fields["pde"]["dt"])
+                nsteps = whole_steps(t, dt)
         except (ValueError, OverflowError) as exc:  # OverflowError: t / dt is infinite
             raise ConfigError(f"pde.dt: {exc}") from None
+        if nsteps > MAX_STEPS:
+            raise ConfigError(f"pde.dt = {dt!r} takes {nsteps:.7g} steps to t = {t_last!r}; "
+                              f"evolve takes at most MAX_STEPS = {MAX_STEPS}")
         return cls(out_dir=Path(out_dir or "bqist_out"), **fields)
 
     @property

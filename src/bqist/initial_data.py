@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES, ConfigError, NumericalError, read_columns
+from .config import TOLERANCES, ConfigError, NumericalError, is_grid_size, read_columns
 
 #: how a named form sets u1 from u0: u1 = -d/dx u0 (mass-free) or u1 = 0
 U1_MODES = ("minus_du0", "zero")
@@ -22,9 +22,8 @@ class InitialData:
     """Samples of (u0, u1) on a uniform increasing grid from x[0] = -L (the
     named forms use [-L, L]), with v0 = int_-inf^x u1.
 
-    The grid rule lives here, for every constructor: an odd number of points,
-    at least 3, so that the RK4 march can step over pairs of intervals with the
-    odd-index points as midpoints.
+    Every constructor checks the grid rule, config.is_grid_size: an odd number
+    of points, at least 3.
     """
 
     x: np.ndarray
@@ -46,8 +45,8 @@ class InitialData:
 
     @staticmethod
     def check_size(n: int) -> None:
-        """The grid rule: ValueError unless n is odd and at least 3."""
-        if n < 3 or n % 2 == 0:
+        """ValueError unless n meets the grid rule (config.is_grid_size)."""
+        if not is_grid_size(n):
             raise ValueError(f"the x grid needs an odd number, at least 3 points; it has {n}")
 
     def __post_init__(self):

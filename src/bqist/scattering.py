@@ -22,7 +22,7 @@ from .initial_data import InitialData
 # and function as initial_data's, which RunConfig.build_initial_data reads through here
 from .initial_data import NAMED_FORMS, load_csv  # noqa: F401
 from .reflection import ReflectionData
-from .spectral import KAPPA, OMEGA, SQRT3, is_real, phase_values
+from .spectral import KAPPA, OMEGA, SQRT3, is_real, on_unit_circle, phase_values
 from .util import gauss_legendre
 
 DEGENERATE_TOL = 1e-8
@@ -63,8 +63,6 @@ _WHICH = {
     "XA": (-1, True),
 }
 
-ON_CIRCLE = 1e-12  # a batch with every ||k| - 1| <= ON_CIRCLE takes the matmul step
-
 
 def march_batch(data: InitialData, questions) -> list:
     """March every question ``(k, which, cols)`` from +L across the grid with RK4:
@@ -75,15 +73,15 @@ def march_batch(data: InitialData, questions) -> list:
     from the unit circle).  Returns the terminal matrices X(-L) of each
     question, shape (nk, 3, len(cols)).
 
-    The step follows from the batch's k.  If every k lies on the unit circle,
-    where the reflection data are sampled, each question takes the matmul step
-    in a march of its own and keeps its bits: A2 loses about seven digits to
-    cancellation, so a last-bit change there moves it by about 1e-5.  Any other
-    batch is one march of the rank-one step over the lanes of all its
-    questions, which is faster; both run the same RK4 stages on the same grid.
-    Each question keeps the bits of its march alone, except an on-circle one in
-    a batch that mixes in off-circle k: it takes the lane step, not the matmul
-    step.  No caller makes such a batch.  Every march runs in this process.
+    The step follows from the batch's k.  If every k lies on the unit circle
+    (spectral.on_unit_circle), where the reflection data are sampled, each
+    question takes the matmul step in a march of its own and keeps its bits:
+    A2 loses about seven digits to cancellation, so a last-bit change there
+    moves it by about 1e-5.  Any other batch is one march of the rank-one step
+    over the lanes of all its questions, which is faster; both run the same RK4
+    stages on the same grid.  Each question keeps the bits of its march alone,
+    except an on-circle one in a batch that mixes in off-circle k: it takes the
+    lane step, not the matmul step.  No caller makes such a batch.  Every march runs in this process.
     NumericalError naming the system and the first k if a result is not
     finite (the data overflow the march).
     """
@@ -93,7 +91,7 @@ def march_batch(data: InitialData, questions) -> list:
             raise ValueError(f"unknown Volterra system {which!r}")
         qs.append((np.atleast_1d(np.asarray(k, dtype=complex)), which, tuple(cols)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails below
-        if all(np.all(np.abs(np.abs(k) - 1.0) <= ON_CIRCLE) for k, _, _ in qs):
+        if all(np.all(on_unit_circle(k)) for k, _, _ in qs):
             out = [_march_matmul(data, *q) for q in qs]
         else:
             out = _march_lanes(data, qs)
@@ -491,9 +489,9 @@ def search_contours():
 def find_s11_zeros(data: InitialData) -> list:
     """Zeros of s11 in the admissible region, real and nonreal, by contour moments
     inside each of search_contours().  s11 on both contours comes from one march,
-    then one per Newton step.  A zero within 1e-9 of the real axis is real; one
-    in the strip between a contour's lower ray and the real edge is not
-    admissible and is dropped.  residue_constants checks |s11| at each zero
+    then one per Newton step.  A zero within TOLERANCES["real_axis"] of the real
+    axis is real; one in the strip between a contour's lower ray and the real
+    edge is not admissible and is dropped.  residue_constants checks |s11| at each zero
     against TOLERANCES["zero_residual"], from the march it makes there anyway.
     Zero data have s11 = 1 on both contours, which wind zero times: no zeros."""
     s11 = partial(s11_values, data)
@@ -502,7 +500,7 @@ def find_s11_zeros(data: InitialData) -> list:
     cleaned = []
     for (k, w), v in zip(contours, vals):
         for z in _contour_zeros(s11, k, w, v):
-            if abs(z.imag) < 1e-9:
+            if abs(z.imag) < TOLERANCES["real_axis"]:
                 z = complex(z.real, 0.0)
             if _in_admissible_region(z) and all(abs(z - y) > 1e-6 for y in cleaned):
                 cleaned.append(z)
@@ -524,7 +522,8 @@ def residue_constants(data: InitialData, zeros) -> SolitonData:
     """Compact-support residue constants c = -s13/s11' (nonreal), -s12/s11' (real).
 
     NumericalError if the data fail InitialData.validate, if |s11| at a zero
-    exceeds TOLERANCES["zero_residual"] or if s11' there is below 1e-10."""
+    exceeds TOLERANCES["zero_residual"] or if |s11'| there is below
+    TOLERANCES["simple_zero"]."""
     data.validate()
     cs, ds, kept = [], [], []
     for k0 in zeros:
@@ -536,7 +535,7 @@ def residue_constants(data: InitialData, zeros) -> SolitonData:
         if resid > TOLERANCES["zero_residual"]:
             raise NumericalError(f"zero candidate {k0} has residual {resid:.2e}")
         dek = complex((s[1, 0, 0] - s[2, 0, 0]) / (2 * dk))
-        if abs(dek) < 1e-10:
+        if abs(dek) < TOLERANCES["simple_zero"]:
             raise NumericalError(f"zero at {k0} is not numerically simple (|s11'|={abs(dek):.2e})")
         c = -complex(s[0, 0, 1]) / dek
         if abs(c) < 1e-13:
@@ -561,7 +560,8 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
     """Report-style checks of the three standing assumptions.
 
     The genericity margins are heuristic (flagged as such in the report); the
-    mass condition is checked first and is a hard failure.
+    mass condition is checked first and is a hard failure.  Every threshold is
+    an entry of config.TOLERANCES.
     """
     report: dict = {"heuristic_thresholds": True}
     m = abs(data.mass())
@@ -607,12 +607,13 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
             "sA33": sA[2, 1],
         }
         probes[f"k={kstar}, rad={rad}"] = {kk: abs(v) for kk, v in vals.items()}
+    floor, ratio = TOLERANCES["genericity_floor"], TOLERANCES["genericity_ratio"]
     ok2 = True
     for kstar in (1.0, -1.0):
         near, far = (probes[f"k={kstar}, rad=0.005"], probes[f"k={kstar}, rad=0.01"])
         for key in near:
             mag_n, mag_f = near[key], far[key]
-            if mag_n < 1e-6 or not (0.2 < mag_n / max(mag_f, 1e-300) < 5.0):
+            if mag_n < floor or not (1 / ratio < mag_n / max(mag_f, 1e-300) < ratio):
                 ok2 = False
     report["genericity_pm1"] = {"ok": bool(ok2), "probes": probes}
 
@@ -625,7 +626,7 @@ def assumption_validators(data: InitialData, solitons: SolitonData | None = None
             entry = {"k0": k0, "region_ok": inside}
             if is_real(k0):
                 val = nonsingularity_value(k0, c)
-                nonsing = not (abs(val.imag) < 1e-10 and val.real < 0)
+                nonsing = not (abs(val.imag) < TOLERANCES["nonsingularity"] and val.real < 0)
                 entry["nonsingularity"] = nonsing
                 zeros_ok &= nonsing
             zeros_ok &= inside

@@ -46,6 +46,12 @@ def phase_values(k) -> PhaseTriple:
     return PhaseTriple(l=l, z=z)
 
 
+def on_unit_circle(k):
+    """Whether each k lies on the unit circle, as the on-circle march step and
+    the branch logs on their arcs take it: ||k| - 1| <= 1e-12."""
+    return np.abs(np.abs(k) - 1.0) <= 1e-12
+
+
 def is_real(k) -> bool:
     """Whether k is on the real axis, as the formulas for a real zero of s11
     (residue, soliton d, Blaschke factor, admissibility) take it: |Im k| < 1e-12."""

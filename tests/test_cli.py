@@ -147,11 +147,13 @@ def test_tolerances_are_fixed_not_config_fields(tmp_path, monkeypatch):
     res = run_cli("scatter", "--config", str(cfgp), "--out", str(tmp_path / "out"))
     assert res.returncode == 1 and "numerical failure: mass condition violated" in res.stderr
     assert TOLERANCES == {"mass_condition": 1e-9, "tail": 1e-9, "r1_segment": 5e-3,
-                          "zero_residual": 1e-8, "nu_hat_floor": -1e-10}
+                          "zero_residual": 1e-8, "nu_hat_floor": -1e-10,
+                          "genericity_floor": 1e-6, "genericity_ratio": 5.0,
+                          "simple_zero": 1e-10, "nonsingularity": 1e-10, "real_axis": 1e-9}
 
 
 def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soliton_data,
-                                              soliton_zeros, zero_refl):
+                                              soliton_zeros, zero_refl, data_small):
     """Setting an entry of config.TOLERANCES flips the one check that applies it;
     each is loosened in turn, and monkeypatch puts the registry back."""
     # mass_condition: scatter exits 1 before the march, or runs to the end with
@@ -189,6 +191,41 @@ def test_each_tolerance_is_read_by_its_check(tmp_path, monkeypatch, capsys, soli
         sc.residue_constants(soliton_data, near)
     monkeypatch.setitem(TOLERANCES, "zero_residual", 1.0)
     assert len(sc.residue_constants(soliton_data, near).c) == 1
+    # simple_zero: |s11'| at the soliton's zero is 0.39
+    sc.residue_constants(soliton_data, soliton_zeros)
+    monkeypatch.setitem(TOLERANCES, "simple_zero", 1.0)
+    with pytest.raises(NumericalError, match="not numerically simple"):
+        sc.residue_constants(soliton_data, soliton_zeros)
+    # genericity_floor and genericity_ratio: validators.json's genericity_pm1 on data
+    # that pass it; the floor above the smallest near-+-1 entry, or a window (1/r, r)
+    # narrower than the widest near/far ratio, fails it
+    rep = sc.assumption_validators(data_small)
+    assert rep["genericity_pm1"]["ok"]
+    probes = rep["genericity_pm1"]["probes"]
+    pairs = [(probes[f"k={kstar}, rad=0.005"][key], probes[f"k={kstar}, rad=0.01"][key])
+             for kstar in (1.0, -1.0) for key in probes[f"k={kstar}, rad=0.005"]]
+    smallest = min(near for near, _ in pairs)
+    widest = max(max(near / far, far / near) for near, far in pairs)
+    for name, value in (("genericity_floor", 2 * smallest), ("genericity_ratio", widest / 1.01)):
+        with monkeypatch.context() as patch:
+            patch.setitem(TOLERANCES, name, value)
+            assert not sc.assumption_validators(data_small)["genericity_pm1"]["ok"], name
+    # nonsingularity: a real zero whose nonsingularity value lies 1e-9 above the
+    # negative real axis, outside the margin and then inside it
+    k0 = 2.0 + 0j
+    c = (-1.0 + 1e-9j) / sc.nonsingularity_value(k0, 1.0)
+    sol = sc.SolitonData(zeros=[k0], c=[c], d=[None])
+    for margin, ok in ((1e-10, True), (1e-8, False)):
+        monkeypatch.setitem(TOLERANCES, "nonsingularity", margin)
+        check = sc.assumption_validators(data_small, solitons=sol)["soliton_set"]
+        assert (check["ok"], check["zeros"][0]["nonsingularity"]) == (ok, ok)
+    # real_axis: an s11 with one zero 5e-10 off the real axis, found real or not
+    z0 = 2.0 + 5e-10j
+    monkeypatch.setattr(sc, "s11_values", lambda data, k: np.asarray(k, dtype=complex) - z0)
+    for tol, zero in ((1e-9, 2.0 + 0j), (1e-10, z0)):
+        monkeypatch.setitem(TOLERANCES, "real_axis", tol)
+        found = sc.find_s11_zeros(data_small)
+        assert len(found) == 1 and abs(found[0] - zero) < 1e-14, (tol, found)
     # nu_hat_floor: zero data have nu-hat 0, below a floor of 1
     cf = cy.CircleFunctions(zero_refl)
     asy.build_ingredients(0.75, cf)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqist import cli
-from bqist.config import FMT, SPEC, RunConfig, read_columns, write_columns
+from bqist.config import FMT, MAX_STEPS, SPEC, RunConfig, read_columns, write_columns
 from bqist.reflection import ReflectionData
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,7 +73,7 @@ LEAVES = {**{key: field for key, field in SPEC.items() if not isinstance(field, 
 FAILING = {"initial_data.width": 0, "initial_data.L": -20.0, "initial_data.n": 512, "n_per_arc": 7,
            "zeta_window": [0.5, 0.9], "n_zeta": 0,
            "t_values": [60.0, 60.0], "solitons.mode": "explicit", "pde.L": -1.0,
-           "pde.n": 8192, "pde.cutoff": 1.0}
+           "pde.n": 8192, "pde.dt": -0.1, "pde.cutoff": 1.0}
 
 
 def config_with(path, name, value):
@@ -105,6 +105,27 @@ def test_every_field_names_itself_when_it_fails(tmp_path, capsys):
             cfgp = config_with(tmp_path / "c.json", name, value)
             assert cli.main(["scatter", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
             assert message in capsys.readouterr().err, (name, value)
+
+
+def test_a_step_count_above_the_cap_exits_2_in_every_stage(tmp_path, capsys):
+    """A positive pde.dt that divides every t but takes more than MAX_STEPS steps
+    to the last one exits 2 when the config loads, naming pde.dt and the count:
+    evolve would otherwise start a loop of 6e301 steps."""
+    raw = {"initial_data": {"form": "gaussian_bl", "amplitude": 0.01, "width": 2.0,
+                            "u1_mode": "zero", "L": 60.0, "n": 2049},
+           "n_zeta": 3, "t_values": [60.0], "pde": {"L": 380.0, "n": 4097, "dt": 1e-300}}
+    cfgp = tmp_path / "c.json"
+    for dt, steps in ((1e-300, "6e+301"), (60.0 / (MAX_STEPS + 1), f"{MAX_STEPS + 1}")):
+        raw["pde"]["dt"] = dt
+        cfgp.write_text(json.dumps(raw))
+        for stage in ("scatter", "asym", "evolve", "compare"):
+            assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert f"pde.dt = {dt!r} takes {steps} steps to t = 60.0" in err, (stage, err)
+    assert not (tmp_path / "out").exists()
+    raw["pde"]["dt"] = 60.0 / MAX_STEPS
+    cfgp.write_text(json.dumps(raw))
+    assert RunConfig.load(cfgp).pde["dt"] == 60.0 / MAX_STEPS
 
 
 #: the floats at the edges of the format: signed zero, subnormals, the largest
