@@ -16,10 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .config import TOLERANCES, NumericalError
+from .config import SPEC, TOLERANCES, NumericalError
 from .initial_data import InitialData
 # the names perfbench/trace_stage.py wraps and perfbench/run.py calls; the same table
-# and function as initial_data's, which RunConfig.build_initial_data reads through here
+# and function as initial_data's.  RunConfig.build_initial_data reads the table from
+# initial_data, which the tracer wraps in place, and load_csv through here
 from .initial_data import NAMED_FORMS, load_csv  # noqa: F401
 from .reflection import ReflectionData
 from .spectral import KAPPA, OMEGA, SQRT3, is_real, on_unit_circle, phase_values
@@ -102,26 +103,21 @@ def march_batch(data: InitialData, questions) -> list:
     return out
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where the OS does not say (non-Linux)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _in_two_processes(first, second):
     """(first(), second()): ``first`` in a forked child, which pickles its
     result or exception into a pipe and always leaves by os._exit, and
     ``second`` here.  A child's exception is raised here again; if
-    ``second`` raises, the child is killed and reaped.  With one CPU, a
-    second Python thread (fork is unsafe then) or an OSError from os.pipe or
-    os.fork (EMFILE, EAGAIN) both run here, ``first`` first.
+    ``second`` raises, the child is killed and reaped.  With a second Python
+    thread (fork is unsafe then) or an OSError from os.pipe or os.fork
+    (EMFILE, EAGAIN) both run here, ``first`` first.
     Threads were slower: each on-circle march is a long chain of microsecond
     BLAS calls, which contend in OpenBLAS.
 
     Two call sites: scattering_data runs the off-circle branch in a child and
     reflection_coefficients here, and reflection_coefficients runs its X
     reflection_ratio in a child and XA here.  So scatter has three processes
-    on two CPUs; no child forks, since neither ``first`` calls this."""
-    if _cpu_count() < 2 or threading.active_count() > 1:
+    on any number of CPUs; no child forks, since neither ``first`` calls this."""
+    if threading.active_count() > 1:
         return first(), second()
     fds = ()
     try:
@@ -356,7 +352,8 @@ def _ratio_values(data, k, which, X):
     return np.where(np.abs(s11) < 1e-12, np.nan + 0j, ratio), s11
 
 
-def reflection_coefficients(data: InitialData, n_per_arc: int = 56) -> ReflectionData:
+def reflection_coefficients(data: InitialData,
+                            n_per_arc: int = SPEC["n_per_arc"].default) -> ReflectionData:
     """Sample the reflection data at ReflectionData.nodes(n_per_arc): the X and
     XA reflection_ratio calls run in two processes (_in_two_processes)."""
     k = np.exp(1j * ReflectionData.nodes(n_per_arc))
@@ -663,8 +660,8 @@ def scattering_data(data: InitialData, n_per_arc: int,
                     detect: bool) -> tuple[ReflectionData, SolitonData, dict]:
     """(ReflectionData, SolitonData, validator report) of ``data``.  The
     off-circle branch needs no reflection table, so it runs in a forked child
-    while reflection_coefficients runs here (_in_two_processes); with one CPU
-    it runs first.  An exception from either is raised here."""
+    while reflection_coefficients runs here (_in_two_processes).  An exception
+    from either is raised here."""
     (sol, report), refl = _in_two_processes(partial(_off_circle, data, detect),
                                             partial(reflection_coefficients, data, n_per_arc))
     report["circle_identity_residual"] = refl.circle_identity_residual()  # never sets "ok"

@@ -534,6 +534,45 @@ def test_asym_leaves_scattering_unloaded(small_run, tmp_path):
     assert (run / "asymptotics.csv").read_bytes() == (out / "asymptotics.csv").read_bytes()
 
 
+def test_evolve_leaves_scattering_unloaded(tmp_path):
+    """evolve builds a named form from bqist.initial_data's table, so a fresh
+    interpreter runs it without importing scattering or reflection, and writes
+    the bytes of a run in this process, where both are loaded."""
+    cfgp = write_config(tmp_path / "c.json",
+                        initial_data={"form": "gaussian", "amplitude": 0.1, "width": 2.0,
+                                      "L": 20.0, "n": 513}, pde={"L": 80.0, "n": 257})
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert run_cli("evolve", "--config", str(cfgp), "--out", str(here)).returncode == 0
+    code = ("import sys; from bqist import cli; "
+            f"rc = cli.main(['evolve', '--config', {str(cfgp)!r}, '--out', {str(fresh)!r}]); "
+            "print(rc, 'bqist.scattering' in sys.modules, 'bqist.reflection' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False False"
+    for name in ("evolution_t60.csv", "spectrum_t60.csv"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+def test_degenerate_named_forms_print_only_their_reason(tmp_path):
+    """A named form whose samples overflow prints no RuntimeWarning, only the
+    reason it exits with: width 1e-300 makes u1 non-finite (exit 2), and
+    L = 1e300 gives finite samples on which the XA march overflows (exit 1)."""
+    cases = [({"form": "gaussian", "amplitude": 0.01, "width": 1e-300}, 2,
+              "config error: bad parameters for form 'gaussian': "
+              "InitialData u1 has non-finite values\n"),
+             ({"form": "gaussian_bl", "amplitude": 0.01, "width": 2.0, "L": 1e300, "n": 513}, 1,
+              "numerical failure: the XA march is not finite at k = ")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for idata, code, reason in cases:
+        cfgp = write_config(tmp_path / "c.json", initial_data=idata, n_per_arc=8)
+        res = subprocess.run([sys.executable, "-m", "bqist.cli", "scatter", "--config",
+                              str(cfgp), "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == code, res.stderr
+        assert res.stderr.startswith(reason) and res.stderr.count("\n") == 1, res.stderr
+
+
 def test_a_non_finite_cell_read_back_exits_2(tmp_path, capsys):
     """A nan or inf cell in a file that one stage wrote and the next reads back
     exits 2 naming the file, the column and the stage to rerun.  read_columns

@@ -11,11 +11,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqist import cli
-from bqist.config import FMT, MAX_STEPS, SPEC, RunConfig, read_columns, write_columns
+from bqist.config import (FMT, MAX_GRID, MAX_N_PER_ARC, MAX_N_ZETA, MAX_STEPS, SPEC, RunConfig,
+                          read_columns, write_columns)
 from bqist.reflection import ReflectionData
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +128,33 @@ def test_a_step_count_above_the_cap_exits_2_in_every_stage(tmp_path, capsys):
     raw["pde"]["dt"] = 60.0 / MAX_STEPS
     cfgp.write_text(json.dumps(raw))
     assert RunConfig.load(cfgp).pde["dt"] == 60.0 / MAX_STEPS
+
+
+#: the cap of each count field
+CAPS = {"initial_data.n": MAX_GRID, "pde.n": MAX_GRID, "n_per_arc": MAX_N_PER_ARC,
+        "n_zeta": MAX_N_ZETA}
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_a_count_above_its_cap_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, name):
+    """A count one above its cap exits 2 when the config loads, naming the field,
+    and no stage builds its grid; the largest value under the cap (odd, for a
+    grid) loads.  n = 1000000001 would otherwise ask for 8 GB per array."""
+    cap = CAPS[name]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(RunConfig, "build_initial_data", unbuilt)
+    cfgp = config_with(tmp_path / "c.json", name, cap + 1)
+    for stage in ("scatter", "asym", "evolve", "compare"):
+        assert cli.main([stage, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+        assert f"{name} must be" in capsys.readouterr().err, stage
+    assert not (tmp_path / "out").exists()
+    largest = cap - 1 if name.endswith(".n") else cap
+    cfg = RunConfig.load(config_with(tmp_path / "c.json", name, largest))
+    block, _, key = name.rpartition(".")
+    assert (getattr(cfg, block)[key] if block else getattr(cfg, key)) == largest
 
 
 #: the floats at the edges of the format: signed zero, subnormals, the largest

@@ -1,8 +1,12 @@
+import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,8 +340,23 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def in_this_process(monkeypatch):
+    """A context manager inside which _in_two_processes calls ``first``, then
+    ``second``, in this process: nothing forks and every march is seen here.
+    The one-process references of the fork tests are computed inside it."""
+
+    @contextlib.contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            patch.setattr(sc, "_in_two_processes", lambda first, second: (first(), second()))
+            yield
+
+    return swapped
+
+
 def counted_forks(monkeypatch):
-    """List that gains this process's pid per os.fork from now on, with two CPUs."""
+    """List that gains this process's pid per os.fork from now on."""
     forks = []
     fork = os.fork
 
@@ -345,16 +364,15 @@ def counted_forks(monkeypatch):
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc.os, "fork", counting_fork)
     return forks
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra):
-    """With two CPUs the helper marches the X batch in a forked child and the
-    XA batch here; each comes back writeable and equal to the one-process
-    march, and the child is reaped.  A third question joins the child's run."""
+    """The helper marches the X batch in a forked child and the XA batch here;
+    each comes back writeable and equal to the one-process march, and the
+    child is reaped.  A third question joins the child's run."""
     x, xa = circle_questions()
     child_qs = [x] + [(x[0][:3], "X", (1,))] * extra
     alone = sc.march_batch(data_small, child_qs), sc.march_batch(data_small, [xa])
@@ -371,12 +389,13 @@ def test_circle_batch_in_two_processes_keeps_bits(data_small, monkeypatch, extra
 
 
 @pytest.mark.parametrize("thread", [False, True], ids=["one_thread", "two_threads"])
-def test_reflection_marches_in_two_processes_keep_bits(data_small, monkeypatch, thread):
-    """With two CPUs the X march runs in a forked child and XA here, and every
-    array equals the one-CPU run's.  A second live Python thread keeps both
-    marches here: nothing forks."""
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    alone = reflection_arrays(data_small)
+def test_reflection_marches_in_two_processes_keep_bits(data_small, monkeypatch, thread,
+                                                       in_this_process):
+    """The X march runs in a forked child and XA here, and every array equals
+    the one-process run's.  A second live Python thread keeps both marches
+    here: nothing forks."""
+    with in_this_process():
+        alone = reflection_arrays(data_small)
     forks = counted_forks(monkeypatch)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -404,7 +423,6 @@ def test_reflection_raises_the_failing_march(data_small, monkeypatch, failing):
             raise ArithmeticError(f"{which} march failed")
         return matmul(data, k, which, cols)
 
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc, "_march_matmul", failing_matmul)
     with pytest.raises(ArithmeticError, match=f"^{failing} march failed$"):
         sc.reflection_coefficients(data_small, n_per_arc=8)
@@ -421,7 +439,6 @@ def test_reflection_reports_a_child_that_dies(data_small, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return matmul(data, k, which, cols)
 
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc, "_march_matmul", dying_matmul)
     with pytest.raises(RuntimeError, match=f"ended with status {-signal.SIGKILL}$"):
         sc.reflection_coefficients(data_small, n_per_arc=8)
@@ -699,10 +716,9 @@ def test_zero_persists_under_perturbation(soliton_data, soliton_zeros):
 def counted_marches(monkeypatch):
     """List that gains one entry per march from now on, of the matmul step or
     of the lane step (march_volterra and march_batch reach both): the systems
-    of the questions it marches.  One CPU is pinned, so every march runs in
-    this process and is counted here."""
+    of the questions it marches.  A march in a forked child is not counted:
+    run a call that forks inside in_this_process."""
     calls = []
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
     matmul, lanes = sc._march_matmul, sc._march_lanes
 
     def counting_matmul(data, k, which, cols):
@@ -777,22 +793,24 @@ def soliton_config(soliton_data, tmp_path, **fields):
     return RunConfig.load(tmp_path / "run.json", out_dir=tmp_path / "out")
 
 
-def test_scatter_marches(soliton_data, tmp_path, monkeypatch):
+def test_scatter_marches(soliton_data, tmp_path, monkeypatch, in_this_process):
     """The whole scatter stage on criterion-8 data, as CSV input with zero
-    detection: with one CPU the off-circle branch first (the contours, two
-    Newton steps, the residues and the validators), then X and XA on the circle."""
+    detection, run in one process: the off-circle branch first (the contours,
+    two Newton steps, the residues and the validators), then X and XA on the circle."""
     cfg = soliton_config(soliton_data, tmp_path)
     calls = counted_marches(monkeypatch)
-    assert cli.cmd_scatter(cfg) == 0
+    with in_this_process():
+        assert cli.cmd_scatter(cfg) == 0
     assert calls == [("X",)] * 4 + [("X", "X", "XA")] + [("X",), ("XA",)]
     assert len(json.loads((tmp_path / "out" / "solitons.json").read_text())["zeros"]) == 1
 
 
-def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypatch):
-    """With two CPUs the off-circle branch and the X march each run in a
-    forked child, two forks in all, and every output equals the one-CPU run's."""
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
+def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypatch,
+                                                          in_this_process):
+    """The off-circle branch and the X march each run in a forked child, two
+    forks in all, and every output equals the one-process run's."""
+    with in_this_process():
+        refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
     forks = counted_forks(monkeypatch)
     refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True)
     assert forks == [os.getpid()] * 2
@@ -804,15 +822,15 @@ def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypa
     assert_no_child_left()
 
 
-def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
-    """With two CPUs but an os.fork that raises (EAGAIN at a process limit),
-    both branches run here: scattering_data equals the one-CPU run, each
-    pipe is closed, and scatter exits 0 with the one-CPU run's bytes."""
+def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch, in_this_process):
+    """With an os.fork that raises (EAGAIN at a process limit), both branches
+    run here: scattering_data equals the one-process run, each pipe is
+    closed, and scatter exits 0 with the one-process run's bytes."""
     cfg = soliton_config(soliton_data, tmp_path, n_per_arc=8)
     argv = ["scatter", "--config", str(tmp_path / "run.json"), "--out"]
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
-    assert cli.main(argv + [str(tmp_path / "one_cpu")]) == 0
+    with in_this_process():
+        refl1, sol1, report1 = sc.scattering_data(soliton_data, 8, True)
+        assert cli.main(argv + [str(tmp_path / "one_process")]) == 0
     pipes, pipe = [], os.pipe
 
     def recorded_pipe():
@@ -822,7 +840,6 @@ def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
     def failing_fork():
         raise BlockingIOError("fork: Resource temporarily unavailable")
 
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sc.os, "pipe", recorded_pipe)
     monkeypatch.setattr(sc.os, "fork", failing_fork)
     refl2, sol2, report2 = sc.scattering_data(soliton_data, 8, True)
@@ -835,21 +852,34 @@ def test_failed_fork_runs_both_here(soliton_data, tmp_path, monkeypatch):
     assert (sol2.zeros, sol2.c, sol2.d, report2) == (sol1.zeros, sol1.c, sol1.d, report1)
     assert cli.main(argv + [str(cfg.out_dir)]) == 0
     for name in ("reflection.csv", "solitons.json", "validators.json"):
-        assert (cfg.out_dir / name).read_bytes() == (tmp_path / "one_cpu" / name).read_bytes()
+        assert (cfg.out_dir / name).read_bytes() == (tmp_path / "one_process" / name).read_bytes()
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+def test_scatter_pinned_to_one_cpu_writes_the_same_bytes(soliton_data, tmp_path):
+    """scatter forks on any number of CPUs: a run in a child process that pins
+    itself to one CPU exits 0 and writes the bytes of an unpinned run."""
+    soliton_config(soliton_data, tmp_path, n_per_arc=8)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cpu = min(os.sched_getaffinity(0))
+    for out, pin in (("unpinned", None), ("pinned", lambda: os.sched_setaffinity(0, {cpu}))):
+        res = subprocess.run([sys.executable, "-m", "bqist.cli", "scatter", "--config",
+                              str(tmp_path / "run.json"), "--out", str(tmp_path / out)],
+                             capture_output=True, text=True, env=env, preexec_fn=pin)
+        assert res.returncode == 0, res.stderr
+    for name in ("reflection.csv", "solitons.json", "validators.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() == \
+            (tmp_path / "unpinned" / name).read_bytes()
+
+
 def test_scatter_off_circle_failure_writes_nothing(soliton_data, tmp_path, monkeypatch,
-                                                   capsys, cpus):
+                                                   capsys, in_this_process):
     """A residue that fails its check in the off-circle branch is raised with
-    its type and message, at one CPU and from the child at two, which inherits
-    the tightened TOLERANCES; scatter then exits 1 and writes no file."""
+    its type and message, from the child as in one process: the child
+    inherits the tightened TOLERANCES.  scatter then exits 1 and writes no file."""
     monkeypatch.setitem(TOLERANCES, "zero_residual", 1e-30)
-    monkeypatch.setattr(sc, "_cpu_count", lambda: 1)
-    with pytest.raises(NumericalError, match="has residual") as alone:
+    with in_this_process(), pytest.raises(NumericalError, match="has residual") as alone:
         sc.scattering_data(soliton_data, 8, True)
-    monkeypatch.setattr(sc, "_cpu_count", lambda: cpus)
     with pytest.raises(NumericalError) as raised:
         sc.scattering_data(soliton_data, 8, True)
     assert type(raised.value) is NumericalError and str(raised.value) == str(alone.value)
