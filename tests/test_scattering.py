@@ -872,14 +872,22 @@ def test_scatter_pinned_to_one_cpu_writes_the_same_bytes(soliton_data, tmp_path)
             (tmp_path / "unpinned" / name).read_bytes()
 
 
+@pytest.mark.parametrize("processes", [1, 2])
 def test_scatter_off_circle_failure_writes_nothing(soliton_data, tmp_path, monkeypatch,
-                                                   capsys, in_this_process):
+                                                   capsys, in_this_process, processes):
     """A residue that fails its check in the off-circle branch is raised with
-    its type and message, from the child as in one process: the child
-    inherits the tightened TOLERANCES.  scatter then exits 1 and writes no file."""
+    its type and message, from the child (two processes, which inherit the
+    tightened TOLERANCES) as in one process, where a failing os.fork sends
+    _in_two_processes down its serial path.  scatter then exits 1 and writes
+    no file."""
     monkeypatch.setitem(TOLERANCES, "zero_residual", 1e-30)
     with in_this_process(), pytest.raises(NumericalError, match="has residual") as alone:
         sc.scattering_data(soliton_data, 8, True)
+    if processes == 1:
+        def failing_fork():
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+
+        monkeypatch.setattr(sc.os, "fork", failing_fork)
     with pytest.raises(NumericalError) as raised:
         sc.scattering_data(soliton_data, 8, True)
     assert type(raised.value) is NumericalError and str(raised.value) == str(alone.value)
