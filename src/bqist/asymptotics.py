@@ -25,7 +25,6 @@ import numpy as np
 from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, SectorArcs
 from .config import TOLERANCES, NumericalError
-from .gammafn import arg_gamma
 from .spectral import OMEGA, SQRT3, is_real, phi
 
 NU_TINY = 1e-13
@@ -169,13 +168,12 @@ def q_values(arcs: SectorArcs, refl) -> QValues:
         "q5": OMEGA * sad.k2,
         "q6": 1 / sad.k2,
     }
+    r1 = refl.r1_at(np.angle(list(pts.values())))
     vals = {}
-    for name, p in pts.items():
-        th = float(np.angle(p))
+    for (name, p), r1v in zip(pts.items(), r1):
         rt = complex(rtilde(p))
         if abs(rt.imag) > 1e-9 * max(1.0, abs(rt)):
             raise NumericalError(f"rtilde not real at {name} point {p}")
-        r1v = complex(refl.r1_at(th))
         if name in ("q1", "q2"):
             if rt.real <= 0:
                 raise NumericalError(f"rtilde({name}) = {rt.real} must be positive")
@@ -292,6 +290,25 @@ def d_coefficients(ing: SectorIngredients, t: float) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
+#: Lanczos coefficients for g = 7
+_LANCZOS = np.array([0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+                     771.32342877765313, -176.61502916214059, 12.507343278686905,
+                     -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7])
+
+
+def arg_gamma_i(nu: float) -> float:
+    """arg Gamma(i nu) for nu > 0, continuous from -pi/2 as nu -> 0.
+
+    Gamma(1 + z) = z Gamma(z) makes it Im log Gamma(1 + i nu) - pi/2, and log Gamma(1 + i nu)
+    is the Lanczos sum less its real term ln(2 pi) / 2."""
+    z = 1j * nu
+    x = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        x += _LANCZOS[i] / (z + i)
+    t = z + 7.5
+    return float(((z + 0.5) * np.log(t) - t + np.log(x)).imag - np.pi / 2)
+
+
 @dataclass(frozen=True)
 class AsymptoticEvaluation:
     x: float
@@ -323,7 +340,7 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
     if hat1 > NU_TINY:
         a1c = 4 * SQRT3 * np.sqrt(hat1) * sad.k4.imag * np.sin(ing.arcs.a4) / (
             den1.real * np.sqrt(rt1))
-        alpha1 = (3 * np.pi / 4 + np.angle(ing.q.q3) + arg_gamma(1j * hat1)
+        alpha1 = (3 * np.pi / 4 + np.angle(ing.q.q3) + arg_gamma_i(hat1)
                   + np.angle(d10) + np.angle(ing.P_ratio1) - t * ing.im_phi31)
     else:
         a1c = 0.0
@@ -332,7 +349,7 @@ def u_asym(ing: SectorIngredients, t: float) -> AsymptoticEvaluation:
     if hat2 > NU_TINY:
         a2c = -4 * SQRT3 * np.sqrt(hat2) * np.sqrt(rt2) * sad.k2.imag * np.sin(
             ing.arcs.a2) / den2.real
-        alpha2 = (3 * np.pi / 4 - np.angle(comb) + arg_gamma(1j * hat2)
+        alpha2 = (3 * np.pi / 4 - np.angle(comb) + arg_gamma_i(hat2)
                   + np.angle(d20) + np.angle(ing.P_ratio2) - t * ing.im_phi32)
     else:
         a2c = 0.0

@@ -2,9 +2,9 @@
 product identities criterion 5 and tests/test_asymptotics.py check."""
 
 import numpy as np
+from scipy.special import loggamma
 
 from bqist.config import NumericalError
-from bqist.gammafn import log_gamma
 
 
 def model_beta(which: int, *qs) -> tuple[complex, complex]:
@@ -29,9 +29,9 @@ def model_beta(which: int, *qs) -> tuple[complex, complex]:
             return 0.0 + 0.0j, 0.0 + 0.0j
         den = np.expm1(2 * np.pi * hat)
         b12 = root * np.exp(3 * np.pi * hat / 2) * np.exp(2 * np.pi * nu1) * q3 / (
-            den * np.exp(log_gamma(-1j * hat)))
+            den * np.exp(loggamma(-1j * hat)))
         b21 = rootc * np.exp(3 * np.pi * hat / 2) * np.conj(q3) / (
-            den * np.exp(log_gamma(1j * hat)))
+            den * np.exp(loggamma(1j * hat)))
         return complex(b12), complex(b21)
     if which == 2:
         q2, q4, q5, q6 = (complex(q) for q in qs)
@@ -51,8 +51,8 @@ def model_beta(which: int, *qs) -> tuple[complex, complex]:
             return 0.0 + 0.0j, 0.0 + 0.0j
         den = np.exp(np.pi * hat) - np.exp(-np.pi * hat)
         b12 = root * np.exp(np.pi * hat / 2) * np.exp(2 * np.pi * (nu4 - nu2)) * (
-            np.conj(q6) - np.conj(q2) * np.conj(q5)) / (den * np.exp(log_gamma(-1j * hat)))
+            np.conj(q6) - np.conj(q2) * np.conj(q5)) / (den * np.exp(loggamma(-1j * hat)))
         b21 = rootc * np.exp(np.pi * hat / 2) * np.exp(2 * np.pi * nu2) * (
-            q6 - q2 * q5) / (den * np.exp(log_gamma(1j * hat)))
+            q6 - q2 * q5) / (den * np.exp(loggamma(1j * hat)))
         return complex(b12), complex(b21)
     raise ValueError("which must be 1 or 2")

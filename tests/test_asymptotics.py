@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from model_problem import model_beta
+from scipy.special import loggamma
 
 from bqist import asymptotics as asy
 from bqist import cauchy as cy
@@ -204,6 +205,16 @@ def test_d_zero_data(zero_refl):
 # ---------------------------------------------------------------------------
 # amplitudes, phases, u
 # ---------------------------------------------------------------------------
+
+
+def test_arg_gamma_i_against_scipy():
+    for nu in np.geomspace(1e-12, 5.0, 400):
+        assert abs(asy.arg_gamma_i(nu) - loggamma(1j * nu).imag) <= 1e-13
+
+
+def test_arg_gamma_i_near_zero():
+    # Gamma(i nu) ~ 1/(i nu): argument approaches -pi/2 from above
+    assert abs(asy.arg_gamma_i(1e-8) + np.pi / 2) < 1e-6
 
 
 def test_amplitudes_t_independent(ing):
