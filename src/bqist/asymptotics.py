@@ -25,7 +25,7 @@ import numpy as np
 from . import cauchy as cy
 from .cauchy import CircleFunctions, NuBundle, SectorArcs
 from .config import TOLERANCES, NumericalError
-from .spectral import OMEGA, SQRT3, is_real, phi
+from .spectral import OMEGA, SQRT3, phi
 
 NU_TINY = 1e-13
 
@@ -42,7 +42,8 @@ def rtilde(k) -> complex:
 
 
 def blaschke_P(k, zeros: list | None) -> complex:
-    """Product over the right-moving soliton zeros; identically 1 for none."""
+    """Product over the right-moving soliton zeros; identically 1 for none.  A real
+    zero takes the conjugate-pair factor too: its (k - k0)(k - 1/k0) cancels."""
     k = complex(k)
     out = 1.0 + 0.0j
     w = OMEGA
@@ -50,13 +51,9 @@ def blaschke_P(k, zeros: list | None) -> complex:
         k0 = complex(k0)
         if k0.real <= 0:
             continue  # left movers do not enter
-        if is_real(k0):
-            num = (k - w**2 * k0) * (k - w / k0)
-            den = (k - w * k0) * (k - w**2 / k0)
-        else:
-            kb = np.conj(k0)
-            num = (k - k0) * (k - 1 / k0) * (k - w**2 * kb) * (k - w / kb)
-            den = (k - kb) * (k - 1 / kb) * (k - w * k0) * (k - w**2 / k0)
+        kb = np.conj(k0)
+        num = (k - k0) * (k - 1 / k0) * (k - w**2 * kb) * (k - w / kb)
+        den = (k - kb) * (k - 1 / kb) * (k - w * k0) * (k - w**2 / k0)
         if den == 0:
             raise NumericalError(f"blaschke_P: pole at k = {k}")
         out *= num / den

@@ -95,14 +95,13 @@ class ReflectionData:
                 panels[key].append(ChebPanel(-h, h, coeffs))
         return panels
 
-    def _eval_weighted(self, key, th):
-        """Weighted entry at angles th in [0, 2 pi): bridge 6 + j on the angle
-        from kappa_j within BRIDGE_USE of it, else the arc fit on theta.
-
-        The weight differs between the two, but numerator and denominator of
-        any reflection ratio take the same panel at the same angle, so the
-        weights cancel in _ratio.
-        """
+    def _ratio(self, theta, num, den):
+        """num / den at the angles theta (a scalar for a scalar, an array of theta's
+        length for a 1-d array) from one panel lookup: bridge 6 + j on the angle from
+        kappa_j within BRIDGE_USE of it, else the arc fit on theta.  The two kinds'
+        weights differ, but num and den take the same panel, so the weights cancel."""
+        theta = np.asarray(theta, dtype=float)
+        th = np.mod(np.atleast_1d(theta), 2 * np.pi)
         dk = (th[:, None] - ARC_EDGES[None, :6] + np.pi) % (2 * np.pi) - np.pi
         jmin = np.argmin(np.abs(dk), axis=1)
         dmin = dk[np.arange(len(th)), jmin]
@@ -112,15 +111,7 @@ class ReflectionData:
         out = np.empty(th.shape, dtype=complex)
         for p in np.unique(panel):
             sel = panel == p
-            out[sel] = self._panels[key][p](x[sel])
-        return out
-
-    def _ratio(self, theta, num, den):
-        """num / den at the angles theta: a scalar for a scalar, an array of
-        theta's length for a 1-d array (length 1 included)."""
-        theta = np.asarray(theta, dtype=float)
-        th = np.mod(np.atleast_1d(theta), 2 * np.pi)
-        out = self._eval_weighted(num, th) / self._eval_weighted(den, th)
+            out[sel] = self._panels[num][p](x[sel]) / self._panels[den][p](x[sel])
         return out[0] if theta.ndim == 0 else out
 
     def r1_at(self, theta):

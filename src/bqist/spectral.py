@@ -54,7 +54,7 @@ def on_unit_circle(k):
 
 def is_real(k) -> bool:
     """Whether k is on the real axis, as the formulas for a real zero of s11
-    (residue, soliton d, Blaschke factor, admissibility) take it: |Im k| < 1e-12."""
+    (residue, soliton d, admissibility) take it: |Im k| < 1e-12."""
     return abs(complex(k).imag) < 1e-12
 
 

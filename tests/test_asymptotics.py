@@ -52,6 +52,38 @@ def test_blaschke_left_movers_ignored():
     assert asy.blaschke_P(k, [-0.8 - 0.2j]) == 1.0
 
 
+def _two_branch_blaschke_P(k, zeros):
+    """The Blaschke product with a two-factor branch for real zeros: the rule
+    blaschke_P had before it took the conjugate-pair factor for every zero."""
+    k, out, w = complex(k), 1.0 + 0.0j, OMEGA
+    for k0 in map(complex, zeros):
+        if k0.real <= 0:
+            continue
+        if abs(k0.imag) < 1e-12:
+            num = (k - w**2 * k0) * (k - w / k0)
+            den = (k - w * k0) * (k - w**2 / k0)
+        else:
+            kb = np.conj(k0)
+            num = (k - k0) * (k - 1 / k0) * (k - w**2 * kb) * (k - w / kb)
+            den = (k - kb) * (k - 1 / kb) * (k - w * k0) * (k - w**2 / k0)
+        out *= num / den
+    return out
+
+
+def test_blaschke_one_factor_matches_two_branch_rule():
+    """A real zero's conjugate-pair factor is the two-factor one, to roundoff,
+    on the unit circle, where blaschke_P is read; a nonreal zero's is the very
+    same expression, so its bits agree."""
+    ks = np.exp(1j * np.linspace(0.01, 2 * np.pi - 0.01, 200))
+    for k0 in np.linspace(1.01, 3.99, 25):
+        new = np.array([asy.blaschke_P(k, [k0]) for k in ks])
+        ref = np.array([_two_branch_blaschke_P(k, [k0]) for k in ks])
+        assert np.max(np.abs(new - ref) / np.abs(ref)) < 1e-14, k0
+    for k0 in (1.8 + 0.25j, 1.2 - 0.6j, 3.0 + 1e-6j):
+        new = [asy.blaschke_P(k, [k0]) for k in ks]
+        assert new == [_two_branch_blaschke_P(k, [k0]) for k in ks], k0
+
+
 def test_blaschke_pole_error():
     with pytest.raises(NumericalError, match="blaschke_P: pole"):
         asy.blaschke_P(OMEGA * 1.5, [1.5])

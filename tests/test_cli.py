@@ -16,6 +16,7 @@ from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import (FMT, TOLERANCES, ConfigError, NumericalError, RunConfig,
                           read_columns, write_columns)
+from bqist.spectral import OMEGA
 
 
 def run_cli(*args):
@@ -709,6 +710,36 @@ def test_pipeline_deterministic_and_left_soliton_invariant(small_run, tmp_path):
     sol_path.write_text(sol_text)
     assert res.returncode == 0, res.stderr
     assert (out / "asymptotics.csv").read_bytes() == first
+
+
+def test_right_soliton_moves_only_the_phases(small_run):
+    """A real and a nonreal right-moving zero in solitons.json leave A1 and A2
+    bit for bit and move alpha1 and alpha2 by the arguments of their Blaschke
+    ratios, P(w k4)/P(w2 k4) and P(w2 k2)/P(w k2), at each zeta's saddle images."""
+    cfgp, out = small_run
+    first = read_columns(out / "asymptotics.csv", cli.ASYMPTOTICS_HEADER)
+    zeros = [1.5, 1.8 + 0.25j]
+    sol_path = out / "solitons.json"
+    sol_text = sol_path.read_text()
+    sol_path.write_text(json.dumps({"zeros": [[1.5, 0.0], [1.8, 0.25]],
+                                    "c": [[0.3, 0.0], [0.2, 0.1]], "d": [None, [0.5, -0.2]]}))
+    try:
+        res = run_cli("asym", "--config", str(cfgp), "--out", str(out))
+        moved = read_columns(out / "asymptotics.csv", cli.ASYMPTOTICS_HEADER)
+    finally:
+        sol_path.write_text(sol_text)
+        assert run_cli("asym", "--config", str(cfgp), "--out", str(out)).returncode == 0
+    assert res.returncode == 0, res.stderr
+    assert np.array_equal(moved["A1"], first["A1"]) and np.array_equal(moved["A2"], first["A2"])
+    assert np.all(first["A1"] != 0) and np.all(first["A2"] != 0)
+    P = lambda k: asy.blaschke_P(k, zeros)
+    for i, zeta in enumerate(first["zeta"]):
+        sad = cy.SectorArcs.from_zeta(zeta).saddles
+        shift1 = np.angle(P(OMEGA * sad.k4) / P(OMEGA**2 * sad.k4))
+        shift2 = np.angle(P(OMEGA**2 * sad.k2) / P(OMEGA * sad.k2))
+        assert abs(shift1) > 1e-3 and abs(shift2) > 1e-3
+        assert abs(moved["alpha1"][i] - first["alpha1"][i] - shift1) < 1e-10
+        assert abs(moved["alpha2"][i] - first["alpha2"][i] - shift2) < 1e-10
 
 
 def test_pipeline_evolve_compare(small_run):
