@@ -9,7 +9,7 @@ from bqist import initial_data as ini
 from bqist import scattering as sc
 from bqist.config import SPEC, NumericalError
 from bqist.reflection import ReflectionData
-from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phi, saddle_points
+from bqist.spectral import OMEGA, ZETA_MAX, ZETA_MIN, phase_values, phi, saddle_points
 from bqist.util import graded_panels, panel_quad, refine_near
 
 ZETA = 0.75
@@ -336,6 +336,45 @@ def test_asym_on_reflectionless_soliton_data(soliton_data, soliton_zeros):
         for t in SPEC["t_values"].default:
             ev = asy.u_asym(ing, t)
             assert np.all(np.isfinite([ev.A1, ev.A2, ev.alpha1, ev.alpha2, ev.u_asym]))
+
+
+#: the zetas of the translation check, and its bounds per unit of shift: the largest
+#: miss per unit of |x0| over both cases, times about 3 (1.45e-9 and 1.51e-6 relative
+#: in A1 and A2, 3.23e-8 and 7.29e-7 rad in alpha1 and alpha2, on the L = 60, n = 2049
+#: grid; the phase miss is the march's, and falls 16x when the step halves)
+SHIFT_ZETAS = (0.65, 0.75, 0.85, 0.93)
+SHIFT_BOUNDS = {"A1": 5e-9, "alpha1": 1e-7, "A2": 5e-6, "alpha2": 2.5e-6}
+
+
+def shifted_asym(data, m):
+    """A1, alpha1, A2 and alpha2 at SHIFT_ZETAS and t = 240, of the samples of
+    ``data`` rolled by m grid steps."""
+    rolled = ini.from_arrays(data.x, np.roll(data.u0, m), np.roll(data.u1, m))
+    cf = cy.CircleFunctions(sc.reflection_coefficients(rolled, n_per_arc=56))
+    evs = [asy.u_asym(asy.build_ingredients(z, cf), 240.0) for z in SHIFT_ZETAS]
+    return {name: np.array([getattr(ev, name) for ev in evs]) for name in SHIFT_BOUNDS}
+
+
+@pytest.mark.parametrize("amplitude, u1_mode, x0, sectors", [
+    (0.01, "zero", 5.0, (1,)), (0.04, "minus_du0", -10.0, (1, 2))], ids=("a0.01", "a0.04"))
+def test_translated_data_move_only_the_phases(amplitude, u1_mode, x0, sectors):
+    """u(x) -> u(x - x0) leaves A1 and A2 and moves alpha1 by x0 Im(l3 - l1)(w k4)
+    and alpha2 by x0 Im(l3 - l2)(w2 k2).  The data are rolled by whole grid steps,
+    so the shift is exact on the grid.  gaussian_bl at L = 60 is not used: its
+    tails (tail_max 1.3e-6) make asym exit 1 at x0 = 5."""
+    data = ini.gaussian(amplitude, 2.0, L=60.0, n=2049, u1_mode=u1_mode)
+    m = round(x0 / data.h)
+    x0 = m * data.h
+    base, moved = shifted_asym(data, 0), shifted_asym(data, m)
+    arcs = [cy.SectorArcs.from_zeta(z) for z in SHIFT_ZETAS]
+    l4 = phase_values([a.wk4 for a in arcs]).l
+    l2 = phase_values([a.w2k2 for a in arcs]).l
+    shift = {"alpha1": x0 * (l4[2] - l4[0]).imag, "alpha2": x0 * (l2[2] - l2[1]).imag}
+    for j in sectors:
+        amp, phase = f"A{j}", f"alpha{j}"
+        assert np.max(np.abs(moved[amp] / base[amp] - 1)) < SHIFT_BOUNDS[amp] * abs(x0), amp
+        turn = np.angle(np.exp(1j * (moved[phase] - base[phase] - shift[phase])))
+        assert np.max(np.abs(turn)) < SHIFT_BOUNDS[phase] * abs(x0), phase
 
 
 def test_phase_derivative_identities(cf_small):

@@ -621,12 +621,14 @@ def test_soliton_reflectionless(soliton_data):
     assert np.nanmax(np.abs(r1)) < 1e-3
 
 
-def test_soliton_zero_location(soliton_zeros):
-    v = 1.3
-    assert len(soliton_zeros) == 1
-    k0 = soliton_zeros[0]
-    assert abs(k0.imag) < 1e-9
-    assert abs(k0.real - (v + np.sqrt(v * v - 1))) < 1e-3
+@pytest.mark.parametrize("v, L", [(1.15, 60.0), (1.25, 40.0), (1.3, 40.0), (1.35, 40.0)])
+def test_soliton_zero_location(v, L):
+    """The one zero of exact one-soliton data is real, at v + sqrt(v^2 - 1).
+    Measured misses run from 3.9e-10 (v = 1.25) to 1.04e-9 (v = 1.35) at
+    n = 4097; the bound is 3e-9, about 3x the largest."""
+    zeros = sc.find_s11_zeros(pde.soliton_profile(v, L=L, n=4097))
+    assert len(zeros) == 1 and zeros[0].imag == 0.0
+    assert abs(zeros[0].real - (v + np.sqrt(v * v - 1))) < 3e-9
 
 
 def test_soliton_residue_and_nonsingularity(soliton_data, soliton_zeros):
@@ -634,6 +636,21 @@ def test_soliton_residue_and_nonsingularity(soliton_data, soliton_zeros):
     assert len(sol.c) == 1 and abs(sol.c[0]) > 1e-6
     val = sc.nonsingularity_value(sol.zeros[0], sol.c[0])
     assert val.real > 0
+
+
+def test_residue_constant_obeys_the_translation_law():
+    """Moving the speed-1.3 soliton by x0 multiplies its residue constant c by
+    e^{p x0}, p = sqrt(v^2 - 1) = (l2 - l1)(k0), at the zero found once at
+    x0 = 0.  Measured: relative misses 2.3e-8 (x0 = -10) and 3.1e-8 (x0 = 14),
+    phases 1.4e-10 rad and less; the bounds are 1e-7 and 5e-10 rad."""
+    v = 1.3
+    p = np.sqrt(v * v - 1)
+    zeros = sc.find_s11_zeros(pde.soliton_profile(v, 0.0, L=60.0, n=8193))
+    c = {x0: sc.residue_constants(pde.soliton_profile(v, x0, L=60.0, n=8193), zeros).c[0]
+         for x0 in (0.0, -10.0, 14.0)}
+    for x0 in (-10.0, 14.0):
+        miss = c[x0] / c[0.0] / np.exp(p * x0)
+        assert abs(miss - 1) < 1e-7 and abs(np.angle(miss)) < 5e-10, x0
 
 
 def test_contour_moments_cross_validate_real_zero(soliton_data, soliton_zeros):
@@ -805,13 +822,17 @@ def soliton_config(soliton_data, tmp_path, **fields):
 def test_scatter_marches(soliton_data, tmp_path, monkeypatch, in_this_process):
     """The whole scatter stage on criterion-8 data, as CSV input with zero
     detection, run in one process: the off-circle branch first (the contours,
-    two Newton steps, the residues and the validators), then X and XA on the circle."""
-    cfg = soliton_config(soliton_data, tmp_path)
+    two Newton steps, the residues and the validators), then X and XA on the circle.
+    It writes the one real zero above 1, whose Blaschke factor asym then reads."""
+    cfg = soliton_config(soliton_data, tmp_path, n_zeta=5)
     calls = counted_marches(monkeypatch)
     with in_this_process():
         assert cli.cmd_scatter(cfg) == 0
     assert calls == [("X",)] * 4 + [("X", "X", "XA")] + [("X",), ("XA",)]
-    assert len(json.loads((tmp_path / "out" / "solitons.json").read_text())["zeros"]) == 1
+    zeros = json.loads((cfg.out_dir / "solitons.json").read_text())["zeros"]
+    assert len(zeros) == 1 and zeros[0][1] == 0 and zeros[0][0] > 1, zeros
+    assert cli.main(["asym", "--config", str(tmp_path / "run.json"),
+                     "--out", str(cfg.out_dir)]) == 0
 
 
 def test_scattering_data_in_three_processes_keeps_results(soliton_data, monkeypatch,
